@@ -199,6 +199,11 @@ def _cmd_fit(args, argv) -> int:
             for r in cv_result.nodes
         )
         print(f"cross-validation selected {chosen}")
+        for r in cv_result.nodes:
+            if r.on_grid_edge:
+                print(f"note: node {r.node}: lambda={r.best_lam:g} "
+                      f"scale={r.best_scale:g} lies on the edge of the CV grid",
+                      file=sys.stderr)
     _write_provenance(args.out_model, "fit", argv)
     print(f"fitted {dataset.dim}-column model on {dataset.n} rows "
           f"-> {args.out_model}")
@@ -220,6 +225,13 @@ def _model_summary(model) -> list[dict]:
     return out
 
 
+def _stderr_of_mean(per_row: np.ndarray) -> float:
+    """Standard error of the mean; 0.0 for a single row."""
+    if len(per_row) < 2:
+        return 0.0
+    return float(np.std(per_row, ddof=1) / np.sqrt(len(per_row)))
+
+
 def _cmd_eval(args, argv) -> int:
     if args.curve:
         return _cmd_eval_curve(args, argv)
@@ -229,8 +241,7 @@ def _cmd_eval(args, argv) -> int:
     rows, _ = load_csv(args.test)
     mean, per_row = test_loglik(model, rows, is_samples=args.is_samples,
                                 seed=args.seed)
-    stderr = float(np.std(per_row, ddof=1) / np.sqrt(len(per_row))) \
-        if len(per_row) > 1 else 0.0
+    stderr = _stderr_of_mean(per_row)
     _write_json(args.out, {
         "mean_loglik": mean,
         "stderr": stderr,
@@ -262,7 +273,7 @@ def _cmd_eval_curve(args, argv) -> int:
         model, _ = _fit_from_args(args, subset)
         mean, per_row = test_loglik(model, test_rows, is_samples=args.is_samples,
                                     seed=args.seed)
-        stderr = float(np.std(per_row, ddof=1) / np.sqrt(len(per_row)))
+        stderr = _stderr_of_mean(per_row)
         records.append([size, mean, stderr])
         print(f"n={size}: mean test log-likelihood {mean:.4f}")
     save_csv(args.out, np.array(records), ["n_train", "mean_loglik", "stderr"])

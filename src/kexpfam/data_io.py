@@ -260,7 +260,12 @@ def save_model(model: JointModel, path, provenance: dict | None = None) -> None:
 def _unpack(payload: bytes, ref: dict) -> np.ndarray:
     shape = tuple(int(s) for s in ref["shape"])
     count = int(np.prod(shape)) if shape else 1
-    start = ref["offset"] * 8
+    start = int(ref["offset"]) * 8
+    if start < 0 or count < 0 or start + count * 8 > len(payload):
+        raise ArchiveError(
+            f"array at offset {ref['offset']} with shape {list(shape)} "
+            f"lies outside the payload"
+        )
     arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
     return arr.reshape(shape).astype(np.float64)
 
@@ -277,7 +282,9 @@ def load_model(path) -> JointModel:
     """Read a model archive written by save_model.
 
     Raises ArchiveError on bad magic, an unsupported format version (no
-    silent migration), a checksum mismatch, or truncation.
+    silent migration), a checksum mismatch, truncation, or metadata that
+    does not describe a valid model (a missing key, a wrong type, an array
+    reference outside the payload).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -304,7 +311,15 @@ def load_model(path) -> JointModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"{path}: corrupt metadata section: {exc}") from None
     payload = body[meta_start + meta_len:]
+    try:
+        return _model_from_meta(meta, payload)
+    except KeyError as exc:
+        raise ArchiveError(f"{path}: metadata lacks key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArchiveError(f"{path}: invalid metadata: {exc}") from None
 
+
+def _model_from_meta(meta: dict, payload: bytes) -> JointModel:
     dag = DagSpec(node_count=int(meta["dag"]["node_count"]),
                   parents=tuple(tuple(p) for p in meta["dag"]["parents"]))
     factors = []

@@ -5,7 +5,7 @@ log-likelihoods, cross-validation over hyperparameter grids, and a score
 The importance-sampling proposal is the base density itself, making the
 normalizer estimate a plain Monte Carlo average of exp(T) under q0.
 Partition estimates are cached per (factor, conditioning point, sample
-count, seed) so repeated evaluation is deterministic and cheap.
+count, seed, node index) so repeated evaluation is deterministic and cheap.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ import numpy as np
 
 from .errors import DataError, KexpfamError, NumericalError
 from .factorization import DagSpec, JointModel, NodeHyperparams, _node_kernels
+from .kernels import median_heuristic
 from .score_fit import (
     BaseDensity,
     FactorModel,
     _as_matrix,
     _as_x_row,
+    _ridge_solve,
+    build_gram_system,
     cross_T_blocks,
     empirical_score,
-    fit_factor,
     unnorm_logpdf_rows,
 )
 
@@ -93,11 +95,15 @@ class CvCell:
 
 @dataclass(frozen=True)
 class NodeCvResult:
+    """One node's CV table and its pick.  ``on_grid_edge`` is true when the
+    chosen lambda or scale is the smallest or largest value of its grid."""
+
     node: int
     best_lam: float
     best_scale: float
     best_score: float
     table: tuple
+    on_grid_edge: bool
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,8 @@ def _partition_for_rows(model: FactorModel, X_rows: np.ndarray,
 
     with _cache_lock:
         factor_cache = _partition_cache.setdefault(model, {})
-        keys = [(row.tobytes(), num_samples, int(seed)) for row in uniq]
+        keys = [(row.tobytes(), num_samples, int(seed), int(node_index))
+                for row in uniq]
         missing = [k for k, key in enumerate(keys) if key not in factor_cache]
 
     if missing:
@@ -191,7 +198,7 @@ def log_partition_is(model: FactorModel, x, num_samples: int,
 
     Uses a max-stabilized log-mean-exp, so a model with T identically zero
     yields log_z == 0.0 exactly.  Estimates are cached per (factor,
-    rounded x, sample count, seed).
+    rounded x, sample count, seed, node index).
     """
     if num_samples < 1:
         raise DataError("num_samples must be >= 1")
@@ -246,37 +253,68 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
 
 def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
              base: BaseDensity, fold_blocks, max_workers: int) -> NodeCvResult:
-    parents = list(dag.parents[node])
-    x_all = values[:, parents]
+    parents = dag.parents[node]
+    x_all = values[:, list(parents)]
     y_all = values[:, [node]]
+    lambdas, scales = config.lambda_grid, config.bandwidth_scale_grid
 
-    def score_point(lam, scale):
-        hp = NodeHyperparams(lam=lam, x_scale=scale, y_scale=scale)
-        kx, ky = _node_kernels(values, tuple(parents), node, hp)
-        fold_scores = []
-        for block in fold_blocks:
-            mask = np.ones(values.shape[0], dtype=bool)
-            mask[block] = False
+    # one median heuristic per node; every scale rescales the same bandwidths
+    x_med = median_heuristic(x_all) if parents else None
+    y_med = median_heuristic(y_all)
+    kernels = [
+        _node_kernels(values, parents, node, NodeHyperparams(
+            x_bandwidths=None if x_med is None else scale * x_med,
+            y_bandwidths=scale * y_med))
+        for scale in scales
+    ]
+
+    def score_fold(kx, ky, block) -> list[float]:
+        """Held-out score of every lambda on one fold: the fold's system is
+        assembled once and solved once per lambda."""
+        mask = np.ones(values.shape[0], dtype=bool)
+        mask[block] = False
+        x_fit, y_fit = x_all[mask], y_all[mask]
+        try:
+            system = build_gram_system(x_fit, y_fit, kx, ky, base)
+        except (KexpfamError, FloatingPointError):
+            return [math.inf] * len(lambdas)
+        scores = []
+        for lam in lambdas:
             try:
-                fitted = fit_factor(x_all[mask], y_all[mask], kx, ky, lam, base)
-                fold_scores.append(empirical_score(fitted, x_all[block], y_all[block]))
+                beta = _ridge_solve(system.G, system.h, lam, system.n)
+                fitted = FactorModel(x_train=x_fit, y_train=y_fit, kernel_x=kx,
+                                     kernel_y=ky, lam=lam, beta=beta, base=base,
+                                     xi_coeff=-1.0 / lam)
+                scores.append(empirical_score(fitted, x_all[block], y_all[block]))
             except (KexpfamError, FloatingPointError):
-                fold_scores.append(math.inf)
-        return CvCell(lam=lam, scale=scale,
-                      mean_score=float(np.mean(fold_scores)),
-                      fold_scores=tuple(fold_scores))
+                scores.append(math.inf)
+        return scores
 
-    points = list(itertools.product(config.lambda_grid, config.bandwidth_scale_grid))
+    # one task per (scale, fold); results are read back by position, so the
+    # thread count cannot change the table
+    tasks = [(kx, ky, block) for kx, ky in kernels for block in fold_blocks]
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            table = list(pool.map(lambda p: score_point(*p), points))
+            results = list(pool.map(lambda t: score_fold(*t), tasks))
     else:
-        table = [score_point(lam, scale) for lam, scale in points]
+        results = [score_fold(*t) for t in tasks]
+
+    folds = len(fold_blocks)
+    table = []
+    for (i, lam), (j, scale) in itertools.product(enumerate(lambdas),
+                                                  enumerate(scales)):
+        fold_scores = [results[j * folds + f][i] for f in range(folds)]
+        table.append(CvCell(lam=lam, scale=scale,
+                            mean_score=float(np.mean(fold_scores)),
+                            fold_scores=tuple(fold_scores)))
 
     # ties break toward stronger smoothing: larger lambda, then larger scale
     best = min(table, key=lambda c: (c.mean_score, -c.lam, -c.scale))
+    on_grid_edge = (best.lam in (min(lambdas), max(lambdas))
+                    or best.scale in (min(scales), max(scales)))
     return NodeCvResult(node=node, best_lam=best.lam, best_scale=best.scale,
-                        best_score=best.mean_score, table=tuple(table))
+                        best_score=best.mean_score, table=tuple(table),
+                        on_grid_edge=on_grid_edge)
 
 
 def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
@@ -287,7 +325,9 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     The split is one seeded shuffle followed by contiguous blocks, shared by
     every node.  Each grid point is scored by the mean held-out empirical
     score (lower is better); a failed fit scores +inf but stays in the
-    table.  Selection is invariant to grid enumeration order.
+    table.  Selection is invariant to grid enumeration order.  Each fold's
+    system is assembled once per (node, bandwidth scale) and solved for
+    every lambda, which gives the same bits as one fit per grid cell.
     """
     config = config if config is not None else CvConfig()
     base = base if base is not None else BaseDensity()

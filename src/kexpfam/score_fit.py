@@ -268,34 +268,32 @@ def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,
     return float(vals[0])
 
 
-def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
-               base: BaseDensity | None = None) -> FactorModel:
-    """Fit the natural parameter by solving (G + n*lam*I) beta = h / lam.
+def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray:
+    """Solve (G + n*lam*I) beta = h / lam for beta.
 
+    The ridge and any jitter go onto the diagonal of a copy, so G is left
+    untouched and one assembled system can be solved for several lambdas.
     The shifted matrix is PSD plus a positive ridge, so a Cholesky
     factorization is used; on breakdown a small jitter (1e-10 times the mean
     diagonal mass of G) is added and escalated tenfold up to three times.
     The solution must satisfy the residual bound
     ||(G + n*lam*I) beta - h/lam|| <= 1e-8 * max(1, ||h/lam||).
     """
-    base = base if base is not None else BaseDensity()
-    x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
-    if not np.isfinite(lam) or lam <= 0:
-        raise DataError("lambda must be positive and finite")
-    n, d = y_train.shape
-    G = build_gram(x_train, y_train, kernel_x, kernel_y)
-    h = build_h(x_train, y_train, kernel_x, kernel_y, base)
-    A = G + (n * lam) * np.eye(n * d)
+    diag = np.diag_indices_from(G)
+    A = G.copy()
+    A[diag] += n * lam
     rhs = h / lam
 
-    scale = np.trace(G) / (n * d)
+    scale = np.trace(G) / G.shape[0]
     jitter = 0.0
     factor = None
     for attempt in range(4):
+        shifted = A
+        if jitter:
+            shifted = A.copy()
+            shifted[diag] += jitter
         try:
-            factor = scipy.linalg.cho_factor(
-                A + jitter * np.eye(n * d) if jitter else A, lower=True
-            )
+            factor = scipy.linalg.cho_factor(shifted, lower=True)
             break
         except scipy.linalg.LinAlgError:
             jitter = 1e-10 * max(scale, 1.0) if jitter == 0.0 else jitter * 10.0
@@ -318,7 +316,23 @@ def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
             raise NumericalError(
                 f"solve residual {np.linalg.norm(resid):.3e} exceeds bound {bound:.3e}"
             )
+    return beta
 
+
+def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
+               base: BaseDensity | None = None) -> FactorModel:
+    """Fit the natural parameter by solving (G + n*lam*I) beta = h / lam.
+
+    Assembles G and h, then solves with ``_ridge_solve`` (Cholesky with
+    jitter escalation and a residual bound).
+    """
+    base = base if base is not None else BaseDensity()
+    x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
+    if not np.isfinite(lam) or lam <= 0:
+        raise DataError("lambda must be positive and finite")
+    G = build_gram(x_train, y_train, kernel_x, kernel_y)
+    h = build_h(x_train, y_train, kernel_x, kernel_y, base)
+    beta = _ridge_solve(G, h, lam, y_train.shape[0])
     return FactorModel(
         x_train=x_train, y_train=y_train, kernel_x=kernel_x, kernel_y=kernel_y,
         lam=lam, beta=beta, base=base, xi_coeff=-1.0 / lam,

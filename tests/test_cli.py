@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -140,9 +142,10 @@ class TestFitEvalPipeline:
                     "--lambda", 0.01, "--out-model", tmp_path / "imm.kcef"]) == 0
         assert train.read_bytes() == before
 
-    def test_fit_with_cv_writes_table(self, tmp_path):
+    def test_fit_with_cv_writes_table(self, tmp_path, capsys):
         train = gen_grid(tmp_path, "cv_train.csv", n=120, seed=3)
         model = tmp_path / "cv_model.kcef"
+        capsys.readouterr()
         code = run(["fit", "--data", train, "--dag", "markov", "--cv",
                     "--folds", 3, "--lambda-grid", "0.01,0.1",
                     "--scale-grid", "1,2", "--out-model", model])
@@ -150,6 +153,10 @@ class TestFitEvalPipeline:
         table, names = load_csv(tmp_path / "cv_model.cv.csv")
         assert names == ["node", "lambda", "scale", "mean_score"]
         assert table.shape == (8, 4)  # 2 nodes x 4 grid points
+        # on a two-point grid every pick lies on the edge: one note per node
+        notes = capsys.readouterr().err.splitlines()
+        assert len(notes) == 2
+        assert all("edge of the CV grid" in line for line in notes)
 
     def test_fit_requires_lambda_or_cv(self, tmp_path):
         train = gen_grid(tmp_path, "nolam.csv", n=60, seed=3)
@@ -177,6 +184,18 @@ class TestCurve:
         assert names == ["n_train", "mean_loglik", "stderr"]
         # 600 training rows cover the 200 and 500 sizes
         np.testing.assert_array_equal(table[:, 0], [200, 500])
+
+    def test_curve_single_test_row_has_zero_stderr(self, tmp_path):
+        train = gen_grid(tmp_path, "curve_train.csv", n=200, dim=2, seed=0)
+        test = tmp_path / "one_row.csv"
+        test.write_text("x0,x1\n0.3,0.6\n")
+        out = tmp_path / "curve.csv"
+        code = run(["eval", "--curve", "--data", train, "--test", test,
+                    "--dag", "markov", "--lambda", 0.01,
+                    "--is-samples", 500, "--seed", 0, "--out", out])
+        assert code == 0
+        table, _ = load_csv(out)
+        np.testing.assert_array_equal(table[:, 2], [0.0])
 
     def test_curve_requires_training_data(self, tmp_path):
         test = gen_grid(tmp_path, "t.csv", n=50, seed=1)
@@ -227,6 +246,32 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "ancestral_sample", explode)
         assert run(["sample", "--model", model, "--n", 5,
                     "--out", tmp_path / "s.csv"]) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("standardization"),
+        lambda meta: meta["factors"][0]["beta"].update(offset=10**9),
+    ], ids=["missing_key", "offset_out_of_range"])
+    def test_schema_invalid_archive_is_data_error(self, tmp_path, capsys, edit):
+        train = gen_grid(tmp_path, "s.csv", n=60, seed=3)
+        model = tmp_path / "m.kcef"
+        assert run(["fit", "--data", train, "--lambda", 0.01,
+                    "--out-model", model]) == 0
+        # rewrite the metadata and re-seal it, so the checksum still holds
+        blob = model.read_bytes()
+        (meta_len,) = struct.unpack("<Q", blob[8:16])
+        meta = json.loads(blob[16:16 + meta_len])
+        edit(meta)
+        meta_bytes = json.dumps(meta, sort_keys=True,
+                                separators=(",", ":")).encode("utf-8")
+        body = (blob[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+                + blob[16 + meta_len:-32])
+        model.write_bytes(body + hashlib.sha256(body).digest())
+        capsys.readouterr()
+        assert run(["eval", "--model", model, "--test", train,
+                    "--is-samples", 100, "--out", tmp_path / "e.json"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "data"
 
     def test_version_flag(self):
         assert run(["--version"]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -20,10 +21,22 @@ from kexpfam.evaluation import (
     log_partition_from_draws,
     log_partition_is,
 )
-from kexpfam.factorization import JointModel, NodeHyperparams, fit_joint, make_dag
+from kexpfam.factorization import (
+    JointModel,
+    NodeHyperparams,
+    _node_kernels,
+    fit_joint,
+    make_dag,
+)
 from kexpfam.kernels import ConstantKernel, GaussianKernelSpec
 from kexpfam.sampling import GridDatasetConfig, rejection_sample_grid
-from kexpfam.score_fit import FactorModel, eval_T, unnorm_logpdf_rows
+from kexpfam.score_fit import (
+    FactorModel,
+    empirical_score,
+    eval_T,
+    fit_factor,
+    unnorm_logpdf_rows,
+)
 
 
 def zero_T_factor(n=4, d=1, p=0):
@@ -138,6 +151,22 @@ class TestLogPartition:
         e2 = log_partition_is(factor, [0.25 + 1e-15], 2000, seed=1)
         assert e1.log_z == e2.log_z
 
+    def test_cache_does_not_depend_on_earlier_node_calls(self):
+        raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=100, seed=3))
+        ds = standardize(raw)
+
+        def fresh_factor():
+            return fit_joint(ds, make_dag("markov", 2),
+                             NodeHyperparams(lam=0.02)).factors[1]
+
+        alone = log_partition_is(fresh_factor(), [0.25], 2000, seed=1,
+                                 node_index=1)
+        factor = fresh_factor()
+        node0 = log_partition_is(factor, [0.25], 2000, seed=1, node_index=0)
+        after = log_partition_is(factor, [0.25], 2000, seed=1, node_index=1)
+        assert node0.log_z != alone.log_z
+        assert (after.log_z, after.std_err) == (alone.log_z, alone.std_err)
+
 
 class TestTestLoglik:
     def test_zero_T_reduces_to_base_plus_jacobian(self, rng):
@@ -243,15 +272,15 @@ class TestCrossValidate:
         assert result.nodes[0].best_lam == 0.05
 
     def test_failed_fit_scores_infinity(self, small_grid, monkeypatch):
-        real_fit = evaluation.fit_factor
+        real_solve = evaluation._ridge_solve
         poison = 0.123456
 
-        def exploding_fit(x, y, kx, ky, lam, base=None):
+        def exploding_solve(G, h, lam, n):
             if lam == poison:
                 raise NumericalError("forced failure")
-            return real_fit(x, y, kx, ky, lam, base)
+            return real_solve(G, h, lam, n)
 
-        monkeypatch.setattr(evaluation, "fit_factor", exploding_fit)
+        monkeypatch.setattr(evaluation, "_ridge_solve", exploding_solve)
         config = CvConfig(folds=3, lambda_grid=(poison, 0.05),
                           bandwidth_scale_grid=(1.0,), seed=2)
         result = cross_validate(small_grid, make_dag("markov", 2), config)
@@ -259,6 +288,43 @@ class TestCrossValidate:
             scores = {c.lam: c.mean_score for c in node_result.table}
             assert math.isinf(scores[poison])
             assert node_result.best_lam == 0.05
+
+    def test_fold_scores_match_per_fold_refits(self, small_grid):
+        """Shared-assembly CV against an independent route: one fit_factor
+        refit per (lambda, scale, fold), scored on the held-out block."""
+        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1),
+                          bandwidth_scale_grid=(0.5, 2.0), seed=7)
+        dag = make_dag("markov", 2)
+        result = cross_validate(small_grid, dag, config)
+        values = small_grid.values
+        perm = np.random.default_rng(config.seed).permutation(values.shape[0])
+        blocks = np.array_split(perm, config.folds)
+        for node_result in result.nodes:
+            node = node_result.node
+            parents = dag.parents[node]
+            x, y = values[:, list(parents)], values[:, [node]]
+            assert [(c.lam, c.scale) for c in node_result.table] == list(
+                itertools.product(config.lambda_grid, config.bandwidth_scale_grid))
+            for cell in node_result.table:
+                hp = NodeHyperparams(lam=cell.lam, x_scale=cell.scale,
+                                     y_scale=cell.scale)
+                kx, ky = _node_kernels(values, parents, node, hp)
+                expect = []
+                for block in blocks:
+                    train = np.setdiff1d(np.arange(values.shape[0]), block)
+                    fitted = fit_factor(x[train], y[train], kx, ky, cell.lam)
+                    expect.append(empirical_score(fitted, x[block], y[block]))
+                assert cell.fold_scores == tuple(expect)
+
+    def test_on_grid_edge_flags_boundary_picks(self, small_grid):
+        config = CvConfig(folds=3, lambda_grid=(1e-6, 1e-4, 1e-2, 1.0),
+                          bandwidth_scale_grid=(0.25, 1.0, 4.0), seed=7)
+        result = cross_validate(small_grid, make_dag("markov", 2), config)
+        interior, edge = result.nodes
+        assert (interior.best_lam, interior.best_scale) == (1e-4, 1.0)
+        assert not interior.on_grid_edge
+        assert edge.best_scale == 4.0
+        assert edge.on_grid_edge
 
     def test_needs_enough_rows(self, small_grid):
         with pytest.raises(DataError):
