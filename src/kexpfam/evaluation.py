@@ -285,9 +285,11 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
                 fitted = FactorModel(x_train=x_fit, y_train=y_fit, kernel_x=kx,
                                      kernel_y=ky, lam=lam, beta=beta, base=base,
                                      xi_coeff=-1.0 / lam)
-                scores.append(empirical_score(fitted, x_all[block], y_all[block]))
+                score = empirical_score(fitted, x_all[block], y_all[block])
             except (KexpfamError, FloatingPointError):
-                scores.append(math.inf)
+                score = math.inf
+            # an overflowed score (nan) would make the pick depend on grid order
+            scores.append(score if math.isfinite(score) else math.inf)
         return scores
 
     # one task per (scale, fold); results are read back by position, so the
@@ -324,10 +326,11 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
 
     The split is one seeded shuffle followed by contiguous blocks, shared by
     every node.  Each grid point is scored by the mean held-out empirical
-    score (lower is better); a failed fit scores +inf but stays in the
-    table.  Selection is invariant to grid enumeration order.  Each fold's
-    system is assembled once per (node, bandwidth scale) and solved for
-    every lambda, which gives the same bits as one fit per grid cell.
+    score (lower is better); a failed fit or a non-finite held-out score
+    scores +inf but stays in the table.  Selection is invariant to grid
+    enumeration order.  Each fold's system is assembled once per (node,
+    bandwidth scale) and solved for every lambda, which gives the same bits
+    as one fit per grid cell.
     """
     config = config if config is not None else CvConfig()
     base = base if base is not None else BaseDensity()

@@ -10,6 +10,7 @@ Everything here is deterministic: identical inputs give identical outputs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,13 @@ from .kernels import (
 RESIDUAL_RTOL = 1e-8
 
 _EVAL_CHUNK = 512
+
+# Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
+# 6.0 by tracemalloc around fit_factor at n=2000, d=1 (the benchmark's
+# score_fit.peak_over_gram), set by the Gram-sized temporaries of build_gram.
+# Fits with n <= _EVAL_CHUNK read 8.0, because one build_h chunk then spans
+# all rows; their Gram is at most 2*d^2 MiB.
+_PEAK_OVER_GRAM = 6.0
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,84 @@ class GramSystem:
     n: int
 
 
+def _xi_coeffs(y_train, base: BaseDensity):
+    """Coefficients (a, e) of the averaged feature function alone."""
+    n = y_train.shape[0]
+    return base.grad_log(y_train) / n, 1.0 / n
+
+
+def _model_coeffs(model: FactorModel):
+    """Coefficients (a, e) of the fitted T: beta plus xi_coeff times the
+    averaged feature function."""
+    e = model.xi_coeff / model.n
+    return model.beta2d + e * model.base.grad_log(model.y_train), e
+
+
+def _weight(U, s2, a, e, j: int, q: int):
+    """sum_l a[b,l] * mixed(l,1; j,q) + e * mixed(l,2; j,q), elementwise over
+    (train, eval).  T, its y-partials, xi_hat and h are all sums
+    sum_b k_X(X_b, x) * k_Y(Y_b, y) * weight that differ only in the
+    per-sample coefficients a (n, d) and the scalar e."""
+    out = None
+    for l in range(a.shape[1]):
+        same = l == j
+        term = a[:, l, None] * _mixed_factor(U[l], s2[l], 1, U[j], s2[j], q,
+                                             same_dim=same)
+        term += e * _mixed_factor(U[l], s2[l], 2, U[j], s2[j], q, same_dim=same)
+        out = term if out is None else out + term
+    return out
+
+
+def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
+               want_value=True, want_grad=False, want_second=False, kx_pair=None):
+    """Kernel sums with coefficients (a, e) and their first/second y-partials
+    at paired rows (X_eval[r], Y_eval[r]), chunked over rows to bound memory.
+    Returns (value (R,), grad (R, d), second (R, d)), None where not wanted.
+    """
+    d = y_train.shape[1]
+    s2 = kernel_y.variances
+    R = X_eval.shape[0]
+    value = np.empty(R) if want_value else None
+    grad = np.empty((R, d)) if want_grad else None
+    second = np.empty((R, d)) if want_second else None
+
+    for lo in range(0, R, _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, R)
+        kx = (kernel_matrix(kernel_x, x_train, X_eval[lo:hi])
+              if kx_pair is None else kx_pair[:, lo:hi])
+        kxky = kx * kernel_matrix(kernel_y, y_train, Y_eval[lo:hi])
+        U = [y_train[:, m, None] - Y_eval[None, lo:hi, m] for m in range(d)]
+        if want_value:
+            value[lo:hi] = np.sum(kxky * _weight(U, s2, a, e, 0, 0), axis=0)
+        for j in range(d):
+            if want_grad:
+                grad[lo:hi, j] = np.sum(kxky * _weight(U, s2, a, e, j, 1), axis=0)
+            if want_second:
+                second[lo:hi, j] = np.sum(kxky * _weight(U, s2, a, e, j, 2), axis=0)
+    return value, grad, second
+
+
+def _physical_memory_bytes() -> int | None:
+    """Physical memory of the machine, or None where the OS does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _check_fit_size(nd: int) -> None:
+    """Raise DataError before assembly when a fit of size nd cannot fit in
+    physical memory, instead of dying in MemoryError or the OOM killer."""
+    need = _PEAK_OVER_GRAM * nd * nd * 8
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise DataError(
+            f"a fit with n*d = {nd} needs about {need / 2**30:.1f} GiB, more than "
+            f"the {have / 2**30:.1f} GiB of physical memory; use fewer rows"
+        )
+
+
 def build_gram(x_train, y_train, kernel_x, kernel_y) -> np.ndarray:
     """Assemble the nd x nd Gram matrix of derivative features.
 
@@ -164,6 +250,7 @@ def build_gram(x_train, y_train, kernel_x, kernel_y) -> np.ndarray:
     """
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
     n, d = y_train.shape
+    _check_fit_size(n * d)
     kx = kernel_matrix(kernel_x, x_train, x_train)
     ky = kernel_matrix(kernel_y, y_train, y_train)
     G = np.empty((n * d, n * d))
@@ -180,22 +267,10 @@ def build_h(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -> np.ndarr
     """Right-hand-side vector: entry (b,i) is the i-th y-partial of the
     averaged feature function evaluated at the training pair (X_b, Y_b)."""
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
-    n, d = y_train.shape
-    s2 = kernel_y.variances
-    kx = kernel_matrix(kernel_x, x_train, x_train)
-    ky = kernel_matrix(kernel_y, y_train, y_train)
-    c = base.grad_log(y_train)  # (n, d)
-    U = [y_train[:, m, None] - y_train[None, :, m] for m in range(d)]
-    h = np.empty((n, d))
-    for i in range(d):
-        acc = np.zeros((n, n))
-        for l in range(d):
-            m21 = _mixed_factor(U[l], s2[l], 2, U[i], s2[i], 1, same_dim=(l == i))
-            m11 = _mixed_factor(U[l], s2[l], 1, U[i], s2[i], 1, same_dim=(l == i))
-            acc += m21 + c[:, l, None] * m11
-        # sum over training sample a of kx[a,b] * ky[a,b] * acc[a,b]
-        h[:, i] = np.einsum("ab,ab->b", kx * ky, acc) / n
-    h = h.reshape(-1)
+    a, e = _xi_coeffs(y_train, base)
+    _, grad, _ = _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e,
+                            x_train, y_train, want_value=False, want_grad=True)
+    h = grad.reshape(-1)
     if not np.all(np.isfinite(h)):
         raise NumericalError("h vector has non-finite entries")
     return h
@@ -207,45 +282,6 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
     return GramSystem(G=G, h=h, n=np.atleast_2d(y_train).shape[0])
 
 
-def _beta_weight(U, s2, beta2, j: int, q: int):
-    """sum_i beta[b,i] * mixed(i,1; j,q), elementwise over (train, eval)."""
-    d = beta2.shape[1]
-    out = None
-    for i in range(d):
-        m = _mixed_factor(U[i], s2[i], 1, U[j], s2[j], q, same_dim=(i == j))
-        term = beta2[:, i, None] * m
-        out = term if out is None else out + term
-    return out
-
-
-def _xi_weight(U, s2, c, j: int, q: int):
-    """sum_l [mixed(l,2; j,q) + c[b,l] * mixed(l,1; j,q)] over (train, eval)."""
-    d = c.shape[1]
-    out = None
-    for l in range(d):
-        m2 = _mixed_factor(U[l], s2[l], 2, U[j], s2[j], q, same_dim=(l == j))
-        m1 = _mixed_factor(U[l], s2[l], 1, U[j], s2[j], q, same_dim=(l == j))
-        term = m2 + c[:, l, None] * m1
-        out = term if out is None else out + term
-    return out
-
-
-def _xi_pair_values(x_train, y_train, kernel_x, kernel_y, base,
-                    X_eval, Y_eval, deriv=None, kx_pair=None):
-    """Averaged feature function (and optionally one y-partial of it) at
-    paired evaluation rows.  Returns an array of length len(X_eval)."""
-    n, d = y_train.shape
-    s2 = kernel_y.variances
-    if kx_pair is None:
-        kx_pair = kernel_matrix(kernel_x, x_train, X_eval)
-    ky = kernel_matrix(kernel_y, y_train, Y_eval)
-    c = base.grad_log(y_train)
-    U = [y_train[:, m, None] - Y_eval[None, :, m] for m in range(d)]
-    j, q = (0, 0) if deriv is None else deriv
-    w = _xi_weight(U, s2, c, j, q)
-    return np.sum(kx_pair * ky * w, axis=0) / n
-
-
 def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,
            x, y, deriv: tuple[int, int] | None = None) -> float:
     """Monte Carlo average of the score features over the training set.
@@ -255,17 +291,17 @@ def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,
     raising the second-argument derivative orders of the kernel.
     """
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
-    if deriv is not None:
-        j, q = deriv
-        if q not in (0, 1, 2):
-            raise DataError(f"derivative order on y must be in (0, 1, 2), got {q}")
-        if not 0 <= j < y_train.shape[1]:
-            raise DataError(f"derivative dimension {j} out of range")
+    j, q = (0, 0) if deriv is None else deriv
+    if q not in (0, 1, 2):
+        raise DataError(f"derivative order on y must be in (0, 1, 2), got {q}")
+    if not 0 <= j < y_train.shape[1]:
+        raise DataError(f"derivative dimension {j} out of range")
     X_eval = _as_x_row(x, x_train.shape[1])
     Y_eval = _as_x_row(y, y_train.shape[1])
-    vals = _xi_pair_values(x_train, y_train, kernel_x, kernel_y, base,
-                           X_eval, Y_eval, deriv=deriv)
-    return float(vals[0])
+    a, e = _xi_coeffs(y_train, base)
+    sums = _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
+                      want_value=q == 0, want_grad=q == 1, want_second=q == 2)
+    return float(sums[0][0] if q == 0 else sums[q][0, j])
 
 
 def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray:
@@ -323,16 +359,15 @@ def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
                base: BaseDensity | None = None) -> FactorModel:
     """Fit the natural parameter by solving (G + n*lam*I) beta = h / lam.
 
-    Assembles G and h, then solves with ``_ridge_solve`` (Cholesky with
-    jitter escalation and a residual bound).
+    Assembles G and h with ``build_gram_system``, then solves with
+    ``_ridge_solve`` (Cholesky with jitter escalation and a residual bound).
     """
     base = base if base is not None else BaseDensity()
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
     if not np.isfinite(lam) or lam <= 0:
         raise DataError("lambda must be positive and finite")
-    G = build_gram(x_train, y_train, kernel_x, kernel_y)
-    h = build_h(x_train, y_train, kernel_x, kernel_y, base)
-    beta = _ridge_solve(G, h, lam, y_train.shape[0])
+    system = build_gram_system(x_train, y_train, kernel_x, kernel_y, base)
+    beta = _ridge_solve(system.G, system.h, lam, system.n)
     return FactorModel(
         x_train=x_train, y_train=y_train, kernel_x=kernel_x, kernel_y=kernel_y,
         lam=lam, beta=beta, base=base, xi_coeff=-1.0 / lam,
@@ -350,36 +385,10 @@ def _T_terms(model: FactorModel, X_eval: np.ndarray, Y_eval: np.ndarray,
     where x stays fixed).  Returns (value (R,), grad (R, d), second (R, d)),
     with None for outputs not requested.
     """
-    n, d = model.n, model.d
-    s2 = model.kernel_y.variances
-    beta2 = model.beta2d
-    c = model.base.grad_log(model.y_train)
-    R = X_eval.shape[0]
-    value = np.empty(R) if want_value else None
-    grad = np.empty((R, d)) if want_grad else None
-    second = np.empty((R, d)) if want_second else None
-
-    for lo in range(0, R, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, R)
-        kx = (kernel_matrix(model.kernel_x, model.x_train, X_eval[lo:hi])
-              if kx_pair is None else kx_pair[:, lo:hi])
-        ky = kernel_matrix(model.kernel_y, model.y_train, Y_eval[lo:hi])
-        kxky = kx * ky
-        U = [model.y_train[:, m, None] - Y_eval[None, lo:hi, m] for m in range(d)]
-        if want_value:
-            w = _beta_weight(U, s2, beta2, 0, 0)
-            w += (model.xi_coeff / n) * _xi_weight(U, s2, c, 0, 0)
-            value[lo:hi] = np.sum(kxky * w, axis=0)
-        for j in range(d):
-            if want_grad:
-                w = _beta_weight(U, s2, beta2, j, 1)
-                w += (model.xi_coeff / n) * _xi_weight(U, s2, c, j, 1)
-                grad[lo:hi, j] = np.sum(kxky * w, axis=0)
-            if want_second:
-                w = _beta_weight(U, s2, beta2, j, 2)
-                w += (model.xi_coeff / n) * _xi_weight(U, s2, c, j, 2)
-                second[lo:hi, j] = np.sum(kxky * w, axis=0)
-    return value, grad, second
+    a, e = _model_coeffs(model)
+    return _pair_sums(model.x_train, model.y_train, model.kernel_x, model.kernel_y,
+                      a, e, X_eval, Y_eval, want_value=want_value,
+                      want_grad=want_grad, want_second=want_second, kx_pair=kx_pair)
 
 
 def _pair_eval_arrays(model: FactorModel, x, y):
@@ -461,15 +470,12 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
-    n, d = model.n, model.d
     s2 = model.kernel_y.variances
-    beta2 = model.beta2d
-    c = model.base.grad_log(model.y_train)
+    a, e = _model_coeffs(model)
     kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)  # (n, R)
     for lo in range(0, Y_set.shape[0], chunk):
         hi = min(lo + chunk, Y_set.shape[0])
         ky = kernel_matrix(model.kernel_y, model.y_train, Y_set[lo:hi])
-        U = [model.y_train[:, m, None] - Y_set[None, lo:hi, m] for m in range(d)]
-        w = _beta_weight(U, s2, beta2, 0, 0)
-        w += (model.xi_coeff / n) * _xi_weight(U, s2, c, 0, 0)
-        yield slice(lo, hi), kx.T @ (ky * w)
+        U = [model.y_train[:, m, None] - Y_set[None, lo:hi, m]
+             for m in range(model.d)]
+        yield slice(lo, hi), kx.T @ (ky * _weight(U, s2, a, e, 0, 0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kexpfam.cli as cli
+import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
 from kexpfam.data_io import load_csv, load_model
 
@@ -246,6 +247,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "ancestral_sample", explode)
         assert run(["sample", "--model", model, "--n", 5,
                     "--out", tmp_path / "s.csv"]) == 3
+
+    def test_fit_too_large_for_memory_is_data_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        train = gen_grid(tmp_path, "t.csv", n=60, seed=3)
+        monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 1024)
+        capsys.readouterr()
+        assert run(["fit", "--data", train, "--lambda", 0.01,
+                    "--out-model", tmp_path / "m.kcef"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data"
+        assert "GiB" in error["message"]
+        assert not (tmp_path / "m.kcef").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda meta: meta.pop("standardization"),

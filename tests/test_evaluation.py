@@ -316,6 +316,27 @@ class TestCrossValidate:
                     expect.append(empirical_score(fitted, x[block], y[block]))
                 assert cell.fold_scores == tuple(expect)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_score_is_never_selected(self):
+        # lambda=1e-300 at scale 0.01 overflows T's derivatives, so the
+        # held-out score is nan; it must score +inf in either grid order
+        raw = rejection_sample_grid(GridDatasetConfig(dim=3, n=60, seed=0))
+        data = standardize(raw)
+        dag = make_dag("markov", 3)
+        fwd = CvConfig(folds=3, lambda_grid=(1e-300, 0.001),
+                       bandwidth_scale_grid=(0.01, 1.0))
+        rev = CvConfig(folds=3, lambda_grid=(0.001, 1e-300),
+                       bandwidth_scale_grid=(1.0, 0.01))
+        r_fwd = cross_validate(data, dag, fwd)
+        r_rev = cross_validate(data, dag, rev)
+        for a, b in zip(r_fwd.nodes, r_rev.nodes):
+            for cell in a.table + b.table:
+                assert not math.isnan(cell.mean_score)
+                assert not any(math.isnan(s) for s in cell.fold_scores)
+            assert math.isfinite(a.best_score)
+            assert (a.best_lam, a.best_scale) == (b.best_lam, b.best_scale)
+            assert a.best_score == b.best_score
+
     def test_on_grid_edge_flags_boundary_picks(self, small_grid):
         config = CvConfig(folds=3, lambda_grid=(1e-6, 1e-4, 1e-2, 1.0),
                           bandwidth_scale_grid=(0.25, 1.0, 4.0), seed=7)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kexpfam.score_fit as score_fit_mod
 from kexpfam.errors import DataError
 from kexpfam.kernels import (
     ConstantKernel,
@@ -16,6 +17,7 @@ from kexpfam.score_fit import (
     build_gram,
     build_gram_system,
     build_h,
+    cross_T_blocks,
     empirical_score,
     eval_T,
     fit_factor,
@@ -62,6 +64,25 @@ def brute_xi_hat(x_train, y_train, kernel_x, kernel_y, base, x, y):
                 + c * kernel_partial(kernel_y, y_train[b], y, DerivRequest(l, 1, 0, 0))
             )
     return total / n
+
+
+def brute_h(x_train, y_train, kernel_x, kernel_y, base):
+    """Entry (b, i): the y_i-partial of the averaged feature at (X_b, Y_b)."""
+    n, d = y_train.shape
+    h = np.zeros((n, d))
+    for b in range(n):
+        for i in range(d):
+            for a in range(n):
+                kxv = kx_value(kernel_x, x_train[a], x_train[b])
+                for l in range(d):
+                    c = -y_train[a, l] / base.std**2
+                    h[b, i] += kxv * (
+                        kernel_partial(kernel_y, y_train[a], y_train[b],
+                                       DerivRequest(l, 2, i, 1))
+                        + c * kernel_partial(kernel_y, y_train[a], y_train[b],
+                                             DerivRequest(l, 1, i, 1))
+                    )
+    return h.reshape(-1) / n
 
 
 def brute_eval_T(model, x, y):
@@ -184,6 +205,14 @@ class TestBuildH:
                 expect = xi_hat(X, Y, kx, ky, base, X[b], Y[b], deriv=(i, 1))
                 assert h[b * 2 + i] == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
+    def test_matches_brute_force(self, rng):
+        for d, p in ((1, 1), (2, 2), (2, 0)):
+            X, Y, kx, ky, _ = random_instance(rng, 6, d, p)
+            base = BaseDensity()
+            np.testing.assert_allclose(build_h(X, Y, kx, ky, base),
+                                       brute_h(X, Y, kx, ky, base),
+                                       rtol=1e-12, atol=1e-14)
+
     def test_single_centered_point_gives_zero(self):
         h = build_h(np.array([[0.5]]), np.array([[0.0]]),
                     GaussianKernelSpec([1.0]), GaussianKernelSpec([1.0]),
@@ -235,6 +264,16 @@ class TestFitFactor:
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(DataError):
                 fit_factor(X, Y, kx, ky, bad)
+
+    def test_too_large_for_memory_is_data_error(self, rng, monkeypatch):
+        X, Y, kx, ky, lam = random_instance(rng, 6, 2, 1)
+        assert score_fit_mod._physical_memory_bytes() > 0
+        fit_factor(X, Y, kx, ky, lam)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: 1024)
+        with pytest.raises(DataError, match="GiB"):
+            fit_factor(X, Y, kx, ky, lam)
+        with pytest.raises(DataError, match="n\\*d = 12"):
+            build_gram(X, Y, kx, ky)
 
     def test_beta_length_validation(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 4, 2, 1)
@@ -315,6 +354,20 @@ class TestDerivativesOfT:
         nested = (g(y0 + h) - 2 * g(y0) + g(y0 - h)) / h**2
         _, second = laplacian_terms_T(model, x0, y0)
         assert second[0] == pytest.approx(float(nested), rel=1e-4, abs=1e-6)
+
+
+class TestCrossTBlocks:
+    def test_matches_brute_force_at_every_pair(self, rng):
+        model = fit_random(rng, n=7, d=2, p=2, lam=0.15)
+        X_rows, Y_set = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+        blocks = list(cross_T_blocks(model, X_rows, Y_set, chunk=2))
+        assert [sl for sl, _ in blocks] == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        full = np.hstack([block for _, block in blocks])
+        assert full.shape == (3, 5)
+        for r in range(3):
+            for s in range(5):
+                expect = brute_eval_T(model, X_rows[r], Y_set[s])
+                assert abs(full[r, s] - expect) < 1e-10
 
 
 class TestUnnormLogpdf:
