@@ -1,8 +1,9 @@
 """Conditional density estimation with kernel exponential family models.
 
 Fit natural-parameter functions by regularized score matching (a closed-form
-linear system), factorize joint densities over a DAG, sample with HMC, and
-evaluate test log-likelihoods through importance-sampling normalization.
+linear system), factorize joint densities over a DAG, sample by exact
+inverse-CDF draws on a grid or by HMC, and evaluate test log-likelihoods
+through importance-sampling normalization.
 """
 
 __version__ = "0.1.0"
@@ -44,6 +45,7 @@ from .factorization import (
 )
 from .sampling import (
     GridDatasetConfig,
+    GridSamplerConfig,
     HmcConfig,
     ancestral_sample,
     hmc_sample_conditional,
@@ -84,7 +86,7 @@ __all__ = [
     "unnorm_logpdf", "unnorm_logpdf_rows", "xi_hat",
     "DagSpec", "JointModel", "NodeHyperparams",
     "fit_joint", "joint_unnorm_logpdf_terms", "make_dag",
-    "GridDatasetConfig", "HmcConfig",
+    "GridDatasetConfig", "GridSamplerConfig", "HmcConfig",
     "ancestral_sample", "hmc_sample_conditional", "leapfrog",
     "rejection_sample_grid",
     "CvConfig", "CvResult", "LogPartitionEstimate",

@@ -39,6 +39,7 @@ from .data_io import (
 from .factorization import NodeHyperparams, make_dag, fit_joint
 from .sampling import (
     GridDatasetConfig,
+    GridSamplerConfig,
     HmcConfig,
     ancestral_sample,
     rejection_sample_grid,
@@ -113,10 +114,12 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         raise DataError(f"{flag}: cannot parse {text!r}") from None
 
 
-def _hmc_config(args) -> HmcConfig:
-    return HmcConfig(step_size=args.step_size, leapfrog_steps=args.leapfrog_steps,
-                     burn_in=args.burn_in, thin=args.thin, chains=args.chains,
-                     seed=args.seed)
+def _sampler_config(args) -> GridSamplerConfig | HmcConfig:
+    """HMC when any HMC flag is set, the grid sampler otherwise."""
+    hmc = {dest: getattr(args, dest) for dest in
+           ("step_size", "leapfrog_steps", "burn_in", "thin", "chains")
+           if getattr(args, dest) is not None}
+    return HmcConfig(seed=args.seed, **hmc) if hmc else GridSamplerConfig(seed=args.seed)
 
 
 def _sidecar(path: str, suffix: str) -> str:
@@ -283,8 +286,10 @@ def _cmd_eval_curve(args, argv) -> int:
 
 def _cmd_sample(args, argv) -> int:
     model = load_model(args.model)
-    samples = ancestral_sample(model, args.n, _hmc_config(args))
+    samples, stats = ancestral_sample(model, args.n, _sampler_config(args),
+                                      return_stats=True)
     save_csv(args.out, samples, model.column_names)
+    _write_json(_sidecar(args.out, ".diagnostics.json"), stats)
     _write_provenance(args.out, "sample", argv)
     print(f"wrote {args.n} joint samples to {args.out}")
     return 0
@@ -389,11 +394,19 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="draw joint samples from a fitted model")
     s.add_argument("--model", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--step-size", type=float, default=0.1)
-    s.add_argument("--leapfrog-steps", type=int, default=20)
-    s.add_argument("--burn-in", type=int, default=100)
-    s.add_argument("--thin", type=int, default=10)
-    s.add_argument("--chains", type=int, default=20)
+    # exact inverse-CDF draws on a y-grid, or ancestral HMC when any of the
+    # HMC flags below is set
+    hmc_defaults = HmcConfig()
+    s.add_argument("--step-size", type=float, default=None,
+                   help=f"selects HMC (default {hmc_defaults.step_size})")
+    s.add_argument("--leapfrog-steps", type=int, default=None,
+                   help=f"selects HMC (default {hmc_defaults.leapfrog_steps})")
+    s.add_argument("--burn-in", type=int, default=None,
+                   help=f"selects HMC (default {hmc_defaults.burn_in})")
+    s.add_argument("--thin", type=int, default=None,
+                   help=f"selects HMC (default {hmc_defaults.thin})")
+    s.add_argument("--chains", type=int, default=None,
+                   help=f"selects HMC (default {hmc_defaults.chains})")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_sample)

@@ -276,7 +276,7 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
         x_fit, y_fit = x_all[mask], y_all[mask]
         try:
             system = build_gram_system(x_fit, y_fit, kx, ky, base)
-        except (KexpfamError, FloatingPointError):
+        except (NumericalError, FloatingPointError):
             return [math.inf] * len(lambdas)
         scores = []
         for lam in lambdas:
@@ -327,10 +327,11 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     The split is one seeded shuffle followed by contiguous blocks, shared by
     every node.  Each grid point is scored by the mean held-out empirical
     score (lower is better); a failed fit or a non-finite held-out score
-    scores +inf but stays in the table.  Selection is invariant to grid
-    enumeration order.  Each fold's system is assembled once per (node,
-    bandwidth scale) and solved for every lambda, which gives the same bits
-    as one fit per grid cell.
+    scores +inf but stays in the table.  A fold whose assembly is rejected
+    as bad input, such as a fold too large for memory, raises DataError.
+    Selection is invariant to grid enumeration order.  Each fold's system
+    is assembled once per (node, bandwidth scale) and solved for every
+    lambda, which gives the same bits as one fit per grid cell.
     """
     config = config if config is not None else CvConfig()
     base = base if base is not None else BaseDensity()

@@ -1,13 +1,16 @@
-"""Samplers: HMC for fitted conditionals, ancestral composition over a DAG,
-and the synthetic grid dataset generator.
+"""Samplers: exact inverse-CDF draws on a y-grid and HMC for fitted
+conditionals, ancestral composition over a DAG, and the synthetic grid
+dataset generator.
 
-Every chain owns a private counter-based (Philox) stream keyed by
+Every HMC chain owns a private counter-based (Philox) stream keyed by
 (seed, node index, chain index), so running chains in parallel or serially
-produces identical output.
+produces identical output.  The grid sampler takes one uniform per row from
+a Philox stream keyed by (seed, node index).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +18,26 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .factorization import JointModel
 from .kernels import kernel_matrix
-from .score_fit import FactorModel, _as_x_row, _T_terms
+from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_weights,
+                        _T_terms)
 
 _INIT_RETRIES = 100
 _TRIAL_CAP = 1_000_000
+_GRID_ROW_CHUNK = 256  # conditioning rows per kernel_matrix call of _grid_pass
+# Peak bytes of _cross_weights over the 8 n G bytes of its (n, G) result
+# (tracemalloc read 5.0 at n = 300, G = 253).
+_GRID_PEAK_OVER_WEIGHTS = 5.0
+
+
+@dataclass(frozen=True)
+class GridSamplerConfig:
+    """Exact inverse-CDF sampling of d = 1 factors on a y-grid.
+
+    The grid follows from each factor (``_grid_nodes``), so the seed is the
+    only setting.
+    """
+
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -200,30 +219,141 @@ def hmc_sample_conditional(model: FactorModel, x, n_samples: int,
     return samples
 
 
+def _grid_nodes(factor: FactorModel) -> np.ndarray:
+    """The y-grid of a d = 1 factor.
+
+    It spans [-8 sigma0, 8 sigma0] of the base density, widened where needed
+    to cover the training targets +- 8 sigma_y (the y-kernel bandwidth, the
+    scale on which T varies).  Its spacing is at most sigma_y / 8 and its
+    node count is odd, so the even nodes form a grid of spacing at most
+    sigma_y / 4.  Raises DataError before allocating when the (n, nodes)
+    weights of ``_grid_pass`` cannot fit in physical memory, as with a tiny
+    sigma_y.
+    """
+    sigma_y = float(factor.kernel_y.bandwidths[0])
+    half = 8.0 * factor.base.std
+    lo = min(-half, float(factor.y_train.min()) - 8.0 * sigma_y)
+    hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
+    nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
+    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * nodes * 8,
+                  f"grid sampling with {nodes} nodes and n = {factor.n}",
+                  "sample by HMC instead (HmcConfig; on the command line, "
+                  "any HMC flag such as --burn-in)")
+    return np.linspace(lo, hi, nodes)
+
+
+def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
+               node_index: int = 0):
+    """Normalizers and exact inverse-CDF draws of a d = 1 factor, per row.
+
+    Row r's log q0(y) + T(x_r, y) is evaluated on the grid of
+    ``_grid_nodes``.  Between nodes the density is taken as linear, so the
+    trapezoid rule is its exact integral, and the draw for ``uniforms[r]``
+    solves one quadratic in the cell that holds that fraction of the mass.
+    Rows with equal conditioning values share one density.  T takes one
+    matrix-vector product per distinct row, so a row's values do not depend
+    on which or how many rows are computed together, or on the row chunk.
+
+    Returns (draws (R,), log Z (R,), gap (R,), grid), where gap is
+    |log Z - log Z on the even nodes alone|.
+    """
+    if factor.d != 1:
+        raise DataError(f"grid sampling needs a 1-d target, node {node_index} "
+                        f"has d = {factor.d}")
+    grid = _grid_nodes(factor)
+    widths = np.diff(grid)
+    coarse_widths = grid[2::2] - grid[:-2:2]
+    weights = _cross_weights(factor, grid[:, None])  # (n, G)
+    log_q0 = factor.base.log_pdf_rows(grid[:, None])
+    uniq, inverse = np.unique(x_rows, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")  # rows grouped by distinct row
+    ends = np.cumsum(np.bincount(inverse, minlength=uniq.shape[0]))
+    starts = np.concatenate(([0], ends[:-1]))
+    draws = np.empty(x_rows.shape[0])
+    log_z, gap = np.empty(uniq.shape[0]), np.empty(uniq.shape[0])
+    for lo in range(0, uniq.shape[0], _GRID_ROW_CHUNK):
+        kx = kernel_matrix(factor.kernel_x, uniq[lo:lo + _GRID_ROW_CHUNK],
+                           factor.x_train)  # (chunk, n)
+        for u, kx_row in enumerate(kx, start=lo):
+            log_p = log_q0 + kx_row @ weights
+            if not np.all(np.isfinite(log_p)):
+                raise NumericalError(
+                    f"natural parameter is not finite on the sampling grid "
+                    f"at node {node_index}"
+                )
+            top = log_p.max()
+            p = np.exp(log_p - top)
+            cdf = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * widths)))
+            coarse = np.sum(0.5 * (p[2::2] + p[:-2:2]) * coarse_widths)
+            log_z[u] = top + math.log(cdf[-1])
+            # a peak that the even nodes miss entirely leaves no coarse mass
+            gap[u] = abs(math.log(cdf[-1] / coarse)) if coarse > 0.0 else math.inf
+
+            rows = order[starts[u]:ends[u]]
+            target = uniforms[rows] * cdf[-1]
+            i = np.minimum(np.searchsorted(cdf, target, side="right") - 1, grid.size - 2)
+            rest = target - cdf[i]
+            slope = (p[i + 1] - p[i]) / widths[i]
+            # p_i*s + slope*s^2/2 = rest, in the form that stays exact as slope -> 0
+            root = p[i] + np.sqrt(np.maximum(p[i] * p[i] + 2.0 * slope * rest, 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(root > 0.0, 2.0 * rest / root, 0.0)
+            draws[rows] = grid[i] + np.minimum(step, widths[i])
+    return draws, log_z[inverse], gap[inverse], grid
+
+
 def ancestral_sample(model: JointModel, count: int,
-                     config: HmcConfig | None = None) -> np.ndarray:
+                     config: GridSamplerConfig | HmcConfig | None = None,
+                     return_stats: bool = False):
     """Draw joint samples by sampling each node after its parents.
 
-    Each output row runs its own HMC chain per node, conditioned on the
-    row's already-sampled parent values.  Model math happens in
-    standardized coordinates; results are mapped back to original units at
-    the end.
+    Each node is drawn conditioned on the row's already-sampled parent
+    values.  With a ``GridSamplerConfig`` (the default) the draw is the
+    exact inverse-CDF draw of ``_grid_pass``, from one uniform per row of a
+    Philox stream keyed by (seed, node): row r always takes the stream's
+    r-th uniform, so the first k rows do not depend on ``count``.  With an
+    ``HmcConfig`` each output row runs its own HMC chain per node instead.
+    Model math happens in standardized coordinates; results are mapped back
+    to original units at the end.
+
+    With ``return_stats`` also returns per-node diagnostics: the grid's node
+    count, spacing and largest log Z gap over rows (None when the even nodes
+    miss a peak, so the gap is infinite), or the HMC acceptance rate.
     """
-    config = config if config is not None else HmcConfig()
+    config = config if config is not None else GridSamplerConfig()
+    if not isinstance(config, (GridSamplerConfig, HmcConfig)):
+        raise DataError(f"unknown sampler config {type(config).__name__}")
     if count < 1:
         raise DataError("count must be >= 1")
     D = model.dim
     out = np.empty((count, D))
+    per_node = []
     for node in range(D):
         factor = model.factors[node]
         parents = model.dag.parents[node]
         x_rows = out[:, list(parents)]
-        try:
-            chains, _ = _run_chains(factor, x_rows, 1, config, node_index=node)
-        except NumericalError as exc:
-            raise NumericalError(f"HMC failed at node {node}: {exc}") from exc
-        out[:, node] = chains[:, 0, 0]
-    return model.destandardize_rows(out)
+        if isinstance(config, HmcConfig):
+            try:
+                chains, rate = _run_chains(factor, x_rows, 1, config, node_index=node)
+            except NumericalError as exc:
+                raise NumericalError(f"HMC failed at node {node}: {exc}") from exc
+            out[:, node] = chains[:, 0, 0]
+            per_node.append({"node": node, "accept_rate": float(rate)})
+        else:
+            stream = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=(int(config.seed), node))))
+            out[:, node], _, gap, grid = _grid_pass(factor, x_rows, stream.random(count),
+                                                    node_index=node)
+            max_gap = float(gap.max())
+            per_node.append({"node": node, "grid_nodes": int(grid.size),
+                             "spacing": float(grid[1] - grid[0]),
+                             "max_log_z_gap": max_gap if math.isfinite(max_gap) else None})
+    samples = model.destandardize_rows(out)
+    if return_stats:
+        sampler = "hmc" if isinstance(config, HmcConfig) else "grid"
+        return samples, {"sampler": sampler, "per_node": per_node}
+    return samples
 
 
 def rejection_sample_grid(config: GridDatasetConfig, return_stats: bool = False):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import kexpfam.cli as cli
+import kexpfam.sampling as sampling
 import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
 from kexpfam.data_io import load_csv, load_model
+from kexpfam.sampling import GridSamplerConfig, HmcConfig, ancestral_sample
 
 
 def run(args, cwd=None):
@@ -125,6 +127,71 @@ class TestFitEvalPipeline:
         assert values.shape == (40, 2)
         assert names == ["x0", "x1"]
 
+    def test_sample_without_hmc_flags_runs_grid_sampler(self, workspace):
+        tmp_path, _, _, model = workspace
+        out = tmp_path / "grid_samples.csv"
+        assert run(["sample", "--model", model, "--n", 30, "--seed", 4,
+                    "--out", out]) == 0
+        values, _ = load_csv(out)
+        expect = ancestral_sample(load_model(model), 30, GridSamplerConfig(seed=4))
+        np.testing.assert_array_equal(values, expect)
+        diagnostics = json.loads((tmp_path / "grid_samples.diagnostics.json").read_text())
+        assert diagnostics["sampler"] == "grid"
+        for node, entry in enumerate(diagnostics["per_node"]):
+            assert entry["node"] == node
+            assert entry["grid_nodes"] % 2 == 1
+            assert 0.0 < entry["spacing"]
+            assert 0.0 <= entry["max_log_z_gap"] < 1e-3
+
+    def test_sample_hmc_flag_keeps_hmc_route(self, workspace):
+        tmp_path, _, _, model = workspace
+        out = tmp_path / "hmc_samples.csv"
+        assert run(["sample", "--model", model, "--n", 10, "--seed", 4,
+                    "--burn-in", 5, "--out", out]) == 0
+        values, _ = load_csv(out)
+        expect, stats = ancestral_sample(load_model(model), 10,
+                                         HmcConfig(seed=4, burn_in=5),
+                                         return_stats=True)
+        np.testing.assert_array_equal(values, expect)
+        diagnostics = json.loads((tmp_path / "hmc_samples.diagnostics.json").read_text())
+        assert diagnostics == stats
+        assert diagnostics["sampler"] == "hmc"
+        assert [e["node"] for e in diagnostics["per_node"]] == [0, 1]
+        assert all(0.0 < e["accept_rate"] <= 1.0 for e in diagnostics["per_node"])
+
+    def test_infinite_log_z_gap_writes_strict_json(self, workspace, monkeypatch):
+        tmp_path, _, _, model = workspace
+        real = sampling._grid_pass
+
+        def gapless(factor, *args, **kwargs):
+            draws, log_z, gap, grid = real(factor, *args, **kwargs)
+            return draws, log_z, np.full_like(gap, np.inf), grid
+
+        monkeypatch.setattr(sampling, "_grid_pass", gapless)
+        assert run(["sample", "--model", model, "--n", 5,
+                    "--out", tmp_path / "gapless.csv"]) == 0
+        text = (tmp_path / "gapless.diagnostics.json").read_text()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        diagnostics = json.loads(text, parse_constant=reject)
+        assert [e["max_log_z_gap"] for e in diagnostics["per_node"]] == [None, None]
+
+    def test_grid_too_large_for_memory_is_data_error(self, workspace, capsys,
+                                                    monkeypatch):
+        tmp_path, _, _, model = workspace
+        monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 1024)
+        capsys.readouterr()
+        assert run(["sample", "--model", model, "--n", 5,
+                    "--out", tmp_path / "big.csv"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data"
+        assert "--burn-in" in error["message"]
+        assert not (tmp_path / "big.csv").exists()
+        assert run(["sample", "--model", model, "--n", 5, "--burn-in", 5,
+                    "--out", tmp_path / "big.csv"]) == 0
+
     def test_score_subcommand(self, workspace):
         tmp_path, _, test, model = workspace
         out = tmp_path / "score.json"
@@ -158,6 +225,18 @@ class TestFitEvalPipeline:
         notes = capsys.readouterr().err.splitlines()
         assert len(notes) == 2
         assert all("edge of the CV grid" in line for line in notes)
+
+    def test_fit_cv_too_large_for_memory_is_data_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        train = gen_grid(tmp_path, "cv_big.csv", n=60, seed=3)
+        monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 1024)
+        capsys.readouterr()
+        assert run(["fit", "--data", train, "--cv", "--folds", 3,
+                    "--lambda-grid", "0.01,0.1", "--scale-grid", "1",
+                    "--out-model", tmp_path / "cv_big.kcef"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data"
+        assert "GiB" in error["message"]
 
     def test_fit_requires_lambda_or_cv(self, tmp_path):
         train = gen_grid(tmp_path, "nolam.csv", n=60, seed=3)
@@ -341,3 +420,19 @@ class TestProvenanceReplay:
         self.replay(tmp_path / "samples_a.csv.provenance.json",
                     {str(out_a): str(tmp_path / "samples_b.csv")})
         assert out_a.read_bytes() == (tmp_path / "samples_b.csv").read_bytes()
+
+    @pytest.mark.parametrize("sampler_flags", [["--burn-in", 10], []],
+                             ids=["hmc", "grid"])
+    def test_sampler_replay_reproduces_bytes(self, tmp_path, sampler_flags):
+        train = gen_grid(tmp_path, "train.csv", n=100, seed=0)
+        model = tmp_path / "model.kcef"
+        assert run(["fit", "--data", train, "--dag", "markov",
+                    "--lambda", 0.005, "--out-model", model]) == 0
+        out_a = tmp_path / "samples_a.csv"
+        assert run(["sample", "--model", model, "--n", 8, "--seed", 5,
+                    *sampler_flags, "--out", out_a]) == 0
+        self.replay(tmp_path / "samples_a.csv.provenance.json",
+                    {str(out_a): str(tmp_path / "samples_b.csv")})
+        assert out_a.read_bytes() == (tmp_path / "samples_b.csv").read_bytes()
+        assert (tmp_path / "samples_a.diagnostics.json").read_bytes() == \
+            (tmp_path / "samples_b.diagnostics.json").read_bytes()

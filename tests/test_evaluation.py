@@ -29,7 +29,7 @@ from kexpfam.factorization import (
     make_dag,
 )
 from kexpfam.kernels import ConstantKernel, GaussianKernelSpec
-from kexpfam.sampling import GridDatasetConfig, rejection_sample_grid
+from kexpfam.sampling import GridDatasetConfig, _grid_pass, rejection_sample_grid
 from kexpfam.score_fit import (
     FactorModel,
     empirical_score,
@@ -90,6 +90,18 @@ class TestLogPartition:
         log_z_quad = quadrature_log_z(factor, None)
         assert abs(est.log_z - log_z_quad) < 3 * est.std_err
         assert abs(est.log_z - log_z_quad) < 0.02
+
+    def test_grid_engine_matches_quadrature_and_is(self, fitted_1d):
+        """The grid sampler's trapezoid log Z against the 4097-node oracle and
+        against importance sampling, two independent routes."""
+        model, _ = fitted_1d
+        factor = model.factors[0]
+        _, log_z, gap, _ = _grid_pass(factor, np.empty((3, 0)), np.full(3, 0.5))
+        assert np.all(log_z == log_z[0])
+        assert abs(log_z[0] - quadrature_log_z(factor, None)) < 1e-6
+        est = log_partition_is(factor, None, 100_000, seed=21)
+        assert abs(log_z[0] - est.log_z) < 3 * est.std_err
+        assert gap[0] < 1e-6
 
     def test_pooled_streams_shrink_std_err(self, fitted_1d):
         model, _ = fitted_1d
@@ -288,6 +300,16 @@ class TestCrossValidate:
             scores = {c.lam: c.mean_score for c in node_result.table}
             assert math.isinf(scores[poison])
             assert node_result.best_lam == 0.05
+
+    def test_fold_too_large_for_memory_is_data_error(self, small_grid,
+                                                     monkeypatch):
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: 1024)
+        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1),
+                          bandwidth_scale_grid=(1.0,), seed=2)
+        with pytest.raises(DataError, match="GiB"):
+            cross_validate(small_grid, make_dag("markov", 2), config)
+        with pytest.raises(DataError, match="GiB"):
+            cross_validate(small_grid, make_dag("markov", 2), config, max_workers=2)
 
     def test_fold_scores_match_per_fold_refits(self, small_grid):
         """Shared-assembly CV against an independent route: one fit_factor

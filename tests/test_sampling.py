@@ -3,13 +3,17 @@ import pytest
 import scipy.stats as st
 
 import kexpfam.sampling as sampling_mod
+import kexpfam.score_fit as score_fit
 from kexpfam.data_io import standardize
 from kexpfam.errors import DataError, NumericalError
 from kexpfam.factorization import NodeHyperparams, fit_joint, make_dag
 from kexpfam.kernels import ConstantKernel, GaussianKernelSpec
 from kexpfam.sampling import (
     GridDatasetConfig,
+    GridSamplerConfig,
     HmcConfig,
+    _grid_nodes,
+    _grid_pass,
     _make_potential,
     ancestral_sample,
     hmc_sample_conditional,
@@ -153,6 +157,32 @@ class TestHmcConditional:
             hmc_sample_conditional(grid_conditional, [0.0], 0, HmcConfig())
 
 
+def grid_binned_tv(points, bins=20):
+    """Total variation between the 2-d histogram of ``points`` and the true
+    binned density of the 2-d grid distribution."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+
+    # true binned probabilities by quadrature over each cell
+    probs = np.zeros((bins, bins))
+    gx = np.linspace(0.0, 1.0, 2049)
+    for a in range(bins):
+        xs = np.linspace(edges[a], edges[a + 1], 40)
+        z_norm = np.trapezoid(
+            1 + np.sin(2 * np.pi * gx)[None, :] * np.sin(2 * np.pi * xs)[:, None],
+            gx, axis=1,
+        )
+        for b in range(bins):
+            ys = np.linspace(edges[b], edges[b + 1], 40)
+            vals = (1 + np.sin(2 * np.pi * ys)[None, :]
+                    * np.sin(2 * np.pi * xs)[:, None]) / z_norm[:, None]
+            probs[a, b] = np.trapezoid(np.trapezoid(vals, ys, axis=1), xs)
+    probs /= probs.sum()
+
+    clipped = np.clip(points, 0.0, 1.0 - 1e-12)
+    hist, _, _ = np.histogram2d(clipped[:, 0], clipped[:, 1], bins=[edges, edges])
+    return 0.5 * np.abs(hist / hist.sum() - probs).sum()
+
+
 @pytest.fixture(scope="module")
 def joint_model():
     raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=300, seed=11))
@@ -192,41 +222,171 @@ class TestAncestral:
         a total variation of about 0.17, so the comparison is calibrated
         against an exact-sampler baseline rather than an absolute constant.
         """
-        bins = 20
-        edges = np.linspace(0.0, 1.0, bins + 1)
-
-        # true binned probabilities by quadrature over each cell
-        probs = np.zeros((bins, bins))
-        gx = np.linspace(0.0, 1.0, 2049)
-        for a in range(bins):
-            xs = np.linspace(edges[a], edges[a + 1], 40)
-            z_norm = np.trapezoid(
-                1 + np.sin(2 * np.pi * gx)[None, :] * np.sin(2 * np.pi * xs)[:, None],
-                gx, axis=1,
-            )
-            for b in range(bins):
-                ys = np.linspace(edges[b], edges[b + 1], 40)
-                vals = (1 + np.sin(2 * np.pi * ys)[None, :]
-                        * np.sin(2 * np.pi * xs)[:, None]) / z_norm[:, None]
-                probs[a, b] = np.trapezoid(np.trapezoid(vals, ys, axis=1), xs)
-        probs /= probs.sum()
-
-        def binned_tv(points):
-            clipped = np.clip(points, 0.0, 1.0 - 1e-12)
-            hist, _, _ = np.histogram2d(clipped[:, 0], clipped[:, 1],
-                                        bins=[edges, edges])
-            return 0.5 * np.abs(hist / hist.sum() - probs).sum()
-
         samples = ancestral_sample(joint_model, 2000, HmcConfig(seed=21))
-        tv_model = binned_tv(samples)
+        tv_model = grid_binned_tv(samples)
         exact = rejection_sample_grid(GridDatasetConfig(dim=2, n=2000, seed=77))
-        tv_floor = binned_tv(exact)
+        tv_floor = grid_binned_tv(exact)
         assert tv_model < 0.25
         assert tv_model - tv_floor < 0.07
 
     def test_rejects_bad_count(self, joint_model):
         with pytest.raises(DataError):
             ancestral_sample(joint_model, 0)
+
+    def test_stats_report_per_node_acceptance(self, rng):
+        raw = rng.normal(size=(60, 1)) * 1.5
+        model = fit_joint(standardize(raw), make_dag("full", 1),
+                          NodeHyperparams(lam=0.05))
+        config = HmcConfig(seed=4, burn_in=20)
+        samples, stats = ancestral_sample(model, 25, config, return_stats=True)
+        _, rate = sampling_mod._run_chains(model.factors[0], np.empty((25, 0)), 1,
+                                           config)
+        assert stats == {"sampler": "hmc",
+                         "per_node": [{"node": 0, "accept_rate": rate}]}
+        assert 0.0 < rate <= 1.0
+        np.testing.assert_array_equal(samples, ancestral_sample(model, 25, config))
+
+
+class TestGridSampler:
+    """The default route of ``ancestral_sample``: exact inverse-CDF draws on a
+    y-grid, each checked against an independent route."""
+
+    def test_fitted_conditional_matches_quadrature_cdf(self, grid_conditional):
+        x0 = np.array([0.3])
+        uniforms = np.random.default_rng(3).random(2000)
+        draws, _, _, _ = _grid_pass(grid_conditional, np.repeat(x0[None, :], 2000, axis=0),
+                                 uniforms)
+        grid, cdf = quadrature_cdf(grid_conditional, x0)
+        assert ecdf_sup_distance(draws, grid, cdf) < 0.05
+
+    def test_zero_T_matches_base_density(self):
+        uniforms = np.random.default_rng(17).random(2000)
+        draws, log_z, _, _ = _grid_pass(zero_T_model(), np.empty((2000, 0)), uniforms)
+        stat = st.kstest(draws, st.norm(scale=2.0).cdf).statistic
+        assert stat < st.kstwobign.isf(0.01) / np.sqrt(2000)
+        np.testing.assert_allclose(log_z, 0.0, atol=1e-6)
+
+    def test_histogram_close_to_true_density(self, joint_model):
+        samples = ancestral_sample(joint_model, 2000, GridSamplerConfig(seed=21))
+        tv_model = grid_binned_tv(samples)
+        exact = rejection_sample_grid(GridDatasetConfig(dim=2, n=2000, seed=77))
+        tv_floor = grid_binned_tv(exact)
+        assert tv_model < 0.25
+        assert tv_model - tv_floor < 0.07
+
+    def test_is_the_default(self, joint_model):
+        np.testing.assert_array_equal(ancestral_sample(joint_model, 15),
+                                      ancestral_sample(joint_model, 15,
+                                                       GridSamplerConfig()))
+
+    def test_seed_determinism(self, joint_model):
+        a = ancestral_sample(joint_model, 30, GridSamplerConfig(seed=21))
+        b = ancestral_sample(joint_model, 30, GridSamplerConfig(seed=21))
+        assert a.tobytes() == b.tobytes()
+        c = ancestral_sample(joint_model, 30, GridSamplerConfig(seed=22))
+        assert not np.array_equal(a, c)
+
+    def test_rows_independent_of_count_and_chunk(self, joint_model, monkeypatch):
+        config = GridSamplerConfig(seed=5)
+        first = ancestral_sample(joint_model, 20, config)
+        assert ancestral_sample(joint_model, 10, config).tobytes() == first[:10].tobytes()
+        monkeypatch.setattr(sampling_mod, "_GRID_ROW_CHUNK", 3)
+        assert ancestral_sample(joint_model, 20, config).tobytes() == first.tobytes()
+
+    def test_grid_spacing_follows_y_bandwidth(self, joint_model):
+        for factor in joint_model.factors:
+            grid = _grid_nodes(factor)
+            sigma_y = factor.kernel_y.bandwidths[0]
+            assert grid.size % 2 == 1
+            assert np.max(np.diff(grid)) <= sigma_y / 8 * (1 + 1e-12)
+            assert grid[0] <= min(-8 * factor.base.std,
+                                  factor.y_train.min() - 8 * sigma_y)
+            assert grid[-1] >= max(8 * factor.base.std,
+                                   factor.y_train.max() + 8 * sigma_y)
+
+    def test_diagnostics_describe_grid_and_log_z_gap(self, joint_model):
+        samples, stats = ancestral_sample(joint_model, 12, GridSamplerConfig(seed=1),
+                                          return_stats=True)
+        assert stats["sampler"] == "grid"
+        assert [e["node"] for e in stats["per_node"]] == [0, 1]
+        z = joint_model.standardize_rows(samples)
+        for node, entry in enumerate(stats["per_node"]):
+            factor = joint_model.factors[node]
+            grid = _grid_nodes(factor)
+            assert entry["grid_nodes"] == grid.size
+            assert entry["spacing"] == pytest.approx(grid[1] - grid[0], rel=1e-12)
+            # the gap between np.trapezoid on the full grid and on its even nodes
+            parents = list(joint_model.dag.parents[node])
+            gaps = []
+            for x_row in z[:, parents]:
+                logp = unnorm_logpdf_rows(factor, np.repeat(x_row[None, :], grid.size,
+                                                            axis=0), grid[:, None])
+                dens = np.exp(logp)
+                gaps.append(abs(np.log(np.trapezoid(dens, grid))
+                                - np.log(np.trapezoid(dens[::2], grid[::2]))))
+            assert entry["max_log_z_gap"] == pytest.approx(max(gaps), rel=1e-6,
+                                                           abs=1e-12)
+            assert entry["max_log_z_gap"] < 1e-3
+
+    def test_peak_missed_by_even_nodes_reports_infinite_gap(self):
+        """T(y) = 1e6 * d/du k_Y(u, y) at u = 0.1 peaks at an odd node of
+        the grid and falls by more than 745 nats within one cell."""
+        spike = FactorModel(x_train=np.empty((1, 0)), y_train=np.array([[0.1]]),
+                            kernel_x=ConstantKernel(),
+                            kernel_y=GaussianKernelSpec([1.0]), lam=1.0,
+                            beta=np.array([1e6]), xi_coeff=0.0)
+        draws, log_z, gap, _ = _grid_pass(spike, np.empty((1, 0)), np.array([0.5]))
+        assert np.isfinite(draws[0]) and np.isfinite(log_z[0])
+        assert gap[0] == np.inf
+
+    def test_infinite_gap_is_reported_as_none(self, joint_model, monkeypatch):
+        real = sampling_mod._grid_pass
+
+        def gapless(factor, *args, **kwargs):
+            draws, log_z, gap, grid = real(factor, *args, **kwargs)
+            return draws, log_z, np.full_like(gap, np.inf), grid
+
+        monkeypatch.setattr(sampling_mod, "_grid_pass", gapless)
+        _, stats = ancestral_sample(joint_model, 4, return_stats=True)
+        assert [e["max_log_z_gap"] for e in stats["per_node"]] == [None, None]
+
+    def test_repeated_rows_match_rows_drawn_alone(self, grid_conditional):
+        x_rows = np.array([[0.3], [-1.0], [0.3], [0.3], [-1.0]])
+        uniforms = np.random.default_rng(8).random(5)
+        draws, log_z, gap, _ = _grid_pass(grid_conditional, x_rows, uniforms)
+        for r in range(5):
+            alone = _grid_pass(grid_conditional, x_rows[r:r + 1], uniforms[r:r + 1])
+            assert (draws[r], log_z[r], gap[r]) == tuple(v[0] for v in alone[:3])
+
+    def test_grid_too_large_for_memory_is_data_error(self, joint_model, monkeypatch):
+        monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 1024)
+        with pytest.raises(DataError, match="HMC"):
+            ancestral_sample(joint_model, 5)
+        ancestral_sample(joint_model, 5, HmcConfig(burn_in=2))
+
+    def test_tiny_y_bandwidth_is_rejected_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 2**36)
+        model = FactorModel(x_train=np.empty((5, 0)), y_train=np.zeros((5, 1)),
+                            kernel_x=ConstantKernel(),
+                            kernel_y=GaussianKernelSpec([1e-8]),
+                            lam=1.0, beta=np.zeros(5), xi_coeff=0.0)
+        with pytest.raises(DataError, match="nodes"):
+            _grid_nodes(model)
+
+    def test_non_finite_T_names_the_node(self, joint_model, monkeypatch):
+        real = sampling_mod._cross_weights
+
+        def broken(model, Y_set):
+            w = real(model, Y_set)
+            return np.full_like(w, np.inf) if model is joint_model.factors[1] else w
+
+        monkeypatch.setattr(sampling_mod, "_cross_weights", broken)
+        with pytest.raises(NumericalError, match="node 1"):
+            ancestral_sample(joint_model, 5)
+
+    def test_rejects_unknown_config(self, joint_model):
+        with pytest.raises(DataError, match="config"):
+            ancestral_sample(joint_model, 5, {"seed": 0})
 
 
 class TestRejectionGrid:
