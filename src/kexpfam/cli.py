@@ -327,6 +327,30 @@ def _cmd_diverge(args, argv) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _grid_text(values) -> str:
+    return ",".join(f"{v:g}" for v in values)
+
+
+def _add_fit_options(parser: argparse.ArgumentParser) -> None:
+    """The model-fitting options shared by ``fit`` and ``eval --curve``."""
+    cv_defaults = CvConfig()
+    parser.add_argument("--dag", default="markov",
+                        help="full | markov | custom:<json parent lists>")
+    parser.add_argument("--lambda", dest="lam", type=float, default=None)
+    parser.add_argument("--bandwidth-scale", type=float, default=1.0)
+    parser.add_argument("--cv", action="store_true",
+                        help="grid-search hyperparameters per node")
+    parser.add_argument("--folds", type=int, default=cv_defaults.folds)
+    parser.add_argument("--lambda-grid", default=_grid_text(cv_defaults.lambda_grid))
+    parser.add_argument("--scale-grid",
+                        default=_grid_text(cv_defaults.bandwidth_scale_grid))
+    parser.add_argument("--cv-seed", type=int, default=cv_defaults.seed)
+    parser.add_argument("--base-std", type=float, default=BaseDensity().std)
+    parser.add_argument("--prune-threshold", type=float, default=None,
+                        help="drop one of each column pair correlated above this")
+    parser.add_argument("--threads", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kexpfam",
@@ -348,22 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fit", help="fit a factorized model to a CSV dataset")
     f.add_argument("--data", required=True)
-    f.add_argument("--dag", default="markov",
-                   help="full | markov | custom:<json parent lists>")
-    f.add_argument("--lambda", dest="lam", type=float, default=None)
-    f.add_argument("--bandwidth-scale", type=float, default=1.0)
-    f.add_argument("--cv", action="store_true",
-                   help="grid-search hyperparameters per node")
-    f.add_argument("--folds", type=int, default=5)
-    f.add_argument("--lambda-grid",
-                   default=",".join(f"{v:g}" for v in CvConfig().lambda_grid))
-    f.add_argument("--scale-grid", default="0.25,0.5,1,2,4")
-    f.add_argument("--cv-seed", type=int, default=0)
-    f.add_argument("--base-std", type=float, default=2.0)
-    f.add_argument("--prune-threshold", type=float, default=None,
-                   help="drop one of each column pair correlated above this")
+    _add_fit_options(f)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--threads", type=int, default=1)
     f.add_argument("--out-model", required=True)
     f.set_defaults(func=_cmd_fit)
 
@@ -377,18 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--curve", action="store_true",
                    help="refit at n in {200,500,1000,2000} and emit a table")
     e.add_argument("--data", default=None, help="training CSV (with --curve)")
-    e.add_argument("--dag", default="markov")
-    e.add_argument("--lambda", dest="lam", type=float, default=None)
-    e.add_argument("--bandwidth-scale", type=float, default=1.0)
-    e.add_argument("--cv", action="store_true")
-    e.add_argument("--folds", type=int, default=5)
-    e.add_argument("--lambda-grid",
-                   default=",".join(f"{v:g}" for v in CvConfig().lambda_grid))
-    e.add_argument("--scale-grid", default="0.25,0.5,1,2,4")
-    e.add_argument("--cv-seed", type=int, default=0)
-    e.add_argument("--base-std", type=float, default=2.0)
-    e.add_argument("--prune-threshold", type=float, default=None)
-    e.add_argument("--threads", type=int, default=1)
+    _add_fit_options(e)
     e.set_defaults(func=_cmd_eval)
 
     s = sub.add_parser("sample", help="draw joint samples from a fitted model")

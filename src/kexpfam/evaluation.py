@@ -3,17 +3,15 @@ log-likelihoods, cross-validation over hyperparameter grids, and a score
 (Fisher) divergence diagnostic.
 
 The importance-sampling proposal is the base density itself, making the
-normalizer estimate a plain Monte Carlo average of exp(T) under q0.
-Partition estimates are cached per (factor, conditioning point, sample
-count, seed, node index) so repeated evaluation is deterministic and cheap.
+normalizer estimate a plain Monte Carlo average of exp(T) under q0.  The
+draws are seeded per (seed, node index), so repeated evaluation is
+deterministic; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,12 +32,7 @@ from .score_fit import (
     unnorm_logpdf_rows,
 )
 
-_X_ROUND_DECIMALS = 12  # cache key rounding, absolute 1e-12
-
-_partition_cache: "weakref.WeakKeyDictionary[FactorModel, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-_cache_lock = threading.Lock()
+_X_ROUND_DECIMALS = 12  # rows equal after this rounding share one estimate
 
 
 @dataclass(frozen=True)
@@ -155,41 +148,29 @@ class _LogMeanExpAccumulator:
         return log_z, std_err
 
 
+def _log_z_from_draws(model: FactorModel, X_rows: np.ndarray, draws: np.ndarray):
+    """Log-mean-exp of T(x_r, draw) over the draws for every row:
+    (log_z, std_err)."""
+    acc = _LogMeanExpAccumulator(X_rows.shape[0])
+    for _, block in cross_T_blocks(model, X_rows, draws):
+        acc.add(block)
+    return acc.finalize()
+
+
 def _partition_for_rows(model: FactorModel, X_rows: np.ndarray,
                         num_samples: int, seed: int, node_index: int = 0):
-    """Log-partition estimates for many conditioning rows, sharing one
-    seeded draw set and the per-factor cache.  Returns (log_z, std_err)."""
+    """Log-partition estimates for many conditioning rows from one seeded
+    draw set; rows equal after rounding are estimated once.  Returns
+    (log_z, std_err)."""
     X_rows = np.atleast_2d(np.asarray(X_rows, dtype=np.float64))
     rounded = np.round(X_rows, _X_ROUND_DECIMALS)
     uniq, inverse = np.unique(rounded, axis=0, return_inverse=True)
-
-    with _cache_lock:
-        factor_cache = _partition_cache.setdefault(model, {})
-        keys = [(row.tobytes(), num_samples, int(seed), int(node_index))
-                for row in uniq]
-        missing = [k for k, key in enumerate(keys) if key not in factor_cache]
-
-    if missing:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((int(seed), int(node_index))))
-        )
-        draws = model.base.sample(rng, num_samples, model.d)
-        acc = _LogMeanExpAccumulator(len(missing))
-        for _, block in cross_T_blocks(model, uniq[missing], draws):
-            acc.add(block)
-        log_z, std_err = acc.finalize()
-        with _cache_lock:
-            for pos, k in enumerate(missing):
-                factor_cache[keys[k]] = LogPartitionEstimate(
-                    log_z=float(log_z[pos]), std_err=float(std_err[pos]),
-                    sample_count=num_samples,
-                )
-
-    with _cache_lock:
-        ests = [factor_cache[key] for key in keys]
-    log_z_all = np.array([ests[i].log_z for i in inverse])
-    se_all = np.array([ests[i].std_err for i in inverse])
-    return log_z_all, se_all
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence((int(seed), int(node_index))))
+    )
+    draws = model.base.sample(rng, num_samples, model.d)
+    log_z, std_err = _log_z_from_draws(model, uniq, draws)
+    return log_z[inverse], std_err[inverse]
 
 
 def log_partition_is(model: FactorModel, x, num_samples: int,
@@ -197,8 +178,9 @@ def log_partition_is(model: FactorModel, x, num_samples: int,
     """Estimate log Z(x) = log E_q0[exp T(x, y)] by Monte Carlo under q0.
 
     Uses a max-stabilized log-mean-exp, so a model with T identically zero
-    yields log_z == 0.0 exactly.  Estimates are cached per (factor,
-    rounded x, sample count, seed, node index).
+    yields log_z == 0.0 exactly.  The draws are seeded by (seed, node
+    index), so equal arguments give equal estimates, and x is rounded to
+    12 decimals first.
     """
     if num_samples < 1:
         raise DataError("num_samples must be >= 1")
@@ -210,15 +192,11 @@ def log_partition_is(model: FactorModel, x, num_samples: int,
 
 def log_partition_from_draws(model: FactorModel, x, draws) -> LogPartitionEstimate:
     """Same estimator evaluated on caller-provided base-density draws
-    (no caching; useful for pooling or reordering streams)."""
+    (useful for pooling or reordering streams)."""
     draws = _as_matrix(draws, "draws")
     if draws.shape[1] != model.d:
         raise DataError("draws must match the factor's target dimension")
-    x_row = _as_x_row(x, model.p)
-    acc = _LogMeanExpAccumulator(1)
-    for _, block in cross_T_blocks(model, x_row, draws):
-        acc.add(block)
-    log_z, se = acc.finalize()
+    log_z, se = _log_z_from_draws(model, _as_x_row(x, model.p), draws)
     return LogPartitionEstimate(log_z=float(log_z[0]), std_err=float(se[0]),
                                 sample_count=draws.shape[0])
 

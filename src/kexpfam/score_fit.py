@@ -22,7 +22,6 @@ from .kernels import (
     GaussianKernelSpec,
     _mixed_factor,
     kernel_matrix,
-    partial_matrix,
 )
 
 RESIDUAL_RTOL = 1e-8
@@ -30,11 +29,12 @@ RESIDUAL_RTOL = 1e-8
 _EVAL_CHUNK = 512
 
 # Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
-# 6.0 by tracemalloc around fit_factor at n=2000, d=1 (the benchmark's
-# score_fit.peak_over_gram), set by the Gram-sized temporaries of build_gram.
-# Fits with n <= _EVAL_CHUNK read 8.0, because one build_h chunk then spans
-# all rows; their Gram is at most 2*d^2 MiB.
-_PEAK_OVER_GRAM = 6.0
+# tracemalloc around fit_factor at d=1 reads 3.13 at n=2000 (the benchmark's
+# score_fit.peak_over_gram), set by G and its two copies in _ridge_solve, and
+# 3.34 at n=1536, set by G plus about seven (n, _EVAL_CHUNK) chunk arrays of
+# build_gram_system.  Those chunk arrays weigh more as n falls; fits with
+# n <= _EVAL_CHUNK read 8.0, but their Gram is at most 2*d^2 MiB.
+_PEAK_OVER_GRAM = 3.5
 
 
 @dataclass(frozen=True)
@@ -247,45 +247,51 @@ def _check_fit_size(nd: int) -> None:
                   "use fewer rows")
 
 
-def build_gram(x_train, y_train, kernel_x, kernel_y) -> np.ndarray:
-    """Assemble the nd x nd Gram matrix of derivative features.
+def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -> GramSystem:
+    """Assemble G and h in one pass over chunks of training columns b.
 
-    Entry ((a,i),(b,j)) is k_X(X_a, X_b) times the (first-dim i, second-dim j)
-    first-order mixed partial of the y-kernel at (Y_a, Y_b).  The result is
-    explicitly symmetrized to guard the symmetric solver against roundoff.
+    G is the nd x nd Gram matrix of derivative features: entry ((a,i),(b,j))
+    is k_X(X_a, X_b) times the (first-dim i, second-dim j) first-order mixed
+    partial of the y-kernel at (Y_a, Y_b).  It is explicitly symmetrized to
+    guard the symmetric solver against roundoff.  Entry (b,i) of h is the
+    i-th y-partial of the averaged feature function at the training pair
+    (X_b, Y_b).  Both are sums over the same kernel values, so each chunk
+    builds k_X, k_Y and the differences Y_a - Y_b once for both.
     """
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
     n, d = y_train.shape
     _check_fit_size(n * d)
-    kx = kernel_matrix(kernel_x, x_train, x_train)
-    ky = kernel_matrix(kernel_y, y_train, y_train)
+    s2 = kernel_y.variances
+    a, e = _xi_coeffs(y_train, base)
     G = np.empty((n * d, n * d))
-    for i in range(d):
+    h = np.empty((n, d))
+    for lo in range(0, n, _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, n)
+        kx = kernel_matrix(kernel_x, x_train, x_train[lo:hi])
+        ky = kernel_matrix(kernel_y, y_train, y_train[lo:hi])
+        U = [y_train[:, m, None] - y_train[None, lo:hi, m] for m in range(d)]
+        for i in range(d):
+            for j in range(d):
+                G[i::d, lo * d + j:hi * d:d] = kx * (
+                    _mixed_factor(U[i], s2[i], 1, U[j], s2[j], 1, same_dim=i == j) * ky)
+        kx *= ky  # now k_X * k_Y; in place, so the chunk holds one array less
         for j in range(d):
-            block = kx * partial_matrix(kernel_y, y_train, y_train, i, 1, j, 1, base=ky)
-            G[i::d, j::d] = block
+            h[lo:hi, j] = np.sum(kx * _weight(U, s2, a, e, j, 1), axis=0)
     if not np.all(np.isfinite(G)):
         raise NumericalError("Gram matrix has non-finite entries")
-    return 0.5 * (G + G.T)
+    if not np.all(np.isfinite(h)):
+        raise NumericalError("h vector has non-finite entries")
+    return GramSystem(G=0.5 * (G + G.T), h=h.reshape(-1), n=n)
+
+
+def build_gram(x_train, y_train, kernel_x, kernel_y) -> np.ndarray:
+    """The Gram matrix G of ``build_gram_system``."""
+    return build_gram_system(x_train, y_train, kernel_x, kernel_y, BaseDensity()).G
 
 
 def build_h(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -> np.ndarray:
-    """Right-hand-side vector: entry (b,i) is the i-th y-partial of the
-    averaged feature function evaluated at the training pair (X_b, Y_b)."""
-    x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
-    a, e = _xi_coeffs(y_train, base)
-    _, grad, _ = _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e,
-                            x_train, y_train, want_value=False, want_grad=True)
-    h = grad.reshape(-1)
-    if not np.all(np.isfinite(h)):
-        raise NumericalError("h vector has non-finite entries")
-    return h
-
-
-def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -> GramSystem:
-    G = build_gram(x_train, y_train, kernel_x, kernel_y)
-    h = build_h(x_train, y_train, kernel_x, kernel_y, base)
-    return GramSystem(G=G, h=h, n=np.atleast_2d(y_train).shape[0])
+    """The right-hand-side vector h of ``build_gram_system``."""
+    return build_gram_system(x_train, y_train, kernel_x, kernel_y, base).h
 
 
 def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,

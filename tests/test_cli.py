@@ -11,6 +11,7 @@ import kexpfam.sampling as sampling
 import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
 from kexpfam.data_io import load_csv, load_model
+from kexpfam.evaluation import CvConfig
 from kexpfam.sampling import GridSamplerConfig, HmcConfig, ancestral_sample
 
 
@@ -281,6 +282,25 @@ class TestCurve:
         test = gen_grid(tmp_path, "t.csv", n=50, seed=1)
         assert run(["eval", "--curve", "--test", test, "--lambda", 0.01,
                     "--out", tmp_path / "c.csv"]) == 2
+
+
+class TestFitOptions:
+    FIT_OPTIONS = ("dag", "lam", "bandwidth_scale", "cv", "folds", "lambda_grid",
+                   "scale_grid", "cv_seed", "base_std", "prune_threshold",
+                   "threads")
+
+    def test_fit_and_eval_share_defaults_from_cv_config(self):
+        parser = cli.build_parser()
+        fit = parser.parse_args(["fit", "--data", "d.csv", "--out-model", "m.kcef"])
+        ev = parser.parse_args(["eval", "--test", "t.csv", "--out", "e.json"])
+        defaults = {k: getattr(fit, k) for k in self.FIT_OPTIONS}
+        assert defaults == {k: getattr(ev, k) for k in self.FIT_OPTIONS}
+        config = CvConfig()
+        assert cli._parse_float_list(fit.lambda_grid, "--lambda-grid") == \
+            pytest.approx(config.lambda_grid, rel=1e-5)
+        assert cli._parse_float_list(fit.scale_grid, "--scale-grid") == \
+            config.bandwidth_scale_grid
+        assert (fit.folds, fit.cv_seed) == (config.folds, config.seed)
 
 
 class TestDiverge:

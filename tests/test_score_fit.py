@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from kexpfam.kernels import (
     DerivRequest,
     GaussianKernelSpec,
     eval_kernel,
+    kernel_matrix,
     kernel_partial,
     median_heuristic,
 )
@@ -228,6 +231,52 @@ class TestBuildH:
                              Y[b])
             for i in range(2):
                 assert h[b * 2 + i] == pytest.approx(fd[i], rel=1e-5, abs=1e-8)
+
+
+class TestBuildGramSystem:
+    def test_does_not_depend_on_chunk_size(self, rng, monkeypatch):
+        n, d, p = 7, 2, 2
+        X, Y, kx, ky, _ = random_instance(rng, n, d, p)
+        base = BaseDensity()
+        whole = build_gram_system(X, Y, kx, ky, base)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return kernel_matrix(*args)
+
+        monkeypatch.setattr(score_fit_mod, "kernel_matrix", counted)
+        for chunk in (1, 2, 3):
+            monkeypatch.setattr(score_fit_mod, "_EVAL_CHUNK", chunk)
+            calls.clear()
+            system = build_gram_system(X, Y, kx, ky, base)
+            # one k_X and one k_Y per chunk, shared by G and h
+            assert len(calls) == 2 * -(-n // chunk)
+            np.testing.assert_array_equal(system.G, whole.G)
+            np.testing.assert_array_equal(system.h, whole.h)
+        for a in range(n):
+            for i in range(d):
+                for b in range(n):
+                    for j in range(d):
+                        expect = kx_value(kx, X[a], X[b]) * kernel_partial(
+                            ky, Y[a], Y[b], DerivRequest(i, 1, j, 1))
+                        assert abs(whole.G[a * d + i, b * d + j] - expect) < 1e-12
+        np.testing.assert_allclose(whole.h, brute_h(X, Y, kx, ky, base),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_preflight_constant_bounds_a_real_fit(self, rng):
+        n = 1536  # three assembly chunks
+        assert n > 2 * score_fit_mod._EVAL_CHUNK
+        X, Y, kx, ky, lam = random_instance(rng, n, 1, 1, lam=1e-3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit_factor(X, Y, kx, ky, lam)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= score_fit_mod._PEAK_OVER_GRAM * n * n * 8
 
 
 class TestFitFactor:
