@@ -242,16 +242,19 @@ def _cmd_eval(args, argv) -> int:
         raise DataError("eval requires --model (or --curve with --data)")
     model = load_model(args.model)
     rows, _ = load_csv(args.test)
-    mean, per_row = test_loglik(model, rows, is_samples=args.is_samples,
-                                seed=args.seed)
+    mean, per_row, stats = test_loglik(model, rows, is_samples=args.is_samples,
+                                       seed=args.seed, return_stats=True)
     stderr = _stderr_of_mean(per_row)
+    per_node = _model_summary(model)
+    for entry, node_stats in zip(per_node, stats["per_node"]):
+        entry["max_is_std_err"] = float(np.max(node_stats["is_std_err"]))
     _write_json(args.out, {
         "mean_loglik": mean,
         "stderr": stderr,
         "n_test": len(per_row),
         "is_samples": args.is_samples,
         "seed": args.seed,
-        "per_node": _model_summary(model),
+        "per_node": per_node,
     })
     rows_path = args.per_row or _sidecar(args.out, ".rows.csv")
     save_csv(rows_path, per_row[:, None], ["loglik"])

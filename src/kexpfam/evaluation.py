@@ -202,7 +202,7 @@ def log_partition_from_draws(model: FactorModel, x, draws) -> LogPartitionEstima
 
 
 def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
-                seed: int = 0) -> tuple[float, np.ndarray]:
+                seed: int = 0, return_stats: bool = False):
     """Normalized joint log-likelihood of test rows, in original data units.
 
     Rows are standardized with the model's stored statistics; each node
@@ -210,6 +210,10 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
     importance-sampling log-partition estimate, and the standardization
     Jacobian shifts the total back to the original scale.  Returns
     (mean, per-row values).
+
+    With ``return_stats`` also returns ``{"per_node": [{"node": i,
+    "is_std_err": (rows,) array}, ...]}``: the delta-method standard error
+    of each row's log-partition estimate at each node.
     """
     rows = _as_matrix(test_rows, "test_rows")
     if rows.shape[1] != model.dim:
@@ -218,14 +222,18 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
         )
     Z = model.standardize_rows(rows)
     total = np.full(rows.shape[0], model.log_jacobian)
+    per_node = []
     for node in range(model.dim):
         factor = model.factors[node]
         parents = list(model.dag.parents[node])
         X = Z[:, parents]
         Y = Z[:, [node]]
         terms = unnorm_logpdf_rows(factor, X, Y)
-        log_z, _ = _partition_for_rows(factor, X, is_samples, seed, node)
+        log_z, std_err = _partition_for_rows(factor, X, is_samples, seed, node)
         total += terms - log_z
+        per_node.append({"node": node, "is_std_err": std_err})
+    if return_stats:
+        return float(np.mean(total)), total, {"per_node": per_node}
     return float(np.mean(total)), total
 
 

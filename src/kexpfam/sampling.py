@@ -18,15 +18,19 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .factorization import JointModel
 from .kernels import kernel_matrix
-from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_weights,
-                        _T_terms)
+from .score_fit import (_CROSS_BLOCK, FactorModel, _as_x_row, _check_memory,
+                        _cross_weights, _T_terms)
 
 _INIT_RETRIES = 100
 _TRIAL_CAP = 1_000_000
 _GRID_ROW_CHUNK = 256  # conditioning rows per kernel_matrix call of _grid_pass
-# Peak bytes of _cross_weights over the 8 n G bytes of its (n, G) result
-# (tracemalloc read 5.0 at n = 300, G = 253).
-_GRID_PEAK_OVER_WEIGHTS = 5.0
+# Peak bytes of _cross_weights over the 8 n (G + 3 _CROSS_BLOCK) bytes of its
+# (n, G) result and its three (n, _CROSS_BLOCK) scratch blocks.  tracemalloc
+# reads 1.03 / 1.03 / 1.02 at n = 1024 for G = 131, 257 and 513 (no grid of
+# _grid_nodes has fewer than 129 nodes), 1.01 at n = 2000, G = 257, and 1.11
+# at n = 300, G = 131: NumPy's ufunc buffers add about 130 KB whatever n and
+# G, which weighs only in calls of a few MB.
+_GRID_PEAK_OVER_WEIGHTS = 1.15
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,7 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     lo = min(-half, float(factor.y_train.min()) - 8.0 * sigma_y)
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
-    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * nodes * 8,
+    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * (nodes + 3 * _CROSS_BLOCK) * 8,
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")

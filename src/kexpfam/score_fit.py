@@ -27,6 +27,7 @@ from .kernels import (
 RESIDUAL_RTOL = 1e-8
 
 _EVAL_CHUNK = 512
+_CROSS_BLOCK = 128  # columns per element-wise block of _cross_weights
 
 # Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
 # tracemalloc around fit_factor at d=1 reads 3.13 at n=2000 (the benchmark's
@@ -472,14 +473,52 @@ def empirical_score(model: FactorModel, x_eval, y_eval) -> float:
     return float(np.mean(per_row))
 
 
-def _cross_weights(model: FactorModel, Y_set: np.ndarray) -> np.ndarray:
+def _cross_weights(model: FactorModel, Y_set: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """k_Y(Y_b, y_s) times T's weight for every training sample b and point
     y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s]
-    (the per-draw factor of cross_T_blocks)."""
+    (the per-draw factor of cross_T_blocks and the grid sampler).
+
+    Writes into ``out`` (allocated when None) and works through the columns
+    in blocks of ``_CROSS_BLOCK`` with three reused (n, block) scratch
+    arrays, so its memory beyond ``out`` does not grow with S.  Each entry
+    comes from the operations of ``kernel_matrix(...) * _weight(U, ..., 0,
+    0)`` in the same order, bit for bit; the only rewrites are exact ones:
+    the factors 1.0 and the leading 0 + are dropped, and -(u/s2) is u/(-s2).
+    """
+    Y, s2 = model.y_train, model.kernel_y.variances
     a, e = _model_coeffs(model)
-    U = [model.y_train[:, m, None] - Y_set[None, :, m] for m in range(model.d)]
-    ky = kernel_matrix(model.kernel_y, model.y_train, Y_set)
-    return ky * _weight(U, model.kernel_y.variances, a, e, 0, 0)
+    n, S = Y.shape[0], Y_set.shape[0]
+    out = np.empty((n, S)) if out is None else out
+    scratch = np.empty((3, n * min(_CROSS_BLOCK, S)))
+    for lo in range(0, S, _CROSS_BLOCK):
+        hi = min(lo + _CROSS_BLOCK, S)
+        # contiguous (n, width) views, also for a partial last block
+        kb, vb, tb = (row[:n * (hi - lo)].reshape(n, hi - lo) for row in scratch)
+        ob = out[:, lo:hi]
+        # k_Y = exp(-sum_m u_m^2 / (2 s2_m))
+        for m in range(model.d):
+            np.subtract(Y[:, m, None], Y_set[None, lo:hi, m], out=vb)
+            np.multiply(vb, vb, out=tb)
+            np.divide(tb, 2.0 * s2[m], out=kb if m == 0 else tb)
+            if m:
+                np.add(kb, tb, out=kb)
+        np.negative(kb, out=kb)
+        np.exp(kb, out=kb)
+        # weight = sum_l a_l * (-u_l/s2_l) + e * ((u_l/s2_l)^2 - 1/s2_l)
+        for l in range(model.d):
+            term = ob if l == 0 else tb
+            np.subtract(Y[:, l, None], Y_set[None, lo:hi, l], out=vb)
+            np.divide(vb, -s2[l], out=vb)
+            np.multiply(a[:, l, None], vb, out=term)
+            np.multiply(vb, vb, out=vb)
+            np.subtract(vb, 1.0 / s2[l], out=vb)
+            np.multiply(e, vb, out=vb)
+            np.add(term, vb, out=term)
+            if l:
+                np.add(ob, tb, out=ob)
+        np.multiply(kb, ob, out=ob)
+    return out
 
 
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
@@ -487,20 +526,17 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
     """Yield (slice, block) pairs covering T(x_r, y_s) for all rows and draws.
 
     X_rows is (R, p) and Y_set is (S, d); each block has shape (R, chunk) and
-    column s of the full matrix corresponds to draw Y_set[s].  Computed
-    blockwise over draws to bound memory.
+    column s of the full matrix corresponds to draw Y_set[s].  Each chunk of
+    draws fills one (n, chunk) weight buffer, reused for the whole call,
+    through ``_cross_weights`` and takes one GEMM with k_X, so memory is
+    O(n * (R + chunk)) whatever S is.  Every yielded block is a fresh array.
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
-    s2 = model.kernel_y.variances
-    a, e = _model_coeffs(model)
     kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)  # (n, R)
+    # flat, so that every chunk's (n, width) view is contiguous
+    buf = np.empty(model.n * min(chunk, Y_set.shape[0]))
     for lo in range(0, Y_set.shape[0], chunk):
         hi = min(lo + chunk, Y_set.shape[0])
-        # _cross_weights' sums, inline: keeping ky and U alive across the
-        # yield lets the allocator reuse their pages; calling the helper took
-        # about 5x the minor page faults and 10 % more time for IS at n=2000
-        ky = kernel_matrix(model.kernel_y, model.y_train, Y_set[lo:hi])
-        U = [model.y_train[:, m, None] - Y_set[None, lo:hi, m]
-             for m in range(model.d)]
-        yield slice(lo, hi), kx.T @ (ky * _weight(U, s2, a, e, 0, 0))
+        W = buf[:model.n * (hi - lo)].reshape(model.n, hi - lo)
+        yield slice(lo, hi), kx.T @ _cross_weights(model, Y_set[lo:hi], W)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kexpfam.cli as cli
+import kexpfam.evaluation as evaluation
 import kexpfam.sampling as sampling
 import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
@@ -102,6 +103,19 @@ class TestFitEvalPipeline:
         rows, names = load_csv(tmp_path / "eval.rows.csv")
         assert names == ["loglik"]
         assert rows.shape == (200, 1)
+
+    def test_eval_reports_each_nodes_largest_is_std_err(self, workspace):
+        tmp_path, _, test, model = workspace
+        out = tmp_path / "eval_stats.json"
+        assert run(["eval", "--model", model, "--test", test,
+                    "--is-samples", 3000, "--seed", 2, "--out", out]) == 0
+        per_node = json.loads(out.read_text())["per_node"]
+        rows, _ = load_csv(test)
+        _, _, stats = evaluation.test_loglik(load_model(model), rows, is_samples=3000,
+                                             seed=2, return_stats=True)
+        assert [e["max_is_std_err"] for e in per_node] == [
+            float(np.max(s["is_std_err"])) for s in stats["per_node"]]
+        assert all(0.0 < e["max_is_std_err"] < 1.0 for e in per_node)
 
     def test_train_vs_heldout_sanity(self, workspace):
         tmp_path, train, test, model = workspace

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -20,7 +22,8 @@ from kexpfam.sampling import (
     leapfrog,
     rejection_sample_grid,
 )
-from kexpfam.score_fit import FactorModel, unnorm_logpdf_rows
+from kexpfam.score_fit import (_CROSS_BLOCK, FactorModel, _cross_weights,
+                               unnorm_logpdf_rows)
 
 
 def zero_T_model(d=1):
@@ -363,6 +366,32 @@ class TestGridSampler:
         with pytest.raises(DataError, match="HMC"):
             ancestral_sample(joint_model, 5)
         ancestral_sample(joint_model, 5, HmcConfig(burn_in=2))
+
+    @pytest.mark.parametrize("sigma_y", [1.0, 50.0])
+    def test_preflight_constant_bounds_the_grid_weights(self, sigma_y):
+        """_GRID_PEAK_OVER_WEIGHTS bounds the traced peak of the grid's
+        weights on a typical grid and on the smallest grid that
+        ``_grid_nodes`` builds, where the scratch blocks weigh most."""
+        rng = np.random.default_rng(5)
+        n = 1024
+        model = FactorModel(x_train=rng.normal(size=(n, 1)),
+                            y_train=rng.normal(size=(n, 1)),
+                            kernel_x=GaussianKernelSpec([1.0]),
+                            kernel_y=GaussianKernelSpec([sigma_y]),
+                            lam=1e-2, beta=rng.normal(size=n))
+        grid = _grid_nodes(model)[:, None]
+        if sigma_y > 1.0:  # the node count's floor of 129 is below two blocks
+            assert grid.shape[0] < 2 * _CROSS_BLOCK
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _cross_weights(model, grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        need = n * (grid.shape[0] + 3 * _CROSS_BLOCK) * 8
+        assert peak <= sampling_mod._GRID_PEAK_OVER_WEIGHTS * need
 
     def test_tiny_y_bandwidth_is_rejected_before_allocating(self, monkeypatch):
         monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 2**36)

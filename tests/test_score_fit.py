@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from kexpfam.kernels import (
 from kexpfam.score_fit import (
     BaseDensity,
     FactorModel,
+    _cross_weights,
     build_gram,
     build_gram_system,
     build_h,
@@ -417,6 +419,49 @@ class TestCrossTBlocks:
             for s in range(5):
                 expect = brute_eval_T(model, X_rows[r], Y_set[s])
                 assert abs(full[r, s] - expect) < 1e-10
+
+
+class TestCrossWeights:
+    """The column-blocked, buffered weights against the unblocked expression
+    kernel_matrix(...) * _weight(...), bit for bit."""
+
+    @staticmethod
+    def reference(model, Y_set):
+        U = [model.y_train[:, m, None] - Y_set[None, :, m] for m in range(model.d)]
+        a, e = score_fit_mod._model_coeffs(model)
+        return (kernel_matrix(model.kernel_y, model.y_train, Y_set)
+                * score_fit_mod._weight(U, model.kernel_y.variances, a, e, 0, 0))
+
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_unblocked_weights(self, rng, d, p):
+        model = fit_random(rng, n=9, d=d, p=p, lam=0.05)
+        S = 2 * score_fit_mod._CROSS_BLOCK + 37  # ends on a partial block
+        Y_set = 2.0 * rng.normal(size=(S, d))
+        ref = self.reference(model, Y_set)
+        assert np.array_equal(_cross_weights(model, Y_set), ref)
+        out = np.full((model.n, S), np.nan)
+        assert _cross_weights(model, Y_set, out) is out
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("chunk", [300, 2048])
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cross_T_blocks_are_gemms_of_the_reference(self, rng, d, p, chunk):
+        model = fit_random(rng, n=9, d=d, p=p, lam=0.05)
+        S = 2 * chunk + 41  # the last chunk is partial, and so is its last block
+        X_rows, Y_set = rng.normal(size=(4, p)), 2.0 * rng.normal(size=(S, d))
+        ref = self.reference(model, Y_set)
+        kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
+        # collected first: a block that aliased the reused weight buffer
+        # would be overwritten by the chunks after it
+        blocks = list(cross_T_blocks(model, X_rows, Y_set, chunk=chunk))
+        assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, 2 * chunk),
+                                            slice(2 * chunk, S)]
+        for sl, block in blocks:
+            assert np.array_equal(block, kx.T @ ref[:, sl])
+        for (_, first), (_, second) in itertools.combinations(blocks, 2):
+            assert not np.shares_memory(first, second)
 
 
 class TestUnnormLogpdf:
