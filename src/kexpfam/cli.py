@@ -47,6 +47,9 @@ from .sampling import (
 from .score_fit import BaseDensity, empirical_score
 
 CURVE_SIZES = (200, 500, 1000, 2000)
+# the HmcConfig fields that ``sample`` takes as flags (--step-size, ...)
+_HMC_OPTIONS = (("step_size", float), ("leapfrog_steps", int), ("burn_in", int),
+               ("thin", int), ("chains", int))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -85,8 +88,12 @@ def _parse_grid_weights(text: str, dim: int):
             pairs = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"--weights: invalid JSON: {exc}") from None
-        if len(pairs) != dim or any(len(p) != 2 for p in pairs):
+        if (not isinstance(pairs, list) or len(pairs) != dim
+                or any(not isinstance(p, list) or len(p) != 2 for p in pairs)):
             raise DataError(f"--weights JSON needs {dim} [wa, wb] pairs")
+        if any(isinstance(w, bool) or not isinstance(w, (int, float))
+               for p in pairs for w in p):
+            raise DataError(f"--weights JSON pairs must hold numbers, got {text!r}")
         arr = np.asarray(pairs, dtype=np.float64)
         return arr[:, 0], arr[:, 1]
     wa, wb = _parse_pair(text, "--weights")
@@ -116,8 +123,7 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 def _sampler_config(args) -> GridSamplerConfig | HmcConfig:
     """HMC when any HMC flag is set, the grid sampler otherwise."""
-    hmc = {dest: getattr(args, dest) for dest in
-           ("step_size", "leapfrog_steps", "burn_in", "thin", "chains")
+    hmc = {dest: getattr(args, dest) for dest, _ in _HMC_OPTIONS
            if getattr(args, dest) is not None}
     return HmcConfig(seed=args.seed, **hmc) if hmc else GridSamplerConfig(seed=args.seed)
 
@@ -399,16 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     # exact inverse-CDF draws on a y-grid, or ancestral HMC when any of the
     # HMC flags below is set
     hmc_defaults = HmcConfig()
-    s.add_argument("--step-size", type=float, default=None,
-                   help=f"selects HMC (default {hmc_defaults.step_size})")
-    s.add_argument("--leapfrog-steps", type=int, default=None,
-                   help=f"selects HMC (default {hmc_defaults.leapfrog_steps})")
-    s.add_argument("--burn-in", type=int, default=None,
-                   help=f"selects HMC (default {hmc_defaults.burn_in})")
-    s.add_argument("--thin", type=int, default=None,
-                   help=f"selects HMC (default {hmc_defaults.thin})")
-    s.add_argument("--chains", type=int, default=None,
-                   help=f"selects HMC (default {hmc_defaults.chains})")
+    for dest, kind in _HMC_OPTIONS:
+        s.add_argument("--" + dest.replace("_", "-"), type=kind, default=None,
+                       help=f"selects HMC (default {getattr(hmc_defaults, dest)})")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_sample)

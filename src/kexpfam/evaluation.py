@@ -110,51 +110,32 @@ class CvResult:
         ]
 
 
-class _LogMeanExpAccumulator:
-    """Streaming, max-stabilized accumulator of log-mean-exp plus the second
-    moment needed for the delta-method standard error.  The final value is
-    invariant to how the stream is chunked or reordered, up to roundoff."""
-
-    def __init__(self, n_rows: int):
-        self.m = np.full(n_rows, -np.inf)
-        self.s1 = np.zeros(n_rows)
-        self.s2 = np.zeros(n_rows)
-        self.count = 0
-
-    def add(self, block: np.ndarray):
+def _log_z_from_draws(model: FactorModel, X_rows: np.ndarray, draws: np.ndarray):
+    """Log-mean-exp of T(x_r, draw) over the draws for every row, with its
+    delta-method standard error: (log_z, std_err).  Each block that
+    ``cross_T_blocks`` yields is a fresh array, so it is shifted by the new
+    row max, exponentiated and squared in place into the sums s1 and s2."""
+    m = np.full(X_rows.shape[0], -np.inf)
+    s1, s2 = np.zeros_like(m), np.zeros_like(m)
+    S = 0
+    for _, block in cross_T_blocks(model, X_rows, draws):
         if not np.all(np.isfinite(block)):
             raise NumericalError(
                 "natural parameter overflowed during normalization; "
                 "the fitted model is not normalizable at this point"
             )
-        bm = block.max(axis=1)
-        new_m = np.maximum(self.m, bm)
-        shift_old = np.exp(self.m - new_m, where=np.isfinite(self.m),
-                           out=np.zeros_like(self.m))
-        w = np.exp(block - new_m[:, None])
-        self.s1 = self.s1 * shift_old + w.sum(axis=1)
-        self.s2 = self.s2 * shift_old**2 + (w * w).sum(axis=1)
-        self.m = new_m
-        self.count += block.shape[1]
-
-    def finalize(self) -> tuple[np.ndarray, np.ndarray]:
-        S = self.count
-        log_z = self.m + np.log(self.s1) - math.log(S)
-        if S > 1:
-            var_w = np.maximum(self.s2 - self.s1**2 / S, 0.0) / (S - 1)
-            std_err = np.sqrt(var_w / S) / (self.s1 / S)
-        else:
-            std_err = np.zeros_like(log_z)
-        return log_z, std_err
-
-
-def _log_z_from_draws(model: FactorModel, X_rows: np.ndarray, draws: np.ndarray):
-    """Log-mean-exp of T(x_r, draw) over the draws for every row:
-    (log_z, std_err)."""
-    acc = _LogMeanExpAccumulator(X_rows.shape[0])
-    for _, block in cross_T_blocks(model, X_rows, draws):
-        acc.add(block)
-    return acc.finalize()
+        new_m = np.maximum(m, block.max(axis=1))
+        shift = np.exp(m - new_m, where=np.isfinite(m), out=np.zeros_like(m))
+        w = np.exp(np.subtract(block, new_m[:, None], out=block), out=block)
+        s1 = s1 * shift + w.sum(axis=1)
+        s2 = s2 * shift**2 + np.multiply(w, w, out=w).sum(axis=1)
+        m = new_m
+        S += block.shape[1]
+    log_z = m + np.log(s1) - math.log(S)
+    if S < 2:
+        return log_z, np.zeros_like(log_z)
+    var_w = np.maximum(s2 - s1**2 / S, 0.0) / (S - 1)
+    return log_z, np.sqrt(var_w / S) / (s1 / S)
 
 
 def _partition_for_rows(model: FactorModel, X_rows: np.ndarray,
@@ -215,6 +196,8 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
     "is_std_err": (rows,) array}, ...]}``: the delta-method standard error
     of each row's log-partition estimate at each node.
     """
+    if is_samples < 1:
+        raise DataError("num_samples must be >= 1")
     rows = _as_matrix(test_rows, "test_rows")
     if rows.shape[1] != model.dim:
         raise DataError(

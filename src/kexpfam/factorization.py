@@ -23,6 +23,17 @@ from .score_fit import BaseDensity, FactorModel, fit_factor, unnorm_logpdf
 DAG_KINDS = ("full", "markov", "custom")
 
 
+def _parent_indices(node: int, ps) -> tuple[int, ...]:
+    """A list of integer parents as ints; anything else, such as a bool, a
+    float or a string, is a DataError rather than truncated or split."""
+    if not isinstance(ps, (list, tuple)) or any(
+            isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, np.integer))
+            for p in ps):
+        raise DataError(f"node {node}: parents must be a list of integer "
+                        f"column indices, got {ps!r}")
+    return tuple(int(p) for p in ps)
+
+
 @dataclass(frozen=True)
 class DagSpec:
     """Parent lists over ``node_count`` nodes, one tuple per node.
@@ -37,7 +48,7 @@ class DagSpec:
     def __post_init__(self):
         if self.node_count < 1:
             raise DataError("a DAG needs at least one node")
-        parents = tuple(tuple(int(p) for p in ps) for ps in self.parents)
+        parents = tuple(_parent_indices(i, ps) for i, ps in enumerate(self.parents))
         if len(parents) != self.node_count:
             raise DataError(
                 f"expected {self.node_count} parent lists, got {len(parents)}"
@@ -70,9 +81,11 @@ def make_dag(kind: str, node_count: int,
     elif kind == "markov":
         parents = tuple(() if i == 0 else (i - 1,) for i in range(node_count))
     else:
-        if custom_parents is None:
-            raise DataError("custom DAG requires explicit parent lists")
-        parents = tuple(tuple(sorted(int(p) for p in ps)) for ps in custom_parents)
+        if not isinstance(custom_parents, (list, tuple)):
+            raise DataError("custom DAG requires explicit parent lists, one "
+                            f"per node; got {custom_parents!r}")
+        parents = tuple(tuple(sorted(_parent_indices(i, ps)))
+                        for i, ps in enumerate(custom_parents))
     return DagSpec(node_count=node_count, parents=parents)
 
 

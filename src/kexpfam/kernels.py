@@ -90,11 +90,6 @@ class DerivRequest:
             if dim < 0:
                 raise DataError(f"dimension index must be nonnegative, got {dim}")
 
-    def mirrored(self) -> "DerivRequest":
-        """The request seen from the swapped-argument side."""
-        return DerivRequest(self.dim_second, self.order_second,
-                            self.dim_first, self.order_first)
-
 
 def _check_point(spec: GaussianKernelSpec, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64).reshape(-1)

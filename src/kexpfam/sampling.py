@@ -18,18 +18,20 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .factorization import JointModel
 from .kernels import kernel_matrix
-from .score_fit import (_CROSS_BLOCK, FactorModel, _as_x_row, _check_memory,
-                        _cross_weights, _T_terms)
+from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_weights,
+                        _T_terms)
 
 _INIT_RETRIES = 100
 _TRIAL_CAP = 1_000_000
-_GRID_ROW_CHUNK = 256  # conditioning rows per kernel_matrix call of _grid_pass
-# Peak bytes of _cross_weights over the 8 n (G + 3 _CROSS_BLOCK) bytes of its
-# (n, G) result and its three (n, _CROSS_BLOCK) scratch blocks.  tracemalloc
-# reads 1.03 / 1.03 / 1.02 at n = 1024 for G = 131, 257 and 513 (no grid of
-# _grid_nodes has fewer than 129 nodes), 1.01 at n = 2000, G = 257, and 1.11
-# at n = 300, G = 131: NumPy's ufunc buffers add about 130 KB whatever n and
-# G, which weighs only in calls of a few MB.
+_GRID_ROW_CHUNK = 256  # distinct conditioning rows per kernel_matrix call
+# Peak bytes of _grid_pass over the 8 n (G + 5 _GRID_ROW_CHUNK) bytes of its
+# (n, G) weights and, in its row loop, five (_GRID_ROW_CHUNK, n) arrays: the
+# previous chunk's k_X and kernel_matrix's four temporaries.  With 1000
+# distinct rows, tracemalloc reads 1.007 at n = 1024 for G = 131, 257 and
+# 513, and 1.022 at n = 300.  It bounds _cross_weights alone over
+# 8 n (G + 3 _CROSS_BLOCK), its result and three scratch blocks: 1.03 at
+# n = 1024 and 1.11 at n = 300, where NumPy's ufunc buffers (about 130 KB,
+# whatever n and G) weigh most.
 _GRID_PEAK_OVER_WEIGHTS = 1.15
 
 
@@ -230,16 +232,16 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     to cover the training targets +- 8 sigma_y (the y-kernel bandwidth, the
     scale on which T varies).  Its spacing is at most sigma_y / 8 and its
     node count is odd, so the even nodes form a grid of spacing at most
-    sigma_y / 4.  Raises DataError before allocating when the (n, nodes)
-    weights of ``_grid_pass`` cannot fit in physical memory, as with a tiny
-    sigma_y.
+    sigma_y / 4.  Raises DataError before allocating when ``_grid_pass``,
+    its (n, nodes) weights and a chunk of k_X rows, cannot fit in physical
+    memory, as with a tiny sigma_y.
     """
     sigma_y = float(factor.kernel_y.bandwidths[0])
     half = 8.0 * factor.base.std
     lo = min(-half, float(factor.y_train.min()) - 8.0 * sigma_y)
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
-    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * (nodes + 3 * _CROSS_BLOCK) * 8,
+    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * (nodes + 5 * _GRID_ROW_CHUNK) * 8,
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -316,6 +317,22 @@ class TestFitOptions:
             config.bandwidth_scale_grid
         assert (fit.folds, fit.cv_seed) == (config.folds, config.seed)
 
+    @pytest.mark.parametrize("flag, value, field, expect", [
+        ("--step-size", "0.05", "step_size", 0.05),
+        ("--leapfrog-steps", "7", "leapfrog_steps", 7),
+        ("--burn-in", "3", "burn_in", 3),
+        ("--thin", "2", "thin", 2),
+        ("--chains", "4", "chains", 4),
+    ])
+    def test_each_hmc_flag_alone_selects_hmc(self, flag, value, field, expect):
+        parser = cli.build_parser()
+        argv = ["sample", "--model", "m.kcef", "--n", "5", "--seed", "9",
+                "--out", "s.csv"]
+        assert cli._sampler_config(parser.parse_args(argv)) == \
+            GridSamplerConfig(seed=9)
+        config = cli._sampler_config(parser.parse_args(argv + [flag, value]))
+        assert config == dataclasses.replace(HmcConfig(seed=9), **{field: expect})
+
 
 class TestDiverge:
     def test_demo_reports_degeneracy(self, tmp_path, capsys):
@@ -398,6 +415,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "data"
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--dag", "custom:[1,2,3]"),
+        ("--dag", 'custom:{"a":1}'),
+        ("--dag", "custom:[[],[0.7],[1]]"),
+        ("--dag", "custom:[[],[true],[1]]"),
+        ("--dag", 'custom:[[],["0"],[1]]'),
+        ("--weights", "[1,2]"),
+        ("--weights", '[["a","b"],[1,2]]'),
+    ])
+    def test_malformed_json_is_data_error(self, tmp_path, capsys, flag, text):
+        if flag == "--dag":
+            train = gen_grid(tmp_path, "t.csv", n=40, dim=3, seed=3)
+            argv = ["fit", "--data", train, "--dag", text, "--lambda", 0.01,
+                    "--out-model", tmp_path / "m.kcef"]
+        else:
+            argv = ["gen-grid", "--dim", 2, "--n", 10, "--weights", text,
+                    "--out", tmp_path / "x.csv"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "data"
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("curve", [False, True], ids=["eval", "curve"])
+    def test_nonpositive_is_samples_is_data_error(self, workspace, capsys,
+                                                  curve, samples):
+        tmp_path, train, test, model = workspace
+        argv = (["eval", "--curve", "--data", train, "--lambda", 0.01] if curve
+                else ["eval", "--model", model])
+        capsys.readouterr()
+        assert run(argv + ["--test", test, "--is-samples", samples,
+                           "--out", tmp_path / "bad_is.json"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "data", "message": "num_samples must be >= 1"}
 
     def test_version_flag(self):
         assert run(["--version"]) == 0

@@ -15,7 +15,6 @@ from kexpfam.errors import DataError, NumericalError
 from kexpfam.evaluation import (
     CvConfig,
     LogPartitionEstimate,
-    _LogMeanExpAccumulator,
     cross_validate,
     disjoint_support_demo,
     fisher_divergence,
@@ -136,17 +135,18 @@ class TestLogPartition:
         expect = float(scipy.special.logsumexp(t_vals) - math.log(300))
         est = log_partition_from_draws(factor, None, draws)
         assert est.log_z == pytest.approx(expect, abs=1e-12)
-        # exercise the chunked accumulator path explicitly
-        acc = _LogMeanExpAccumulator(1)
-        for lo in range(0, 300, 64):
-            acc.add(t_vals[None, lo:lo + 64])
-        log_z, _ = acc.finalize()
+        # stream 64-draw chunks; 300 draws end on a partial chunk
+        monkeypatch.setattr(
+            evaluation, "cross_T_blocks",
+            lambda m, X, Y: score_fit_mod.cross_T_blocks(m, X, Y, chunk=64))
+        log_z, _ = evaluation._log_z_from_draws(factor, np.empty((1, 0)), draws)
         assert log_z[0] == pytest.approx(expect, abs=1e-12)
 
     def test_memory_does_not_grow_with_draw_count(self):
-        """IS holds k_X (n, R), one (n, chunk) weight buffer and (R, chunk)
-        blocks.  The traced peak reads 1.31 times their bytes here; weights
-        built from fresh temporaries for every chunk read 4.87."""
+        """IS holds k_X (n, R), one (n, chunk) weight buffer and one (R, chunk)
+        block, updated in place.  The traced peak reads 1.17 times their
+        bytes here; three (R, chunk) temporaries per block read 1.31, and
+        weights built from fresh temporaries for every chunk read 4.87."""
         rng = np.random.default_rng(4)
         n, R, S, chunk = 1024, 200, 5000, 2048  # chunk: cross_T_blocks' default
         factor = FactorModel(x_train=rng.normal(size=(n, 1)),
@@ -163,12 +163,16 @@ class TestLogPartition:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (n * chunk + n * R + R * chunk) * 8
+        assert peak <= 1.2 * (n * chunk + n * R + R * chunk) * 8
 
-    def test_accumulator_rejects_nonfinite(self):
-        acc = _LogMeanExpAccumulator(1)
+    def test_nonfinite_block_raises(self, fitted_1d, monkeypatch):
+        factor = fitted_1d[0].factors[0]
+        monkeypatch.setattr(
+            evaluation, "cross_T_blocks",
+            lambda m, X, Y: iter([(slice(0, 2), np.array([[1.0, np.inf]]))]))
         with pytest.raises(NumericalError):
-            acc.add(np.array([[1.0, np.inf]]))
+            evaluation._log_z_from_draws(factor, np.empty((1, 0)),
+                                         np.zeros((2, 1)))
 
     def test_cache_returns_identical_estimates(self, fitted_1d):
         model, _ = fitted_1d
@@ -232,6 +236,12 @@ class TestTestLoglik:
                     - quadrature_log_z(factor, None)
                     - np.sum(np.log(ds.column_stds)))
         assert abs(mean_is - log_quad.mean()) < 0.02
+
+    @pytest.mark.parametrize("is_samples", [0, -5])
+    def test_nonpositive_is_samples_is_data_error(self, fitted_1d, is_samples):
+        model, ds = fitted_1d
+        with pytest.raises(DataError, match="num_samples must be >= 1"):
+            evaluation.test_loglik(model, ds.values[:3], is_samples=is_samples)
 
     def test_duplicated_rows_share_cached_partitions(self):
         raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=100, seed=3))

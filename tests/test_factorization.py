@@ -45,6 +45,16 @@ class TestMakeDag:
         with pytest.raises(DataError):
             make_dag("custom", 2, custom_parents=[[], [1]])
 
+    @pytest.mark.parametrize("parents", [
+        [[], [0.7], [1]], [[], [True], [1]], [[], ["0"], [1]], [[], "0", [1]],
+        [1, 2, 3],
+    ], ids=["float", "bool", "string", "string_entry", "int_entry"])
+    def test_non_integer_parent_rejected(self, parents):
+        with pytest.raises(DataError, match="integer"):
+            make_dag("custom", 3, custom_parents=parents)
+        with pytest.raises(DataError, match="integer"):
+            DagSpec(node_count=3, parents=parents)
+
     def test_duplicate_parent_rejected(self):
         with pytest.raises(DataError):
             DagSpec(node_count=3, parents=((), (0,), (0, 0)))

@@ -393,6 +393,35 @@ class TestGridSampler:
         need = n * (grid.shape[0] + 3 * _CROSS_BLOCK) * 8
         assert peak <= sampling_mod._GRID_PEAK_OVER_WEIGHTS * need
 
+    @pytest.mark.parametrize("sigma_y", [1.0, 50.0])
+    def test_preflight_bounds_the_whole_grid_pass(self, sigma_y, monkeypatch):
+        """The pre-flight estimate of ``_grid_nodes`` bounds the traced peak
+        of the whole pass, whose row loop holds a chunk of k_X rows next to
+        the weights.  An estimate of the weights and ``_cross_weights``'
+        scratch alone is exceeded 2.10 times at G = 257 and 2.40 at G = 131."""
+        rng = np.random.default_rng(5)
+        n = 1024
+        model = FactorModel(x_train=rng.normal(size=(n, 1)),
+                            y_train=rng.normal(size=(n, 1)),
+                            kernel_x=GaussianKernelSpec([1.0]),
+                            kernel_y=GaussianKernelSpec([sigma_y]),
+                            lam=1e-2, beta=1e-3 * rng.normal(size=n))
+        rows = 4 * sampling_mod._GRID_ROW_CHUNK  # all distinct
+        x_rows, uniforms = rng.normal(size=(rows, 1)), rng.uniform(size=rows)
+        checked = []
+        monkeypatch.setattr(sampling_mod, "_check_memory",
+                            lambda need, *_: checked.append(need))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _grid_pass(model, x_rows, uniforms)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(checked) == 1
+        assert peak <= checked[0]
+
     def test_tiny_y_bandwidth_is_rejected_before_allocating(self, monkeypatch):
         monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 2**36)
         model = FactorModel(x_train=np.empty((5, 0)), y_train=np.zeros((5, 1)),
