@@ -167,6 +167,8 @@ def _load_training(args):
 
 
 def _fit_from_args(args, dataset):
+    if args.threads < 1:
+        raise DataError(f"--threads must be at least 1, got {args.threads}")
     dag = _parse_dag(args.dag, dataset.dim)
     base = BaseDensity(std=args.base_std)
     cv_result = None
@@ -242,6 +244,8 @@ def _stderr_of_mean(per_row: np.ndarray) -> float:
 
 
 def _cmd_eval(args, argv) -> int:
+    if args.is_samples < 1:  # before --curve's first fit
+        raise DataError("num_samples must be >= 1")
     if args.curve:
         return _cmd_eval_curve(args, argv)
     if args.model is None:
@@ -357,7 +361,8 @@ def _add_fit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base-std", type=float, default=BaseDensity().std)
     parser.add_argument("--prune-threshold", type=float, default=None,
                         help="drop one of each column pair correlated above this")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="threads of --cv's fold pool (at least 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

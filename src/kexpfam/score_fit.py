@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,7 @@ RESIDUAL_RTOL = 1e-8
 
 _EVAL_CHUNK = 512
 _CROSS_BLOCK = 128  # columns per element-wise block of _cross_weights
+_GEMM_PANEL = 1024  # columns per GEMM of cross_T_blocks, whatever the worker count
 
 # Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
 # tracemalloc around fit_factor at d=1 reads 3.13 at n=2000 (the benchmark's
@@ -474,28 +477,32 @@ def empirical_score(model: FactorModel, x_eval, y_eval) -> float:
 
 
 def _cross_weights(model: FactorModel, Y_set: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None,
+                   rows: slice = slice(None)) -> np.ndarray:
     """k_Y(Y_b, y_s) times T's weight for every training sample b and point
     y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s]
     (the per-draw factor of cross_T_blocks and the grid sampler).
 
     Writes into ``out`` (allocated when None) and works through the columns
-    in blocks of ``_CROSS_BLOCK`` with three reused (n, block) scratch
-    arrays, so its memory beyond ``out`` does not grow with S.  Each entry
-    comes from the operations of ``kernel_matrix(...) * _weight(U, ..., 0,
-    0)`` in the same order, bit for bit; the only rewrites are exact ones:
-    the factors 1.0 and the leading 0 + are dropped, and -(u/s2) is u/(-s2).
+    in blocks of ``_CROSS_BLOCK`` with three reused (rows, block) scratch
+    arrays, so its memory beyond ``out`` does not grow with S.  Only the
+    training samples in ``rows`` (a slice of range(n)) are filled, so
+    callers on several threads can fill disjoint row ranges of one buffer.
+    Each entry comes from the operations of ``kernel_matrix(...) *
+    _weight(U, ..., 0, 0)`` in the same order, bit for bit, whatever the
+    row range; the only rewrites are exact ones: the factors 1.0 and the
+    leading 0 + are dropped, and -(u/s2) is u/(-s2).
     """
-    Y, s2 = model.y_train, model.kernel_y.variances
     a, e = _model_coeffs(model)
+    Y, a, s2 = model.y_train[rows], a[rows], model.kernel_y.variances
     n, S = Y.shape[0], Y_set.shape[0]
-    out = np.empty((n, S)) if out is None else out
+    out = np.empty((model.n, S)) if out is None else out
     scratch = np.empty((3, n * min(_CROSS_BLOCK, S)))
     for lo in range(0, S, _CROSS_BLOCK):
         hi = min(lo + _CROSS_BLOCK, S)
         # contiguous (n, width) views, also for a partial last block
         kb, vb, tb = (row[:n * (hi - lo)].reshape(n, hi - lo) for row in scratch)
-        ob = out[:, lo:hi]
+        ob = out[rows, lo:hi]
         # k_Y = exp(-sum_m u_m^2 / (2 s2_m))
         for m in range(model.d):
             np.subtract(Y[:, m, None], Y_set[None, lo:hi, m], out=vb)
@@ -521,6 +528,21 @@ def _cross_weights(model: FactorModel, Y_set: np.ndarray,
     return out
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _even_slices(size: int, parts: int) -> list[slice]:
+    """``parts`` contiguous slices that cover range(size), in order, whose
+    lengths differ by at most one."""
+    bounds = [size * k // parts for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
                    chunk: int = 2048):
     """Yield (slice, block) pairs covering T(x_r, y_s) for all rows and draws.
@@ -528,15 +550,33 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
     X_rows is (R, p) and Y_set is (S, d); each block has shape (R, chunk) and
     column s of the full matrix corresponds to draw Y_set[s].  Each chunk of
     draws fills one (n, chunk) weight buffer, reused for the whole call,
-    through ``_cross_weights`` and takes one GEMM with k_X, so memory is
+    through ``_cross_weights`` and takes a GEMM with k_X, so memory is
     O(n * (R + chunk)) whatever S is.  Every yielded block is a fresh array.
+
+    Each chunk is split across one thread per CPU of ``_worker_count`` (at
+    most n; a single worker runs inline): every worker fills a contiguous
+    range of the buffer's training rows, and the GEMM runs in column panels
+    of ``_GEMM_PANEL``.  Neither the weights' element-wise operations nor
+    the panels depend on the worker count, so neither do the blocks, bit
+    for bit.
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
-    kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)  # (n, R)
+    n, S = model.n, Y_set.shape[0]
+    kxT = kernel_matrix(model.kernel_x, model.x_train, X_rows).T  # (R, n)
+    workers = min(_worker_count(), n)
+    row_ranges = _even_slices(n, workers)
     # flat, so that every chunk's (n, width) view is contiguous
-    buf = np.empty(model.n * min(chunk, Y_set.shape[0]))
-    for lo in range(0, Y_set.shape[0], chunk):
-        hi = min(lo + chunk, Y_set.shape[0])
-        W = buf[:model.n * (hi - lo)].reshape(model.n, hi - lo)
-        yield slice(lo, hi), kx.T @ _cross_weights(model, Y_set[lo:hi], W)
+    buf = np.empty(n * min(chunk, S))
+    with ExitStack() as stack:
+        run = map if workers == 1 else stack.enter_context(
+            ThreadPoolExecutor(max_workers=workers)).map
+        for lo in range(0, S, chunk):
+            hi = min(lo + chunk, S)
+            W = buf[:n * (hi - lo)].reshape(n, hi - lo)
+            list(run(lambda rows: _cross_weights(model, Y_set[lo:hi], W, rows),
+                     row_ranges))
+            block = np.empty((kxT.shape[0], hi - lo))
+            panels = [slice(c, c + _GEMM_PANEL) for c in range(0, hi - lo, _GEMM_PANEL)]
+            list(run(lambda cols: np.matmul(kxT, W[:, cols], out=block[:, cols]), panels))
+            yield slice(lo, hi), block

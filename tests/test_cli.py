@@ -452,6 +452,34 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "data", "message": "num_samples must be >= 1"}
 
+    def test_curve_rejects_nonpositive_is_samples_before_fitting(
+            self, workspace, monkeypatch):
+        tmp_path, train, test, _ = workspace
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before --is-samples was checked")
+
+        monkeypatch.setattr(cli, "fit_joint", no_fit)
+        assert run(["eval", "--curve", "--data", train, "--lambda", 0.01,
+                    "--test", test, "--is-samples", 0,
+                    "--out", tmp_path / "curve.csv"]) == 2
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_nonpositive_threads_is_data_error(self, workspace, capsys,
+                                               monkeypatch, threads):
+        tmp_path, train, _, _ = workspace
+
+        def no_cv(*args, **kwargs):
+            raise AssertionError("CV ran with a non-positive --threads")
+
+        monkeypatch.setattr(cli, "cross_validate", no_cv)
+        capsys.readouterr()
+        assert run(["fit", "--data", train, "--cv", "--threads", threads,
+                    "--out-model", tmp_path / "cv.kcef"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data" and "--threads" in error["message"]
+        assert not (tmp_path / "cv.kcef").exists()
+
     def test_version_flag(self):
         assert run(["--version"]) == 0
 

@@ -253,6 +253,27 @@ class TestTestLoglik:
                                             seed=11)
         np.testing.assert_array_equal(per_row[:5], per_row[5:])
 
+    def test_does_not_depend_on_worker_count(self, monkeypatch):
+        """IS splits each chunk of draws across ``_worker_count`` threads;
+        3 workers split the n = 100 training rows unevenly (33, 33, 34)."""
+        raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=100, seed=3))
+        model = fit_joint(standardize(raw), make_dag("markov", 2),
+                          NodeHyperparams(lam=0.02))
+        rows = raw[:20]
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+            # 3000 draws: a full chunk of two GEMM panels, then a partial one
+            mean, per_row, stats = evaluation.test_loglik(
+                model, rows, is_samples=3000, seed=7, return_stats=True)
+            results.append((mean, per_row,
+                            [e["is_std_err"] for e in stats["per_node"]]))
+        for mean, per_row, std_errs in results[1:]:
+            assert mean == results[0][0]
+            np.testing.assert_array_equal(per_row, results[0][1])
+            for got, expect in zip(std_errs, results[0][2]):
+                np.testing.assert_array_equal(got, expect)
+
     def test_stats_report_each_nodes_is_std_err(self):
         raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=100, seed=3))
         model = fit_joint(standardize(raw), make_dag("markov", 2),

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -462,6 +464,72 @@ class TestCrossWeights:
             assert np.array_equal(block, kx.T @ ref[:, sl])
         for (_, first), (_, second) in itertools.combinations(blocks, 2):
             assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_ranges_fill_the_full_weights(self, rng, d):
+        model = fit_random(rng, n=10, d=d, p=2, lam=0.05)
+        S = score_fit_mod._CROSS_BLOCK + 37  # ends on a partial block
+        Y_set = 2.0 * rng.normal(size=(S, d))
+        full = _cross_weights(model, Y_set)
+        for parts in (1, 2, 3):  # 3 parts of n = 10 rows: 3, 3 and 4
+            ranges = score_fit_mod._even_slices(model.n, parts)
+            assert np.array_equal(np.r_[tuple(ranges)], np.arange(model.n))
+            out = np.full((model.n, S), np.nan)
+            for rows in ranges:
+                _cross_weights(model, Y_set, out, rows)
+            assert np.array_equal(out, full)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cross_T_blocks_do_not_depend_on_worker_count(self, rng, monkeypatch,
+                                                          d, workers):
+        model = fit_random(rng, n=10, d=d, p=2, lam=0.05)
+        chunk, panel = 2048, score_fit_mod._GEMM_PANEL
+        S = chunk + panel + 41  # the last chunk is partial and has two panels
+        X_rows, Y_set = rng.normal(size=(4, 2)), 2.0 * rng.normal(size=(S, d))
+        ref = self.reference(model, Y_set)
+        kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+        filled = []
+        real = score_fit_mod._cross_weights
+
+        def recording(model, Y_set, out, rows):
+            filled.append(rows)
+            return real(model, Y_set, out, rows)
+
+        monkeypatch.setattr(score_fit_mod, "_cross_weights", recording)
+        blocks = list(cross_T_blocks(model, X_rows, Y_set, chunk=chunk))
+        assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, S)]
+        for sl, block in blocks:
+            assert np.array_equal(block, kx.T @ ref[:, sl])
+        # each chunk fills the buffer once per worker, in any order
+        assert sorted(filled) == sorted(2 * score_fit_mod._even_slices(model.n, workers))
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, rng,
+                                                                 monkeypatch):
+        """Eight workers share one weight buffer and one block while the
+        interpreter switches threads every microsecond; a GEMM panel that
+        read rows not yet filled, or a row or column left unwritten, would
+        change the blocks."""
+        model = fit_random(rng, n=20, d=2, p=2, lam=0.05)
+        X_rows, Y_set = rng.normal(size=(5, 2)), 2.0 * rng.normal(size=(3000, 2))
+        ref = self.reference(model, Y_set)
+        kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 8)
+        blocks = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: blocks.extend(
+                cross_T_blocks(model, X_rows, Y_set)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert [sl for sl, _ in blocks] == [slice(0, 2048), slice(2048, 3000)]
+        for sl, block in blocks:
+            assert np.array_equal(block, kx.T @ ref[:, sl])
 
 
 class TestUnnormLogpdf:
