@@ -167,8 +167,6 @@ def _load_training(args):
 
 
 def _fit_from_args(args, dataset):
-    if args.threads < 1:
-        raise DataError(f"--threads must be at least 1, got {args.threads}")
     dag = _parse_dag(args.dag, dataset.dim)
     base = BaseDensity(std=args.base_std)
     cv_result = None
@@ -179,8 +177,7 @@ def _fit_from_args(args, dataset):
             bandwidth_scale_grid=_parse_float_list(args.scale_grid, "--scale-grid"),
             seed=args.cv_seed,
         )
-        cv_result = cross_validate(dataset, dag, cv_config, base,
-                                   max_workers=args.threads)
+        cv_result = cross_validate(dataset, dag, cv_config, base)
         hyper = cv_result.hyperparams()
     else:
         if args.lam is None:
@@ -361,8 +358,6 @@ def _add_fit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base-std", type=float, default=BaseDensity().std)
     parser.add_argument("--prune-threshold", type=float, default=None,
                         help="drop one of each column pair correlated above this")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="threads of --cv's fold pool (at least 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,10 @@ from .score_fit import (
     FactorModel,
     _as_matrix,
     _as_x_row,
-    _ridge_solve,
     build_gram_system,
     cross_T_blocks,
     empirical_score,
+    fit_factor,
     unnorm_logpdf_rows,
 )
 
@@ -221,7 +220,7 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
 
 
 def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
-             base: BaseDensity, fold_blocks, max_workers: int) -> NodeCvResult:
+             base: BaseDensity, fold_blocks) -> NodeCvResult:
     parents = dag.parents[node]
     x_all = values[:, list(parents)]
     y_all = values[:, [node]]
@@ -239,7 +238,7 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
 
     def score_fold(kx, ky, block) -> list[float]:
         """Held-out score of every lambda on one fold: the fold's system is
-        assembled once and solved once per lambda."""
+        assembled once and fitted once per lambda."""
         mask = np.ones(values.shape[0], dtype=bool)
         mask[block] = False
         x_fit, y_fit = x_all[mask], y_all[mask]
@@ -250,10 +249,7 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
         scores = []
         for lam in lambdas:
             try:
-                beta = _ridge_solve(system.G, system.h, lam, system.n)
-                fitted = FactorModel(x_train=x_fit, y_train=y_fit, kernel_x=kx,
-                                     kernel_y=ky, lam=lam, beta=beta, base=base,
-                                     xi_coeff=-1.0 / lam)
+                fitted = fit_factor(x_fit, y_fit, kx, ky, lam, base, system=system)
                 score = empirical_score(fitted, x_all[block], y_all[block])
             except (KexpfamError, FloatingPointError):
                 score = math.inf
@@ -261,14 +257,9 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
             scores.append(score if math.isfinite(score) else math.inf)
         return scores
 
-    # one task per (scale, fold); results are read back by position, so the
-    # thread count cannot change the table
-    tasks = [(kx, ky, block) for kx, ky in kernels for block in fold_blocks]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda t: score_fold(*t), tasks))
-    else:
-        results = [score_fold(*t) for t in tasks]
+    # one entry per (scale, fold), in that order
+    results = [score_fold(kx, ky, block)
+               for kx, ky in kernels for block in fold_blocks]
 
     folds = len(fold_blocks)
     table = []
@@ -289,8 +280,7 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
 
 
 def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
-                   base: BaseDensity | None = None,
-                   max_workers: int = 1) -> CvResult:
+                   base: BaseDensity | None = None) -> CvResult:
     """Independent K-fold grid search per node.
 
     The split is one seeded shuffle followed by contiguous blocks, shared by
@@ -316,7 +306,7 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     perm = np.random.default_rng(config.seed).permutation(n)
     fold_blocks = np.array_split(perm, config.folds)
     nodes = tuple(
-        _node_cv(values, dag, node, config, base, fold_blocks, max_workers)
+        _node_cv(values, dag, node, config, base, fold_blocks)
         for node in range(dag.node_count)
     )
     return CvResult(nodes=nodes)

@@ -36,7 +36,9 @@ _GEMM_PANEL = 1024  # columns per GEMM of cross_T_blocks, whatever the worker co
 # tracemalloc around fit_factor at d=1 reads 3.13 at n=2000 (the benchmark's
 # score_fit.peak_over_gram), set by G and its two copies in _ridge_solve, and
 # 3.34 at n=1536, set by G plus about seven (n, _EVAL_CHUNK) chunk arrays of
-# build_gram_system.  Those chunk arrays weigh more as n falls; fits with
+# build_gram_system.  Its 0.5 * (G + G.T) holds G and the sum (numpy writes
+# the half into the sum), or three Gram-sized arrays where numpy cannot reuse
+# the temporary.  The chunk arrays weigh more as n falls; fits with
 # n <= _EVAL_CHUNK read 8.0, but their Gram is at most 2*d^2 MiB.
 _PEAK_OVER_GRAM = 3.5
 
@@ -357,32 +359,37 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
     beta = scipy.linalg.cho_solve(factor, rhs)
 
     bound = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(rhs)))
-    for _ in range(3):
+    for step in range(4):
         resid = A @ beta - rhs
         if np.linalg.norm(resid) <= bound:
-            break
-        beta = beta - scipy.linalg.cho_solve(factor, resid)
-    else:
-        resid = A @ beta - rhs
-        if np.linalg.norm(resid) > bound:
-            raise NumericalError(
-                f"solve residual {np.linalg.norm(resid):.3e} exceeds bound {bound:.3e}"
-            )
-    return beta
+            return beta
+        if step < 3:  # at most three refinement steps
+            beta = beta - scipy.linalg.cho_solve(factor, resid)
+    raise NumericalError(
+        f"solve residual {np.linalg.norm(resid):.3e} exceeds bound {bound:.3e}"
+    )
 
 
 def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
-               base: BaseDensity | None = None) -> FactorModel:
+               base: BaseDensity | None = None,
+               system: GramSystem | None = None) -> FactorModel:
     """Fit the natural parameter by solving (G + n*lam*I) beta = h / lam.
 
     Assembles G and h with ``build_gram_system``, then solves with
     ``_ridge_solve`` (Cholesky with jitter escalation and a residual bound).
+    A ``system`` built by ``build_gram_system`` from these same arguments
+    skips the assembly, so one assembly serves a fit for each lambda.
     """
     base = base if base is not None else BaseDensity()
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
     if not np.isfinite(lam) or lam <= 0:
         raise DataError("lambda must be positive and finite")
-    system = build_gram_system(x_train, y_train, kernel_x, kernel_y, base)
+    nd = y_train.size
+    if system is None:
+        system = build_gram_system(x_train, y_train, kernel_x, kernel_y, base)
+    elif system.G.shape != (nd, nd) or system.h.shape != (nd,):
+        raise DataError(f"the given system has size {system.h.size}, "
+                        f"expected n*d = {nd}")
     beta = _ridge_solve(system.G, system.h, lam, system.n)
     return FactorModel(
         x_train=x_train, y_train=y_train, kernel_x=kernel_x, kernel_y=kernel_y,

@@ -301,8 +301,7 @@ class TestCurve:
 
 class TestFitOptions:
     FIT_OPTIONS = ("dag", "lam", "bandwidth_scale", "cv", "folds", "lambda_grid",
-                   "scale_grid", "cv_seed", "base_std", "prune_threshold",
-                   "threads")
+                   "scale_grid", "cv_seed", "base_std", "prune_threshold")
 
     def test_fit_and_eval_share_defaults_from_cv_config(self):
         parser = cli.build_parser()
@@ -464,20 +463,11 @@ class TestExitCodes:
                     "--test", test, "--is-samples", 0,
                     "--out", tmp_path / "curve.csv"]) == 2
 
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_nonpositive_threads_is_data_error(self, workspace, capsys,
-                                               monkeypatch, threads):
+    def test_threads_is_a_usage_error(self, workspace):
+        # CV runs its folds serially; there is no thread-count option
         tmp_path, train, _, _ = workspace
-
-        def no_cv(*args, **kwargs):
-            raise AssertionError("CV ran with a non-positive --threads")
-
-        monkeypatch.setattr(cli, "cross_validate", no_cv)
-        capsys.readouterr()
-        assert run(["fit", "--data", train, "--cv", "--threads", threads,
-                    "--out-model", tmp_path / "cv.kcef"]) == 2
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "data" and "--threads" in error["message"]
+        assert run(["fit", "--data", train, "--cv", "--threads", 2,
+                    "--out-model", tmp_path / "cv.kcef"]) == 1
         assert not (tmp_path / "cv.kcef").exists()
 
     def test_version_flag(self):

@@ -357,7 +357,7 @@ class TestCrossValidate:
         assert result.nodes[0].best_lam == 0.05
 
     def test_failed_fit_scores_infinity(self, small_grid, monkeypatch):
-        real_solve = evaluation._ridge_solve
+        real_solve = score_fit_mod._ridge_solve
         poison = 0.123456
 
         def exploding_solve(G, h, lam, n):
@@ -365,7 +365,7 @@ class TestCrossValidate:
                 raise NumericalError("forced failure")
             return real_solve(G, h, lam, n)
 
-        monkeypatch.setattr(evaluation, "_ridge_solve", exploding_solve)
+        monkeypatch.setattr(score_fit_mod, "_ridge_solve", exploding_solve)
         config = CvConfig(folds=3, lambda_grid=(poison, 0.05),
                           bandwidth_scale_grid=(1.0,), seed=2)
         result = cross_validate(small_grid, make_dag("markov", 2), config)
@@ -381,8 +381,6 @@ class TestCrossValidate:
                           bandwidth_scale_grid=(1.0,), seed=2)
         with pytest.raises(DataError, match="GiB"):
             cross_validate(small_grid, make_dag("markov", 2), config)
-        with pytest.raises(DataError, match="GiB"):
-            cross_validate(small_grid, make_dag("markov", 2), config, max_workers=2)
 
     def test_fold_scores_match_per_fold_refits(self, small_grid):
         """Shared-assembly CV against an independent route: one fit_factor
@@ -410,6 +408,41 @@ class TestCrossValidate:
                     fitted = fit_factor(x[train], y[train], kx, ky, cell.lam)
                     expect.append(empirical_score(fitted, x[block], y[block]))
                 assert cell.fold_scores == tuple(expect)
+
+    def test_one_assembly_per_fold_and_one_fit_per_lambda(self, small_grid,
+                                                          monkeypatch):
+        """Each (node, scale, fold) system is assembled once and handed to
+        fit_factor for every lambda, so no fit assembles again."""
+        assemblies, fits = [], []
+        real_build = evaluation.build_gram_system
+        real_fit = evaluation.fit_factor
+
+        def counted_build(x, y, kx, ky, base):
+            system = real_build(x, y, kx, ky, base)
+            assemblies.append((kx, ky, system))
+            return system
+
+        def counted_fit(x, y, kx, ky, lam, base=None, system=None):
+            fits.append((kx, ky, lam, system))
+            return real_fit(x, y, kx, ky, lam, base, system=system)
+
+        monkeypatch.setattr(evaluation, "build_gram_system", counted_build)
+        monkeypatch.setattr(evaluation, "fit_factor", counted_fit)
+        monkeypatch.setattr(score_fit_mod, "build_gram_system", None)
+        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1, 1.0),
+                          bandwidth_scale_grid=(0.5, 2.0), seed=7)
+        result = cross_validate(small_grid, make_dag("markov", 2), config)
+        nodes, lams, scales, folds = 2, len(config.lambda_grid), 2, 3
+        assert len(assemblies) == nodes * scales * folds
+        assert len(fits) == nodes * lams * scales * folds
+        # each assembly's system serves exactly its lambdas, in grid order
+        for k, (kx, ky, system) in enumerate(assemblies):
+            served = fits[k * lams:(k + 1) * lams]
+            assert all(f[0] is kx and f[1] is ky and f[3] is system
+                       for f in served)
+            assert tuple(f[2] for f in served) == config.lambda_grid
+        assert all(math.isfinite(c.mean_score)
+                   for r in result.nodes for c in r.table)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_score_is_never_selected(self):
@@ -454,16 +487,6 @@ class TestCrossValidate:
         hyper = result.hyperparams()
         assert all(isinstance(h, NodeHyperparams) for h in hyper)
         assert hyper[0].lam == 0.05 and hyper[0].x_scale == 2.0
-
-    def test_threaded_matches_serial(self, small_grid):
-        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1),
-                          bandwidth_scale_grid=(1.0, 2.0), seed=7)
-        dag = make_dag("markov", 2)
-        serial = cross_validate(small_grid, dag, config, max_workers=1)
-        threaded = cross_validate(small_grid, dag, config, max_workers=4)
-        for a, b in zip(serial.nodes, threaded.nodes):
-            for c1, c2 in zip(a.table, b.table):
-                assert c1.mean_score == c2.mean_score
 
     def test_default_grid_selects_interior_lambda(self):
         """Soft sanity check: warn (do not fail) if the chosen lambda sits on

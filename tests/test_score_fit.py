@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kexpfam.score_fit as score_fit_mod
-from kexpfam.errors import DataError
+from kexpfam.errors import DataError, NumericalError
 from kexpfam.kernels import (
     ConstantKernel,
     DerivRequest,
@@ -21,6 +21,7 @@ from kexpfam.score_fit import (
     BaseDensity,
     FactorModel,
     _cross_weights,
+    _ridge_solve,
     build_gram,
     build_gram_system,
     build_h,
@@ -283,6 +284,40 @@ class TestBuildGramSystem:
         assert peak <= score_fit_mod._PEAK_OVER_GRAM * n * n * 8
 
 
+class TestRidgeSolve:
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        """Record each cho_solve; ``corrupt(k, x)`` may replace the k-th result
+        (0 is the first solve, 1.. are refinement steps)."""
+        real = score_fit_mod.scipy.linalg.cho_solve
+        calls = []
+
+        def install(corrupt):
+            def recorded(factor, b):
+                calls.append(b)
+                return corrupt(len(calls) - 1, real(factor, b))
+            monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_solve", recorded)
+            return calls
+        return install
+
+    def test_refinement_repairs_an_inexact_solve(self, rng, solve_calls):
+        X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        exact = _ridge_solve(system.G, system.h, lam, system.n)
+        calls = solve_calls(lambda k, x: x * (1 + 1e-3) if k == 0 else x)
+        beta = _ridge_solve(system.G, system.h, lam, system.n)
+        assert len(calls) == 2  # the solve and one refinement step
+        np.testing.assert_allclose(beta, exact, rtol=1e-9)
+
+    def test_residual_left_after_three_steps_raises(self, rng, solve_calls):
+        X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        calls = solve_calls(lambda k, x: x * (1 + 1e-3) if k == 0 else 0 * x)
+        with pytest.raises(NumericalError, match="exceeds bound"):
+            _ridge_solve(system.G, system.h, lam, system.n)
+        assert len(calls) == 4  # the solve and three refinement steps
+
+
 class TestFitFactor:
     def test_zero_rhs_gives_zero_beta(self):
         # a single point centered at the base mode makes h vanish
@@ -311,6 +346,22 @@ class TestFitFactor:
             norms.append(np.linalg.norm(fit_factor(X, Y, kx, ky, lam).beta))
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-12
+
+    def test_given_system_fits_the_same_bits(self, rng):
+        X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
+        base = BaseDensity(1.5)
+        system = build_gram_system(X, Y, kx, ky, base)
+        # one system serves several lambdas
+        for each in (lam, 10 * lam):
+            given = fit_factor(X, Y, kx, ky, each, base, system=system)
+            np.testing.assert_array_equal(
+                given.beta, fit_factor(X, Y, kx, ky, each, base).beta)
+
+    def test_given_system_of_another_size_is_data_error(self, rng):
+        X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
+        system = build_gram_system(X[:8], Y[:8], kx, ky, BaseDensity())
+        with pytest.raises(DataError, match="n\\*d = 18"):
+            fit_factor(X, Y, kx, ky, lam, system=system)
 
     def test_invalid_lambda(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 4, 1, 1)
