@@ -2,7 +2,8 @@
 sampling, scoring, and the score-degeneracy demo.
 
 Every run writes a provenance JSON next to its primary output recording the
-tool version and the full argument list, so the run can be replayed.
+tool version, the full argument list and the BLAS thread environment
+variables, so the run can be replayed.
 Output files themselves contain no timestamps or absolute paths; replaying
 a provenance file byte-reproduces them.
 
@@ -47,6 +48,9 @@ from .sampling import (
 from .score_fit import BaseDensity, empirical_score
 
 CURVE_SIZES = (200, 500, 1000, 2000)
+# BLAS thread settings can change the last bits of a GEMM, so every
+# provenance records them (null when unset)
+_BLAS_THREAD_VARS = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 # the HmcConfig fields that ``sample`` takes as flags (--step-size, ...)
 _HMC_OPTIONS = (("step_size", float), ("leapfrog_steps", int), ("burn_in", int),
                ("thin", int), ("chains", int))
@@ -64,6 +68,7 @@ def _write_provenance(out_path: str, subcommand: str, argv: list[str]) -> None:
         "version": __version__,
         "subcommand": subcommand,
         "argv": list(argv),
+        "environment": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write_json(str(out_path) + ".provenance.json", payload)

@@ -100,38 +100,58 @@ def _check_point(spec: GaussianKernelSpec, y) -> np.ndarray:
     return y
 
 
-def _poly_factor(u, s2, order: int):
+def _poly_factor(v, s2, order: int, out, tmp=None):
     """Prefactor P_k such that d^k/du^k exp(-u^2/(2 s2)) = P_k(u) exp(-u^2/(2 s2)).
 
-    Closed forms up to total order 4, which covers mixed partials of order
-    (2, 2) on a shared dimension.  Works elementwise on arrays.
+    Takes v = u / s2 and writes P_k into ``out`` (arrays or 0-d arrays of
+    v's shape); orders 3 and 4 also write into ``tmp``.  Closed forms up to
+    total order 4, which covers mixed partials of order (2, 2) on a shared
+    dimension.
     """
     if order == 0:
-        return np.ones_like(u) if isinstance(u, np.ndarray) else 1.0
-    v = u / s2
-    if order == 1:
-        return -v
-    if order == 2:
-        return v * v - 1.0 / s2
-    if order == 3:
-        return -v * v * v + 3.0 * v / s2
-    if order == 4:
-        v2 = v * v
-        return v2 * v2 - 6.0 * v2 / s2 + 3.0 / (s2 * s2)
-    raise DataError(f"unsupported derivative order {order}")
+        out[...] = 1.0
+    elif order == 1:
+        np.negative(v, out=out)
+    elif order == 2:  # v*v - 1/s2
+        np.multiply(v, v, out=out)
+        np.subtract(out, 1.0 / s2, out=out)
+    elif order == 3:  # -v*v*v + 3v/s2
+        np.negative(v, out=out)
+        np.multiply(out, v, out=out)
+        np.multiply(out, v, out=out)
+        np.multiply(3.0, v, out=tmp)
+        np.divide(tmp, s2, out=tmp)
+        np.add(out, tmp, out=out)
+    elif order == 4:  # v2*v2 - 6 v2/s2 + 3/s2^2, v2 = v*v
+        np.multiply(v, v, out=tmp)
+        np.multiply(tmp, tmp, out=out)
+        np.multiply(6.0, tmp, out=tmp)
+        np.divide(tmp, s2, out=tmp)
+        np.subtract(out, tmp, out=out)
+        np.add(out, 3.0 / (s2 * s2), out=out)
+    else:
+        raise DataError(f"unsupported derivative order {order}")
+    return out
 
 
-def _mixed_factor(u_i, s2_i, p: int, u_j, s2_j, q: int, same_dim: bool):
+def _mixed_factor(v_i, s2_i, p: int, v_j, s2_j, q: int, same_dim: bool,
+                  out=None, tmp=None):
     """Polynomial prefactor of a mixed partial: order ``p`` on the first
     argument's dimension i, order ``q`` on the second argument's dimension j.
 
-    Differentiating with respect to the second argument flips the sign of the
-    inner derivative once per order, hence the (-1)^q factor.
+    Takes v = u / s2 on each dimension, writes into ``out`` and uses
+    ``tmp`` as scratch (each allocated when None).  Differentiating with
+    respect to the second argument flips the sign of the inner derivative
+    once per order, hence the (-1)^q factor.
     """
-    sign = -1.0 if q % 2 else 1.0
-    if same_dim:
-        return sign * _poly_factor(u_i, s2_i, p + q)
-    return sign * _poly_factor(u_i, s2_i, p) * _poly_factor(u_j, s2_j, q)
+    out = np.empty(np.shape(v_i)) if out is None else out
+    tmp = np.empty_like(out) if tmp is None else tmp
+    _poly_factor(v_i, s2_i, p + q if same_dim else p, out, tmp)
+    if q % 2:
+        np.negative(out, out=out)
+    if q and not same_dim:
+        np.multiply(out, _poly_factor(v_j, s2_j, q, tmp), out=out)
+    return out
 
 
 def eval_kernel(spec: GaussianKernelSpec, y, y2) -> float:
@@ -169,32 +189,43 @@ def kernel_partial(spec: GaussianKernelSpec, y, y2, req: DerivRequest) -> float:
     u = y - y2
     s2 = spec.variances
     base = float(np.exp(-np.sum(u * u / (2.0 * s2))))
-    factor = _mixed_factor(u[i], s2[i], p, u[j], s2[j], q, same_dim=(i == j))
+    v = u / s2
+    factor = _mixed_factor(v[i], s2[i], p, v[j], s2[j], q, same_dim=(i == j))
     return float(factor) * base
 
 
-def kernel_matrix(spec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def kernel_matrix(spec, A: np.ndarray, B: np.ndarray, out=None,
+                  scratch=None) -> np.ndarray:
     """Kernel values between all rows of A (n x D) and B (m x D).
 
     Accepts a ConstantKernel, in which case the inputs may have zero columns.
     Summation runs in a fixed per-dimension order, so swapping A and B yields
-    the exact transpose bit for bit.
+    the exact transpose bit for bit.  ``out`` and ``scratch`` may carry
+    C-contiguous (n, m) arrays to write into (each allocated when None);
+    the values do not depend on whether they do.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    out = np.empty((A.shape[0], B.shape[0])) if out is None else out
     if isinstance(spec, ConstantKernel):
-        return np.full((A.shape[0], B.shape[0]), spec.value)
+        out[...] = spec.value
+        return out
     if A.shape[1] != spec.dim or B.shape[1] != spec.dim:
         raise DataError(
             f"kernel_matrix inputs have {A.shape[1]}/{B.shape[1]} columns, "
             f"kernel expects {spec.dim}"
         )
+    tmp = np.empty_like(out) if scratch is None else scratch
     s2 = spec.variances
-    acc = np.zeros((A.shape[0], B.shape[0]))
+    # out = sum_m (A_m - B_m)^2 / (2 s2_m), then exp(-out)
     for m in range(spec.dim):
-        diff = A[:, m, None] - B[None, :, m]
-        acc += diff * diff / (2.0 * s2[m])
-    return np.exp(-acc)
+        np.subtract(A[:, m, None], B[None, :, m], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.divide(tmp, 2.0 * s2[m], out=out if m == 0 else tmp)
+        if m:
+            np.add(out, tmp, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
 def partial_matrix(spec: GaussianKernelSpec, A: np.ndarray, B: np.ndarray,
@@ -211,13 +242,9 @@ def partial_matrix(spec: GaussianKernelSpec, A: np.ndarray, B: np.ndarray,
     if base is None:
         base = kernel_matrix(spec, A, B)
     s2 = spec.variances
-    u_i = A[:, i, None] - B[None, :, i]
-    if i == j:
-        factor = _mixed_factor(u_i, s2[i], p, u_i, s2[i], q, same_dim=True)
-    else:
-        u_j = A[:, j, None] - B[None, :, j]
-        factor = _mixed_factor(u_i, s2[i], p, u_j, s2[j], q, same_dim=False)
-    return factor * base
+    v_i = (A[:, i, None] - B[None, :, i]) / s2[i]
+    v_j = v_i if i == j else (A[:, j, None] - B[None, :, j]) / s2[j]
+    return _mixed_factor(v_i, s2[i], p, v_j, s2[j], q, same_dim=i == j) * base
 
 
 def median_heuristic(data: np.ndarray, subsample_cap: int = 1000) -> np.ndarray:

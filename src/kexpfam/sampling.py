@@ -24,14 +24,15 @@ from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_weights,
 _INIT_RETRIES = 100
 _TRIAL_CAP = 1_000_000
 _GRID_ROW_CHUNK = 256  # distinct conditioning rows per kernel_matrix call
-# Peak bytes of _grid_pass over the 8 n (G + 4 _GRID_ROW_CHUNK) bytes of its
-# (n, G) weights and, in its row loop, kernel_matrix's four (_GRID_ROW_CHUNK,
-# n) temporaries; the previous chunk's k_X is dropped before the next is
-# built.  With 1000 distinct rows, tracemalloc reads 1.009 at n = 1024 for
-# G = 131, 257 and 513, 1.004 at n = 2000 and 1.027 at n = 300.  It bounds
-# _cross_weights alone over 8 n (G + 3 _CROSS_BLOCK), its result and three
-# scratch blocks: 1.03 at n = 1024 and 1.11 at n = 300, where NumPy's ufunc
-# buffers (about 130 KB, whatever n and G) weigh most.
+# Peak bytes of _grid_pass over the 8 n (G + 2 _GRID_ROW_CHUNK) bytes of its
+# (n, G) weights and, in its row loop, kernel_matrix's two (_GRID_ROW_CHUNK,
+# n) arrays (its result and its scratch); the previous chunk's k_X is dropped
+# before the next is built.  With 1000 distinct rows, tracemalloc reads
+# 1.035-1.039 at n = 1024 for G = 131, 145 and 257, 1.017 at n = 2000 and
+# 1.115 at n = 300.  It bounds _cross_weights alone over 8 n (G + 3
+# _CROSS_BLOCK), its result and three scratch blocks: 1.03 at n = 1024 and
+# 1.11 at n = 300, where NumPy's ufunc buffers (about 130 KB, whatever n and
+# G) weigh most.
 _GRID_PEAK_OVER_WEIGHTS = 1.15
 
 
@@ -241,7 +242,7 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     lo = min(-half, float(factor.y_train.min()) - 8.0 * sigma_y)
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
-    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * (nodes + 4 * _GRID_ROW_CHUNK) * 8,
+    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * (nodes + 2 * _GRID_ROW_CHUNK) * 8,
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,19 +29,25 @@ from .kernels import (
 
 RESIDUAL_RTOL = 1e-8
 
-_EVAL_CHUNK = 512
-_CROSS_BLOCK = 128  # columns per element-wise block of _cross_weights
+_CROSS_BLOCK = 128  # columns per element-wise block of every buffered kernel sum
+_EVAL_CHUNK = 512  # columns that the assembly's workers may span together at any size
 _GEMM_PANEL = 1024  # columns per GEMM of cross_T_blocks, whatever the worker count
+# Blocks of fewer rows run on one thread: their element-wise passes are too
+# short for threads to pay.  On 2 CPUs, two threads assembled an n = 400
+# system (CV's folds) in 7.5 ms against 4.7 ms for one and tied at n = 1000;
+# at n = 2000 they took 125 ms against 180 ms while the second CPU was free.
+_POOL_ROWS = 1024
 
 # Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
-# tracemalloc around fit_factor at d=1 reads 3.13 at n=2000 (the benchmark's
-# score_fit.peak_over_gram), set by G and its two copies in _ridge_solve, and
-# 3.34 at n=1536, set by G plus about seven (n, _EVAL_CHUNK) chunk arrays of
-# build_gram_system.  Its 0.5 * (G + G.T) holds G and the sum (numpy writes
-# the half into the sum), or three Gram-sized arrays where numpy cannot reuse
-# the temporary.  The chunk arrays weigh more as n falls; fits with
-# n <= _EVAL_CHUNK read 8.0, but their Gram is at most 2*d^2 MiB.
-_PEAK_OVER_GRAM = 3.5
+# tracemalloc around fit_factor at d=1 reads 3.13 at n=1536 and n=2000 (the
+# benchmark's score_fit.peak_over_gram) on 1, 2, 4 or 8 CPUs, set by G and
+# its two copies in _ridge_solve.  The assembly holds G and each worker's
+# d + 5 (n, _CROSS_BLOCK) scratch arrays (2.01 on 1 CPU, 3.03 on 4 at
+# n=1536); then 0.5 * (G + G.T) holds G and the sum (numpy writes the half
+# into the sum), or three Gram-sized arrays where numpy cannot reuse the
+# temporary.  The scratch weighs more as n falls: 4.05 at n=1024 on 4 CPUs
+# and 3.76 at n=300, but such a Gram is at most 8*d^2 MiB.
+_PEAK_OVER_GRAM = 3.2
 
 
 @dataclass(frozen=True)
@@ -182,47 +189,60 @@ def _model_coeffs(model: FactorModel):
     return model.beta2d + e * model.base.grad_log(model.y_train), e
 
 
-def _weight(U, s2, a, e, j: int, q: int):
+def _weight(V, s2, a, e, j: int, q: int, out, term, extra, tmp):
     """sum_l a[b,l] * mixed(l,1; j,q) + e * mixed(l,2; j,q), elementwise over
-    (train, eval).  T, its y-partials, xi_hat and h are all sums
-    sum_b k_X(X_b, x) * k_Y(Y_b, y) * weight that differ only in the
-    per-sample coefficients a (n, d) and the scalar e."""
-    out = None
-    for l in range(a.shape[1]):
-        same = l == j
-        term = a[:, l, None] * _mixed_factor(U[l], s2[l], 1, U[j], s2[j], q,
-                                             same_dim=same)
-        term += e * _mixed_factor(U[l], s2[l], 2, U[j], s2[j], q, same_dim=same)
-        out = term if out is None else out + term
+    (train, eval), written into ``out``.  T, its y-partials, xi_hat and h are
+    all sums sum_b k_X(X_b, x) * k_Y(Y_b, y) * weight that differ only in the
+    per-sample coefficients a (n, d) and the scalar e.  V[l] holds
+    (Y_b - y)_l / s2_l; ``term`` (only used when d > 1), ``extra`` and
+    ``tmp`` are scratch of out's shape."""
+    for l in range(len(V)):
+        t = out if l == 0 else term
+        _mixed_factor(V[l], s2[l], 1, V[j], s2[j], q, l == j, t, tmp)
+        np.multiply(a[:, l, None], t, out=t)
+        _mixed_factor(V[l], s2[l], 2, V[j], s2[j], q, l == j, extra, tmp)
+        np.multiply(e, extra, out=extra)
+        np.add(t, extra, out=t)
+        if l:
+            np.add(out, term, out=out)
     return out
 
 
 def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
                want_value=True, want_grad=False, want_second=False, kx_pair=None):
     """Kernel sums with coefficients (a, e) and their first/second y-partials
-    at paired rows (X_eval[r], Y_eval[r]), chunked over rows to bound memory.
-    Returns (value (R,), grad (R, d), second (R, d)), None where not wanted.
+    at paired rows (X_eval[r], Y_eval[r]).  Returns (value (R,), grad (R, d),
+    second (R, d)), None where not wanted.
+
+    The rows go through ``_in_blocks``: each block of rows is computed in
+    reused scratch by the same operations as the whole call at once, so
+    no value depends on the block split or the worker count.
     """
-    d = y_train.shape[1]
+    n, d = y_train.shape
     s2 = kernel_y.variances
     R = X_eval.shape[0]
     value = np.empty(R) if want_value else None
     grad = np.empty((R, d)) if want_grad else None
     second = np.empty((R, d)) if want_second else None
+    sums = [(value, 0, 0)] if want_value else []
+    for j in range(d):
+        sums += [(grad[:, j], j, 1)] if want_grad else []
+        sums += [(second[:, j], j, 2)] if want_second else []
 
-    for lo in range(0, R, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, R)
-        kx = (kernel_matrix(kernel_x, x_train, X_eval[lo:hi])
-              if kx_pair is None else kx_pair[:, lo:hi])
-        kxky = kx * kernel_matrix(kernel_y, y_train, Y_eval[lo:hi])
-        U = [y_train[:, m, None] - Y_eval[None, lo:hi, m] for m in range(d)]
-        if want_value:
-            value[lo:hi] = np.sum(kxky * _weight(U, s2, a, e, 0, 0), axis=0)
-        for j in range(d):
-            if want_grad:
-                grad[lo:hi, j] = np.sum(kxky * _weight(U, s2, a, e, j, 1), axis=0)
-            if want_second:
-                second[lo:hi, j] = np.sum(kxky * _weight(U, s2, a, e, j, 2), axis=0)
+    def block(lo, hi, scratch):
+        K, Y, W, X, T, *V = scratch  # T is used only when d > 1
+        if kx_pair is None:
+            kernel_matrix(kernel_x, x_train, X_eval[lo:hi], K, W)
+        kernel_matrix(kernel_y, y_train, Y_eval[lo:hi], Y, W)
+        np.multiply(K if kx_pair is None else kx_pair[:, lo:hi], Y, out=K)
+        for m in range(d):
+            np.subtract(y_train[:, m, None], Y_eval[None, lo:hi, m], out=V[m])
+            np.divide(V[m], s2[m], out=V[m])
+        for out, j, q in sums:
+            np.multiply(K, _weight(V, s2, a, e, j, q, W, T, X, Y), out=W)
+            np.sum(W, axis=0, out=out[lo:hi])
+
+    _in_blocks(block, R, n, d + 5)
     return value, grad, second
 
 
@@ -254,15 +274,16 @@ def _check_fit_size(nd: int) -> None:
 
 
 def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -> GramSystem:
-    """Assemble G and h in one pass over chunks of training columns b.
+    """Assemble G and h in one pass over blocks of training columns b.
 
     G is the nd x nd Gram matrix of derivative features: entry ((a,i),(b,j))
     is k_X(X_a, X_b) times the (first-dim i, second-dim j) first-order mixed
     partial of the y-kernel at (Y_a, Y_b).  It is explicitly symmetrized to
     guard the symmetric solver against roundoff.  Entry (b,i) of h is the
     i-th y-partial of the averaged feature function at the training pair
-    (X_b, Y_b).  Both are sums over the same kernel values, so each chunk
-    builds k_X, k_Y and the differences Y_a - Y_b once for both.
+    (X_b, Y_b).  Both are sums over the same kernel values, so each block
+    builds k_X, k_Y and the differences Y_a - Y_b once for both, in the
+    reused scratch of ``_in_blocks``.
     """
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
     n, d = y_train.shape
@@ -271,18 +292,25 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
     a, e = _xi_coeffs(y_train, base)
     G = np.empty((n * d, n * d))
     h = np.empty((n, d))
-    for lo in range(0, n, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, n)
-        kx = kernel_matrix(kernel_x, x_train, x_train[lo:hi])
-        ky = kernel_matrix(kernel_y, y_train, y_train[lo:hi])
-        U = [y_train[:, m, None] - y_train[None, lo:hi, m] for m in range(d)]
+
+    def block(lo, hi, scratch):
+        K, Y, W, X, T, *V = scratch  # T is used only when d > 1
+        kernel_matrix(kernel_x, x_train, x_train[lo:hi], K, W)
+        kernel_matrix(kernel_y, y_train, y_train[lo:hi], Y, W)
+        for m in range(d):
+            np.subtract(y_train[:, m, None], y_train[None, lo:hi, m], out=V[m])
+            np.divide(V[m], s2[m], out=V[m])
         for i in range(d):
             for j in range(d):
-                G[i::d, lo * d + j:hi * d:d] = kx * (
-                    _mixed_factor(U[i], s2[i], 1, U[j], s2[j], 1, same_dim=i == j) * ky)
-        kx *= ky  # now k_X * k_Y; in place, so the chunk holds one array less
+                _mixed_factor(V[i], s2[i], 1, V[j], s2[j], 1, i == j, W, X)
+                np.multiply(W, Y, out=W)
+                np.multiply(K, W, out=G[i::d, lo * d + j:hi * d:d])
+        np.multiply(K, Y, out=K)  # now k_X * k_Y
         for j in range(d):
-            h[lo:hi, j] = np.sum(kx * _weight(U, s2, a, e, j, 1), axis=0)
+            np.multiply(K, _weight(V, s2, a, e, j, 1, W, T, X, Y), out=W)
+            np.sum(W, axis=0, out=h[lo:hi, j])
+
+    _in_blocks(block, n, n, d + 5, budget=G.nbytes)
     if not np.all(np.isfinite(G)):
         raise NumericalError("Gram matrix has non-finite entries")
     if not np.all(np.isfinite(h)):
@@ -496,9 +524,8 @@ def _cross_weights(model: FactorModel, Y_set: np.ndarray,
     training samples in ``rows`` (a slice of range(n)) are filled, so
     callers on several threads can fill disjoint row ranges of one buffer.
     Each entry comes from the operations of ``kernel_matrix(...) *
-    _weight(U, ..., 0, 0)`` in the same order, bit for bit, whatever the
-    row range; the only rewrites are exact ones: the factors 1.0 and the
-    leading 0 + are dropped, and -(u/s2) is u/(-s2).
+    _weight(V, ..., 0, 0)`` in the same order, bit for bit, whatever the
+    row range; the only rewrite is an exact one: -(u/s2) is u/(-s2).
     """
     a, e = _model_coeffs(model)
     Y, a, s2 = model.y_train[rows], a[rows], model.kernel_y.variances
@@ -510,15 +537,7 @@ def _cross_weights(model: FactorModel, Y_set: np.ndarray,
         # contiguous (n, width) views, also for a partial last block
         kb, vb, tb = (row[:n * (hi - lo)].reshape(n, hi - lo) for row in scratch)
         ob = out[rows, lo:hi]
-        # k_Y = exp(-sum_m u_m^2 / (2 s2_m))
-        for m in range(model.d):
-            np.subtract(Y[:, m, None], Y_set[None, lo:hi, m], out=vb)
-            np.multiply(vb, vb, out=tb)
-            np.divide(tb, 2.0 * s2[m], out=kb if m == 0 else tb)
-            if m:
-                np.add(kb, tb, out=kb)
-        np.negative(kb, out=kb)
-        np.exp(kb, out=kb)
+        kernel_matrix(model.kernel_y, Y, Y_set[lo:hi], kb, tb)
         # weight = sum_l a_l * (-u_l/s2_l) + e * ((u_l/s2_l)^2 - 1/s2_l)
         for l in range(model.d):
             term = ob if l == 0 else tb
@@ -550,6 +569,68 @@ def _even_slices(size: int, parts: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+@contextmanager
+def _pool(workers: int):
+    """A ``map`` that runs inline for one worker and on a pool of
+    ``workers`` threads otherwise; callers consume its results."""
+    if workers == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
+def _blocks(size: int) -> list[tuple[int, int]]:
+    """(lo, hi) blocks of ``_CROSS_BLOCK`` columns that cover range(size).
+    A 1-column remainder joins the block before it: numpy sums a single
+    column pairwise, which would change its last bits."""
+    bounds = [*range(0, size, _CROSS_BLOCK), size]
+    if size > 1 and size % _CROSS_BLOCK == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _in_blocks(work, size: int, rows: int, arrays: int,
+               budget: int | None = None) -> None:
+    """Call ``work(lo, hi, scratch)`` once for every block of ``_blocks(size)``,
+    where scratch is a list of ``arrays`` (rows, hi - lo) arrays.
+
+    The blocks run on up to one thread per CPU of ``_worker_count``; a pool
+    starts only for two blocks or more of at least ``_POOL_ROWS`` rows.
+    Each worker takes the next block in order when it is free, so a CPU
+    that the host slows down takes fewer blocks.  Before the pool starts,
+    the calling thread allocates one scratch per worker, which a worker
+    holds for one block at a time, so workers allocate nothing large.  With
+    a ``budget`` in bytes, the scratch of all workers together spans at
+    most ``_EVAL_CHUNK`` columns, or more only while it stays within the
+    budget.
+    """
+    blocks = _blocks(size)
+    if not blocks:
+        return
+    width = max(hi - lo for lo, hi in blocks)
+    workers = min(_worker_count(), len(blocks)) if rows >= _POOL_ROWS else 1
+    if budget is not None:
+        per_worker = arrays * rows * width * 8
+        workers = min(workers, max(_EVAL_CHUNK // _CROSS_BLOCK, budget // per_worker))
+    free = queue.SimpleQueue()  # one scratch per worker, taken for a block
+    for _ in range(workers):
+        free.put(np.empty((arrays, rows * width)))
+
+    def run_block(block):
+        lo, hi = block
+        buf = free.get()
+        try:
+            # C-contiguous (rows, width) views, also for a partial block, so
+            # that every ufunc runs the loop it runs on a fresh array
+            work(lo, hi, [row[:rows * (hi - lo)].reshape(rows, hi - lo) for row in buf])
+        finally:
+            free.put(buf)
+
+    with _pool(workers) as run:
+        list(run(run_block, blocks))
+
+
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
                    chunk: int = 2048):
     """Yield (slice, block) pairs covering T(x_r, y_s) for all rows and draws.
@@ -575,9 +656,7 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
     row_ranges = _even_slices(n, workers)
     # flat, so that every chunk's (n, width) view is contiguous
     buf = np.empty(n * min(chunk, S))
-    with ExitStack() as stack:
-        run = map if workers == 1 else stack.enter_context(
-            ThreadPoolExecutor(max_workers=workers)).map
+    with _pool(workers) as run:
         for lo in range(0, S, chunk):
             hi = min(lo + chunk, S)
             W = buf[:n * (hi - lo)].reshape(n, hi - lo)

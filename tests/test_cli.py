@@ -41,6 +41,16 @@ class TestGenGrid:
         assert prov["subcommand"] == "gen-grid"
         assert "--dim" in prov["argv"]
 
+    def test_provenance_records_blas_thread_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        gen_grid(tmp_path)
+        prov = json.loads((tmp_path / "data.csv.provenance.json").read_text())
+        assert prov["environment"] == {"MKL_NUM_THREADS": None,
+                                       "OMP_NUM_THREADS": "4",
+                                       "OPENBLAS_NUM_THREADS": "1"}
+
     def test_identical_flags_identical_bytes(self, tmp_path):
         a = gen_grid(tmp_path, "a.csv", seed=5)
         b = gen_grid(tmp_path, "b.csv", seed=5)

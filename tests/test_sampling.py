@@ -398,7 +398,7 @@ class TestGridSampler:
         """The pre-flight estimate of ``_grid_nodes`` bounds the traced peak
         of the whole pass, whose row loop holds a chunk of k_X rows next to
         the weights.  An estimate of the weights and ``_cross_weights``'
-        scratch alone is exceeded 2.10 times at G = 257 and 2.40 at G = 131."""
+        scratch alone is exceeded 1.24 times at G = 257 and 1.30 at G = 131."""
         rng = np.random.default_rng(5)
         n = 1024
         model = FactorModel(x_train=rng.normal(size=(n, 1)),

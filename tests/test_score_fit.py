@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import sys
 import threading
@@ -32,6 +33,7 @@ from kexpfam.score_fit import (
     grad_y_T,
     laplacian_terms_T,
     unnorm_logpdf,
+    unnorm_logpdf_rows,
     xi_hat,
 )
 
@@ -106,6 +108,87 @@ def brute_eval_T(model, x, y):
     xi = brute_xi_hat(model.x_train, model.y_train, model.kernel_x,
                       model.kernel_y, model.base, x, y)
     return total + model.xi_coeff * xi
+
+
+# --- the allocating formulas that the buffered routines reproduce ---------
+# Each builds whole (n, R) arrays, one numpy expression at a time; the
+# library computes the same operations in reused (n, _CROSS_BLOCK) scratch
+# and must match them bit for bit.
+
+
+def ref_kernel(spec, A, B):
+    if isinstance(spec, ConstantKernel):
+        return np.full((A.shape[0], B.shape[0]), spec.value)
+    acc = np.zeros((A.shape[0], B.shape[0]))
+    for m in range(spec.dim):
+        diff = A[:, m, None] - B[None, :, m]
+        acc += diff * diff / (2.0 * spec.variances[m])
+    return np.exp(-acc)
+
+
+def ref_poly(u, s2, order):
+    if order == 0:
+        return np.ones_like(u)
+    v = u / s2
+    if order == 1:
+        return -v
+    if order == 2:
+        return v * v - 1.0 / s2
+    if order == 3:
+        return -v * v * v + 3.0 * v / s2
+    v2 = v * v
+    return v2 * v2 - 6.0 * v2 / s2 + 3.0 / (s2 * s2)
+
+
+def ref_mixed(u_i, s2_i, p, u_j, s2_j, q, same_dim):
+    sign = -1.0 if q % 2 else 1.0
+    if same_dim:
+        return sign * ref_poly(u_i, s2_i, p + q)
+    return sign * ref_poly(u_i, s2_i, p) * ref_poly(u_j, s2_j, q)
+
+
+def ref_weight(U, s2, a, e, j, q):
+    out = None
+    for l in range(a.shape[1]):
+        same = l == j
+        term = a[:, l, None] * ref_mixed(U[l], s2[l], 1, U[j], s2[j], q, same)
+        term += e * ref_mixed(U[l], s2[l], 2, U[j], s2[j], q, same)
+        out = term if out is None else out + term
+    return out
+
+
+def ref_diffs(y_train, Y_eval):
+    return [y_train[:, m, None] - Y_eval[None, :, m] for m in range(y_train.shape[1])]
+
+
+def ref_T_terms(model, X_eval, Y_eval, kx_pair=None):
+    """(value, grad, second) of T at paired rows, all rows at once."""
+    a, e = score_fit_mod._model_coeffs(model)
+    s2 = model.kernel_y.variances
+    kx = (ref_kernel(model.kernel_x, model.x_train, X_eval)
+          if kx_pair is None else kx_pair)
+    kxky = kx * ref_kernel(model.kernel_y, model.y_train, Y_eval)
+    U = ref_diffs(model.y_train, Y_eval)
+    value = np.sum(kxky * ref_weight(U, s2, a, e, 0, 0), axis=0)
+    grad, second = (np.stack([np.sum(kxky * ref_weight(U, s2, a, e, j, q), axis=0)
+                              for j in range(model.d)], axis=1) for q in (1, 2))
+    return value, grad, second
+
+
+def ref_gram_system(X, Y, kernel_x, kernel_y, base):
+    """(G, h) of build_gram_system, all training columns at once."""
+    n, d = Y.shape
+    s2 = kernel_y.variances
+    a, e = score_fit_mod._xi_coeffs(Y, base)
+    kx, ky, U = ref_kernel(kernel_x, X, X), ref_kernel(kernel_y, Y, Y), ref_diffs(Y, Y)
+    G = np.empty((n * d, n * d))
+    for i in range(d):
+        for j in range(d):
+            G[i::d, j::d] = kx * (ref_mixed(U[i], s2[i], 1, U[j], s2[j], 1, i == j) * ky)
+    kx *= ky
+    h = np.stack([np.sum(kx * ref_weight(U, s2, a, e, j, 1), axis=0) for j in range(d)],
+                 axis=1)
+    return 0.5 * (G + G.T), h.reshape(-1)
 
 
 class TestBuildGram:
@@ -251,12 +334,14 @@ class TestBuildGramSystem:
             return kernel_matrix(*args)
 
         monkeypatch.setattr(score_fit_mod, "kernel_matrix", counted)
-        for chunk in (1, 2, 3):
-            monkeypatch.setattr(score_fit_mod, "_EVAL_CHUNK", chunk)
+        # blocks of 1 column each, then (2, 2, 3) and (3, 4): a 1-column
+        # remainder joins the block before it
+        for chunk, blocks in ((1, 7), (2, 3), (3, 2)):
+            monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", chunk)
             calls.clear()
             system = build_gram_system(X, Y, kx, ky, base)
-            # one k_X and one k_Y per chunk, shared by G and h
-            assert len(calls) == 2 * -(-n // chunk)
+            # one k_X and one k_Y per block, shared by G and h
+            assert len(calls) == 2 * blocks
             np.testing.assert_array_equal(system.G, whole.G)
             np.testing.assert_array_equal(system.h, whole.h)
         for a in range(n):
@@ -476,14 +561,14 @@ class TestCrossTBlocks:
 
 class TestCrossWeights:
     """The column-blocked, buffered weights against the unblocked expression
-    kernel_matrix(...) * _weight(...), bit for bit."""
+    ref_kernel(...) * ref_weight(...), bit for bit."""
 
     @staticmethod
     def reference(model, Y_set):
-        U = [model.y_train[:, m, None] - Y_set[None, :, m] for m in range(model.d)]
         a, e = score_fit_mod._model_coeffs(model)
-        return (kernel_matrix(model.kernel_y, model.y_train, Y_set)
-                * score_fit_mod._weight(U, model.kernel_y.variances, a, e, 0, 0))
+        return (ref_kernel(model.kernel_y, model.y_train, Y_set)
+                * ref_weight(ref_diffs(model.y_train, Y_set),
+                             model.kernel_y.variances, a, e, 0, 0))
 
     @pytest.mark.parametrize("p", [0, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -581,6 +666,143 @@ class TestCrossWeights:
         assert [sl for sl, _ in blocks] == [slice(0, 2048), slice(2048, 3000)]
         for sl, block in blocks:
             assert np.array_equal(block, kx.T @ ref[:, sl])
+
+
+class TestWorkerCount:
+    """The assembly and the paired T sums split their columns into blocks of
+    ``_CROSS_BLOCK`` across ``_worker_count`` threads; every output equals
+    the all-at-once reference bit for bit, whatever the worker count."""
+
+    WORKERS = [1, 2, 3, 8]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks_may_pool(self, monkeypatch):
+        monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
+
+    def test_blocks_join_a_one_column_remainder(self, monkeypatch):
+        assert score_fit_mod._blocks(0) == []
+        assert score_fit_mod._blocks(1) == [(0, 1)]
+        assert score_fit_mod._blocks(129) == [(0, 129)]
+        assert score_fit_mod._blocks(257) == [(0, 128), (128, 257)]
+        assert score_fit_mod._blocks(300) == [(0, 128), (128, 256), (256, 300)]
+        monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", 1)
+        assert score_fit_mod._blocks(3) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gram_system(self, rng, monkeypatch, d, workers):
+        n = 257  # two blocks: 128 columns, then 129 with the remainder
+        X, Y, kx, ky, _ = random_instance(rng, n, d, 2)
+        base = BaseDensity()
+        G, h = ref_gram_system(X, Y, kx, ky, base)
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+        system = build_gram_system(X, Y, kx, ky, base)
+        assert np.array_equal(system.G, G)
+        assert np.array_equal(system.h, h)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_paired_sums(self, rng, monkeypatch, d, workers):
+        model = fit_random(rng, n=257, d=d, p=2, lam=0.05)
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+        # one column; one block of 129; 128 + 129; four blocks of 128 and a 129
+        for R in (1, 129, 257, 641):
+            X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
+            value, grad, second = ref_T_terms(model, X_eval, Y_eval)
+            c = model.base.grad_log(Y_eval)
+            score = float(np.mean(np.sum(0.5 * grad**2 + second + c * grad, axis=1)))
+            assert empirical_score(model, X_eval, Y_eval) == score
+            assert np.array_equal(unnorm_logpdf_rows(model, X_eval, Y_eval),
+                                  model.base.log_pdf_rows(Y_eval) + value)
+            kx_pair = kernel_matrix(model.kernel_x, model.x_train, X_eval)
+            got = score_fit_mod._T_terms(model, X_eval, Y_eval, want_value=True,
+                                         want_grad=True, kx_pair=kx_pair)
+            assert np.array_equal(got[0], value)
+            assert np.array_equal(got[1], grad)
+            assert got[2] is None
+
+    def test_a_pool_starts_only_for_two_blocks_of_enough_rows(self, rng,
+                                                               monkeypatch):
+        model = fit_random(rng, n=20, d=1, p=1, lam=0.05)
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 8)
+        pools = []
+        real = score_fit_mod.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(score_fit_mod, "ThreadPoolExecutor", recording)
+        for rows in (20, 21):  # the blocks have n = 20 rows
+            monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", rows)
+            for R, expect in ((100, []), (129, []), (257, [2]), (641, [5])):
+                pools.clear()
+                X_eval, Y_eval = rng.normal(size=(R, 1)), rng.normal(size=(R, 1))
+                empirical_score(model, X_eval, Y_eval)
+                assert pools == (expect if rows == 20 else [])
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, rng,
+                                                                 monkeypatch):
+        """With 8 CPUs, four workers share the four column blocks of one G
+        and one h, and five share the five row blocks of one grad, while the
+        interpreter switches threads every microsecond; a block written
+        twice, left unwritten or computed in scratch that another worker
+        holds would change the bits."""
+        n, R = 4 * score_fit_mod._CROSS_BLOCK + 1, 5 * score_fit_mod._CROSS_BLOCK
+        X, Y, kx, ky, _ = random_instance(rng, n, 1, 1)
+        base = BaseDensity()
+        G, h = ref_gram_system(X, Y, kx, ky, base)
+        model = fit_random(rng, n=300, d=2, p=1, lam=0.05)
+        X_eval, Y_eval = rng.normal(size=(R, 1)), rng.normal(size=(R, 2))
+        grad = ref_T_terms(model, X_eval, Y_eval)[1]
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 8)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.extend((
+                build_gram_system(X, Y, kx, ky, base),
+                score_fit_mod._T_terms(model, X_eval, Y_eval, want_value=False,
+                                       want_grad=True)[1])))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        system, got_grad = got
+        assert np.array_equal(system.G, G)
+        assert np.array_equal(system.h, h)
+        assert np.array_equal(got_grad, grad)
+
+    def test_workers_allocate_nothing_large(self, rng, monkeypatch):
+        """tracemalloc's peak up to the end of the assembly's blocks (the
+        later symmetrization holds two Gram-sized arrays and would hide
+        them): a second worker adds its scratch and nothing else.  The slack
+        covers the pool's threads and small objects; one (n, 128) temporary
+        per block would be 1.5 MiB."""
+        n = 1536
+        X, Y, kx, ky, _ = random_instance(rng, n, 1, 1)
+        real = score_fit_mod._pool
+        peaks = {}
+
+        @contextlib.contextmanager
+        def recording(workers):
+            with real(workers) as run:
+                yield run
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(score_fit_mod, "_pool", recording)
+        tracemalloc.start()
+        try:
+            for workers in (1, 2):
+                monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+                tracemalloc.reset_peak()
+                build_gram_system(X, Y, kx, ky, BaseDensity())
+        finally:
+            tracemalloc.stop()
+        scratch = (1 + 5) * n * score_fit_mod._CROSS_BLOCK * 8  # d + 5 arrays
+        assert sorted(peaks) == [1, 2]
+        assert peaks[2] <= peaks[1] + scratch + 256 * 1024
 
 
 class TestUnnormLogpdf:
