@@ -30,7 +30,7 @@ from .kernels import (
 RESIDUAL_RTOL = 1e-8
 
 _CROSS_BLOCK = 128  # columns per element-wise block of every buffered kernel sum
-_EVAL_CHUNK = 512  # columns that the assembly's workers may span together at any size
+_EVAL_CHUNK = 256  # columns that the assembly's workers may span together at any size
 _GEMM_PANEL = 1024  # columns per GEMM of cross_T_blocks, whatever the worker count
 # Blocks of fewer rows run on one thread: their element-wise passes are too
 # short for threads to pay.  On 2 CPUs, two threads assembled an n = 400
@@ -39,15 +39,16 @@ _GEMM_PANEL = 1024  # columns per GEMM of cross_T_blocks, whatever the worker co
 _POOL_ROWS = 1024
 
 # Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
-# tracemalloc around fit_factor at d=1 reads 3.13 at n=1536 and n=2000 (the
-# benchmark's score_fit.peak_over_gram) on 1, 2, 4 or 8 CPUs, set by G and
-# its two copies in _ridge_solve.  The assembly holds G and each worker's
-# d + 5 (n, _CROSS_BLOCK) scratch arrays (2.01 on 1 CPU, 3.03 on 4 at
-# n=1536); then 0.5 * (G + G.T) holds G and the sum (numpy writes the half
-# into the sum), or three Gram-sized arrays where numpy cannot reuse the
-# temporary.  The scratch weighs more as n falls: 4.05 at n=1024 on 4 CPUs
-# and 3.76 at n=300, but such a Gram is at most 8*d^2 MiB.
-_PEAK_OVER_GRAM = 3.2
+# tracemalloc around fit_factor at d=1 reads 2.127 at n=1536 and n=2000 (the
+# benchmark's score_fit.peak_over_gram) on 1, 2, 4 or 8 CPUs.  The peak is
+# the solve's: the symmetrized G, _ridge_solve's one work array and
+# cho_factor's finiteness check, a boolean array of an eighth of the Gram.
+# The assembly holds G and each worker's d + 5 (n, _CROSS_BLOCK) scratch
+# arrays, which together stay within the Gram's size from n=1536 up; then
+# G + G.T holds G and the sum.  The scratch weighs more as n falls: 2.53 at
+# n=1024 on 2 or more CPUs and 3.76 at n=300, but such a Gram is at most
+# 8*d^2 MiB.
+_PEAK_OVER_GRAM = 2.2
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,9 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
         raise NumericalError("Gram matrix has non-finite entries")
     if not np.all(np.isfinite(h)):
         raise NumericalError("h vector has non-finite entries")
-    return GramSystem(G=0.5 * (G + G.T), h=h.reshape(-1), n=n)
+    S = G + G.T
+    S *= 0.5  # in place, so G and S are the only Gram-sized arrays
+    return GramSystem(G=S, h=h.reshape(-1), n=n)
 
 
 def build_gram(x_train, y_train, kernel_x, kernel_y) -> np.ndarray:
@@ -353,33 +356,35 @@ def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,
 def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray:
     """Solve (G + n*lam*I) beta = h / lam for beta.
 
-    The ridge and any jitter go onto the diagonal of a copy, so G is left
-    untouched and one assembled system can be solved for several lambdas.
+    The ridge and any jitter go onto the diagonal of one Fortran-order work
+    array, which LAPACK factors in place, so G is left untouched and one
+    assembled system can be solved for several lambdas.  G is exactly
+    symmetric, so G.T fills the work array in its own memory order.
     The shifted matrix is PSD plus a positive ridge, so a Cholesky
     factorization is used; on breakdown a small jitter (1e-10 times the mean
     diagonal mass of G) is added and escalated tenfold up to three times.
+    A failed factorization has already overwritten the work array, so every
+    attempt refills it from G.
     The solution must satisfy the residual bound
     ||(G + n*lam*I) beta - h/lam|| <= 1e-8 * max(1, ||h/lam||).
     """
     diag = np.diag_indices_from(G)
-    A = G.copy()
-    A[diag] += n * lam
+    A = np.empty_like(G, order="F")
     rhs = h / lam
 
     scale = np.trace(G) / G.shape[0]
     jitter = 0.0
-    factor = None
     for attempt in range(4):
-        shifted = A
+        np.copyto(A, G.T)
+        A[diag] += n * lam
         if jitter:
-            shifted = A.copy()
-            shifted[diag] += jitter
+            A[diag] += jitter
         try:
-            factor = scipy.linalg.cho_factor(shifted, lower=True)
+            factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True)
             break
         except scipy.linalg.LinAlgError:
             jitter = 1e-10 * max(scale, 1.0) if jitter == 0.0 else jitter * 10.0
-    if factor is None:
+    else:
         raise NumericalError(
             "Cholesky factorization failed after jitter escalation; "
             "the system is severely ill-conditioned"
@@ -388,7 +393,7 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
 
     bound = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(rhs)))
     for step in range(4):
-        resid = A @ beta - rhs
+        resid = G @ beta + n * lam * beta - rhs  # A now holds the factor
         if np.linalg.norm(resid) <= bound:
             return beta
         if step < 3:  # at most three refinement steps

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -50,6 +53,44 @@ class TestGenGrid:
         assert prov["environment"] == {"MKL_NUM_THREADS": None,
                                        "OMP_NUM_THREADS": "4",
                                        "OPENBLAS_NUM_THREADS": "1"}
+
+    def test_main_pins_openblas_to_one_thread_and_import_does_not(self, tmp_path):
+        """In a fresh process with no thread variable set, importing the CLI
+        leaves OpenBLAS at its default; main sets it to one thread and the
+        provenance records the count."""
+        code = (
+            "import json, sys\n"
+            "import kexpfam.cli as cli\n"
+            "before = cli._openblas_threads()\n"
+            "code = cli.main(['gen-grid', '--dim', '2', '--n', '50', '--out', sys.argv[1]])\n"
+            "print(json.dumps([code, before, cli._openblas_threads()]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "data.csv"
+        done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                              capture_output=True, text=True, check=True)
+        status, before, after = json.loads(done.stdout.splitlines()[-1])
+        assert status == 0
+        assert set(after) == {"numpy", "scipy"}
+        for package, count in after.items():
+            if isinstance(count, str):  # not a wheel's OpenBLAS: no pin, a note
+                assert count.startswith("not pinned") and before[package] == count
+                continue
+            assert count == 1
+            if score_fit._worker_count() > 1:
+                assert before[package] > 1
+        prov = json.loads((tmp_path / "data.csv.provenance.json").read_text())
+        assert prov["openblas_threads"] == after
+
+    def test_missing_openblas_symbol_skips_the_pin(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_OPENBLAS_LIBS",
+                            (("numpy", "libscipy_openblas64_-*", "no_such_{}_threads"),))
+        gen_grid(tmp_path)
+        prov = json.loads((tmp_path / "data.csv.provenance.json").read_text())
+        assert prov["openblas_threads"] == {
+            "numpy": "not pinned: no_such_set_threads not found"}
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a = gen_grid(tmp_path, "a.csv", seed=5)

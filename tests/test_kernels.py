@@ -254,6 +254,33 @@ class TestMedianHeuristic:
         out = median_heuristic(np.column_stack([col0, col1]))
         assert out[0] == out[1] > 0
 
+    @staticmethod
+    def pairwise_reference(data):
+        """Per-column median of |data[a] - data[b]| over the pairs a < b,
+        gathered through triu_indices, before the zero-median fallback."""
+        iu = np.triu_indices(data.shape[0], k=1)
+        return np.array([np.median(np.abs(data[iu[0], m] - data[iu[1], m]))
+                         for m in range(data.shape[1])])
+
+    def test_sorted_columns_match_the_pairwise_median_bit_for_bit(self, rng):
+        # rounding to one decimal makes many tied values and zero differences;
+        # 301 rows give an odd pair count, 300 rows an even one
+        for n in (300, 301):
+            data = np.column_stack([np.round(rng.normal(size=n), 1),
+                                    rng.normal(size=n) * 1e-3 + 5.0,
+                                    rng.integers(0, 3, size=n).astype(float)])
+            expect = self.pairwise_reference(data)
+            assert np.all(expect > 0)
+            np.testing.assert_array_equal(median_heuristic(data), expect)
+
+    def test_zero_median_fallback_matches_the_pairwise_median(self, rng):
+        # column 0 is mostly one value, so its median difference is zero
+        data = np.column_stack([np.where(rng.uniform(size=200) < 0.9, 2.0, 3.0),
+                                np.round(rng.normal(size=200), 1)])
+        expect = self.pairwise_reference(data)
+        assert expect[0] == 0 < expect[1]
+        np.testing.assert_array_equal(median_heuristic(data), [expect[1]] * 2)
+
     def test_subsample_deterministic(self, rng):
         data = rng.normal(size=(1500, 2))
         np.testing.assert_array_equal(median_heuristic(data), median_heuristic(data))

@@ -354,19 +354,25 @@ class TestBuildGramSystem:
         np.testing.assert_allclose(whole.h, brute_h(X, Y, kx, ky, base),
                                    rtol=1e-12, atol=1e-14)
 
-    def test_preflight_constant_bounds_a_real_fit(self, rng):
-        n = 1536  # three assembly chunks
-        assert n > 2 * score_fit_mod._EVAL_CHUNK
-        X, Y, kx, ky, lam = random_instance(rng, n, 1, 1, lam=1e-3)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            fit_factor(X, Y, kx, ky, lam)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= score_fit_mod._PEAK_OVER_GRAM * n * n * 8
+    def test_preflight_constant_bounds_a_real_fit(self, rng, monkeypatch):
+        """_PEAK_OVER_GRAM bounds the traced peak of a fit for every worker
+        count a host may give the assembly, whatever CPUs run the test."""
+        for n, workers in itertools.product((1536, 2000), (1, 2, 4)):
+            # the assembly runs on the pool, over more columns than the
+            # _EVAL_CHUNK that its workers' scratch may span at once
+            assert n >= score_fit_mod._POOL_ROWS
+            assert n > 2 * score_fit_mod._EVAL_CHUNK
+            monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+            X, Y, kx, ky, lam = random_instance(rng, n, 1, 1, lam=1e-3)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fit_factor(X, Y, kx, ky, lam)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= score_fit_mod._PEAK_OVER_GRAM * n * n * 8, (n, workers)
 
 
 class TestRidgeSolve:
@@ -384,6 +390,65 @@ class TestRidgeSolve:
             monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_solve", recorded)
             return calls
         return install
+
+    @pytest.fixture
+    def failing_factor(self, monkeypatch):
+        """Make the first ``fails`` cho_factor calls run the real
+        factorization, which overwrites the work array, and then raise
+        LinAlgError.  Returns a copy of each call's argument as received."""
+        real = score_fit_mod.scipy.linalg.cho_factor
+        received = []
+
+        def install(fails):
+            def flaky(a, **kwargs):
+                received.append(a.copy())
+                factor = real(a, **kwargs)
+                if len(received) <= fails:
+                    assert not np.array_equal(a, received[-1])  # destroyed
+                    raise score_fit_mod.scipy.linalg.LinAlgError("injected")
+                return factor
+            monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_factor", flaky)
+            return received
+        return install
+
+    @staticmethod
+    def shifted(G, *shifts):
+        """G with each shift added to its diagonal, one addition at a time."""
+        A = G.copy()
+        for s in shifts:
+            A[np.diag_indices_from(A)] += s
+        return A
+
+    def test_jitter_attempt_refills_the_work_array_from_G(self, rng, failing_factor):
+        X, Y, kx, ky, lam = random_instance(rng, 8, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        G, n = system.G, system.n
+        before = G.copy()
+        received = failing_factor(1)
+        beta = _ridge_solve(G, system.h, lam, n)
+        assert len(received) == 2
+        jitter = 1e-10 * max(np.trace(G) / G.shape[0], 1.0)
+        np.testing.assert_array_equal(received[0], self.shifted(G, n * lam))
+        np.testing.assert_array_equal(received[1], self.shifted(G, n * lam, jitter))
+        assert G.tobytes() == before.tobytes()
+        rhs = system.h / lam
+        resid = G @ beta + n * lam * beta - rhs
+        assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
+
+    def test_four_failed_factorizations_raise(self, rng, failing_factor):
+        X, Y, kx, ky, lam = random_instance(rng, 8, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        G, n = system.G, system.n
+        before = G.copy()
+        received = failing_factor(4)
+        with pytest.raises(NumericalError, match="jitter escalation"):
+            _ridge_solve(G, system.h, lam, n)
+        assert len(received) == 4
+        jitter = 1e-10 * max(np.trace(G) / G.shape[0], 1.0)
+        for k in range(1, 4):
+            np.testing.assert_array_equal(received[k], self.shifted(G, n * lam, jitter))
+            jitter *= 10.0
+        assert G.tobytes() == before.tobytes()
 
     def test_refinement_repairs_an_inexact_solve(self, rng, solve_calls):
         X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
