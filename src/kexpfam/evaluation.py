@@ -22,8 +22,10 @@ from .kernels import median_heuristic
 from .score_fit import (
     BaseDensity,
     FactorModel,
+    _PEAK_OVER_GRAM,
     _as_matrix,
     _as_x_row,
+    _check_memory,
     build_gram_system,
     cross_T_blocks,
     empirical_score,
@@ -238,7 +240,8 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
 
     def score_fold(kx, ky, block) -> list[float]:
         """Held-out score of every lambda on one fold: the fold's system is
-        assembled once and fitted once per lambda."""
+        assembled once and fitted once per lambda, and the held-out kernel
+        pieces are built by the first score and kept for the others."""
         mask = np.ones(values.shape[0], dtype=bool)
         mask[block] = False
         x_fit, y_fit = x_all[mask], y_all[mask]
@@ -246,11 +249,11 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
             system = build_gram_system(x_fit, y_fit, kx, ky, base)
         except (NumericalError, FloatingPointError):
             return [math.inf] * len(lambdas)
-        scores = []
+        scores, pieces = [], {}
         for lam in lambdas:
             try:
                 fitted = fit_factor(x_fit, y_fit, kx, ky, lam, base, system=system)
-                score = empirical_score(fitted, x_all[block], y_all[block])
+                score = empirical_score(fitted, x_all[block], y_all[block], pieces)
             except (KexpfamError, FloatingPointError):
                 score = math.inf
             # an overflowed score (nan) would make the pick depend on grid order
@@ -290,7 +293,9 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     as bad input, such as a fold too large for memory, raises DataError.
     Selection is invariant to grid enumeration order.  Each fold's system
     is assembled once per (node, bandwidth scale) and solved for every
-    lambda, which gives the same bits as one fit per grid cell.
+    lambda, which gives the same bits as one fit per grid cell; the
+    held-out kernel pieces are built once per (node, scale, fold) and score
+    every lambda, with the same bits as scoring each fit on its own.
     """
     config = config if config is not None else CvConfig()
     base = base if base is not None else BaseDensity()
@@ -305,6 +310,12 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
         raise DataError(f"need at least {config.folds} rows for {config.folds}-fold CV")
     perm = np.random.default_rng(config.seed).permutation(n)
     fold_blocks = np.array_split(perm, config.folds)
+    # A fold's lambda loop holds the solve's arrays and, beside them, the
+    # held-out pieces: 1 + 4 d^2 (n_fit, R) arrays, with d = 1 per factor.
+    n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
+    _check_memory(_PEAK_OVER_GRAM * n_fit * n_fit * 8 + 5 * n_fit * R * 8,
+                  f"cross-validation with folds of {n_fit} training rows",
+                  "use fewer rows")
     nodes = tuple(
         _node_cv(values, dag, node, config, base, fold_blocks)
         for node in range(dag.node_count)

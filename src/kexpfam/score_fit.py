@@ -190,19 +190,24 @@ def _model_coeffs(model: FactorModel):
     return model.beta2d + e * model.base.grad_log(model.y_train), e
 
 
-def _weight(V, s2, a, e, j: int, q: int, out, term, extra, tmp):
+def _weight(V, s2, a, e, j: int, q: int, out, term, extra, tmp, kept=None,
+            fill=False):
     """sum_l a[b,l] * mixed(l,1; j,q) + e * mixed(l,2; j,q), elementwise over
     (train, eval), written into ``out``.  T, its y-partials, xi_hat and h are
     all sums sum_b k_X(X_b, x) * k_Y(Y_b, y) * weight that differ only in the
     per-sample coefficients a (n, d) and the scalar e.  V[l] holds
     (Y_b - y)_l / s2_l; ``term`` (only used when d > 1), ``extra`` and
-    ``tmp`` are scratch of out's shape."""
-    for l in range(len(V)):
+    ``tmp`` are scratch of out's shape.  ``kept`` may carry the mixed
+    prefactors, kept[l, p - 1] = mixed(l,p; j,q), which are read in place of
+    V, or first written there from V with ``fill``."""
+    for l in range(a.shape[1]):
         t = out if l == 0 else term
-        _mixed_factor(V[l], s2[l], 1, V[j], s2[j], q, l == j, t, tmp)
-        np.multiply(a[:, l, None], t, out=t)
-        _mixed_factor(V[l], s2[l], 2, V[j], s2[j], q, l == j, extra, tmp)
-        np.multiply(e, extra, out=extra)
+        f1, f2 = (t, extra) if kept is None else kept[l]
+        if kept is None or fill:
+            _mixed_factor(V[l], s2[l], 1, V[j], s2[j], q, l == j, f1, tmp)
+            _mixed_factor(V[l], s2[l], 2, V[j], s2[j], q, l == j, f2, tmp)
+        np.multiply(a[:, l, None], f1, out=t)
+        np.multiply(e, f2, out=extra)
         np.add(t, extra, out=t)
         if l:
             np.add(out, term, out=out)
@@ -210,7 +215,8 @@ def _weight(V, s2, a, e, j: int, q: int, out, term, extra, tmp):
 
 
 def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
-               want_value=True, want_grad=False, want_second=False, kx_pair=None):
+               want_value=True, want_grad=False, want_second=False, kx_pair=None,
+               pieces=None):
     """Kernel sums with coefficients (a, e) and their first/second y-partials
     at paired rows (X_eval[r], Y_eval[r]).  Returns (value (R,), grad (R, d),
     second (R, d)), None where not wanted.
@@ -218,6 +224,14 @@ def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
     The rows go through ``_in_blocks``: each block of rows is computed in
     reused scratch by the same operations as the whole call at once, so
     no value depends on the block split or the worker count.
+
+    ``pieces`` may carry a dict shared by calls with the same training set,
+    kernels, evaluation rows and wanted outputs, which differ only in
+    (a, e).  The first call that completes fills it with every block's
+    k_X * k_Y and mixed prefactors, and later calls compute only the (a, e)
+    terms from them, by the same operations in the same order, so the sums
+    are the same bits.  The pieces take one (n, R) array for k_X * k_Y and
+    2 d per wanted sum: 1 + 4 d^2 for ``empirical_score``.
     """
     n, d = y_train.shape
     s2 = kernel_y.variances
@@ -229,21 +243,31 @@ def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
     for j in range(d):
         sums += [(grad[:, j], j, 1)] if want_grad else []
         sums += [(second[:, j], j, 2)] if want_second else []
+    fill = pieces is not None and not pieces
+    kept = pieces
+    if fill:  # allocated here, so that workers allocate nothing large
+        kept = {(lo, hi): (np.empty((n, hi - lo)), np.empty((len(sums), d, 2, n, hi - lo)))
+                for lo, hi in _blocks(R)}
 
     def block(lo, hi, scratch):
         K, Y, W, X, T, *V = scratch  # T is used only when d > 1
-        if kx_pair is None:
-            kernel_matrix(kernel_x, x_train, X_eval[lo:hi], K, W)
-        kernel_matrix(kernel_y, y_train, Y_eval[lo:hi], Y, W)
-        np.multiply(K if kx_pair is None else kx_pair[:, lo:hi], Y, out=K)
-        for m in range(d):
-            np.subtract(y_train[:, m, None], Y_eval[None, lo:hi, m], out=V[m])
-            np.divide(V[m], s2[m], out=V[m])
-        for out, j, q in sums:
-            np.multiply(K, _weight(V, s2, a, e, j, q, W, T, X, Y), out=W)
+        K, F = (K, None) if kept is None else kept[lo, hi]
+        if kept is None or fill:
+            if kx_pair is None:
+                kernel_matrix(kernel_x, x_train, X_eval[lo:hi], K, W)
+            kernel_matrix(kernel_y, y_train, Y_eval[lo:hi], Y, W)
+            np.multiply(K if kx_pair is None else kx_pair[:, lo:hi], Y, out=K)
+            for m in range(d):
+                np.subtract(y_train[:, m, None], Y_eval[None, lo:hi, m], out=V[m])
+                np.divide(V[m], s2[m], out=V[m])
+        for k, (out, j, q) in enumerate(sums):
+            f = None if F is None else F[k]
+            np.multiply(K, _weight(V, s2, a, e, j, q, W, T, X, Y, f, fill), out=W)
             np.sum(W, axis=0, out=out[lo:hi])
 
     _in_blocks(block, R, n, d + 5)
+    if fill:
+        pieces.update(kept)
     return value, grad, second
 
 
@@ -370,7 +394,11 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
     """
     diag = np.diag_indices_from(G)
     A = np.empty_like(G, order="F")
-    rhs = h / lam
+    with np.errstate(over="ignore"):  # an overflow is raised as typed below
+        rhs = h / lam
+    if not np.all(np.isfinite(rhs)):
+        raise NumericalError(f"h / lambda overflows at lambda = {lam:g}; "
+                             "use a larger lambda")
 
     scale = np.trace(G) / G.shape[0]
     jitter = 0.0
@@ -394,6 +422,8 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
     bound = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(rhs)))
     for step in range(4):
         resid = G @ beta + n * lam * beta - rhs  # A now holds the factor
+        if not np.all(np.isfinite(resid)):
+            raise NumericalError(f"solve residual is not finite at lambda = {lam:g}")
         if np.linalg.norm(resid) <= bound:
             return beta
         if step < 3:  # at most three refinement steps
@@ -432,19 +462,21 @@ def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
 
 def _T_terms(model: FactorModel, X_eval: np.ndarray, Y_eval: np.ndarray,
              want_value=True, want_grad=False, want_second=False,
-             kx_pair: np.ndarray | None = None):
+             kx_pair: np.ndarray | None = None, pieces: dict | None = None):
     """Natural parameter and its first/second y-partials at paired rows.
 
     X_eval is (R, p), Y_eval is (R, d); entry r of each output refers to the
     pair (X_eval[r], Y_eval[r]).  ``kx_pair`` may carry a precomputed
     conditioning-kernel matrix of shape (n, R) (reused across leapfrog steps,
-    where x stays fixed).  Returns (value (R,), grad (R, d), second (R, d)),
-    with None for outputs not requested.
+    where x stays fixed), and ``pieces`` the cache of ``_pair_sums``.
+    Returns (value (R,), grad (R, d), second (R, d)), with None for outputs
+    not requested.
     """
     a, e = _model_coeffs(model)
     return _pair_sums(model.x_train, model.y_train, model.kernel_x, model.kernel_y,
                       a, e, X_eval, Y_eval, want_value=want_value,
-                      want_grad=want_grad, want_second=want_second, kx_pair=kx_pair)
+                      want_grad=want_grad, want_second=want_second, kx_pair=kx_pair,
+                      pieces=pieces)
 
 
 def _pair_eval_arrays(model: FactorModel, x, y):
@@ -493,13 +525,20 @@ def unnorm_logpdf_rows(model: FactorModel, X_eval, Y_eval) -> np.ndarray:
     return model.base.log_pdf_rows(Y_eval) + value
 
 
-def empirical_score(model: FactorModel, x_eval, y_eval) -> float:
+def empirical_score(model: FactorModel, x_eval, y_eval,
+                    pieces: dict | None = None) -> float:
     """Empirical score objective of the fitted parameter on evaluation rows.
 
     The per-row, per-dimension contribution is
     0.5 * (dT/dy_i)^2 + d^2T/dy_i^2 + dlogq0/dy_i * dT/dy_i, averaged over
     rows.  Usable on held-out data as a cross-validation criterion; lower is
     better, and the minimizer on its own training set is always <= 0.
+
+    ``pieces`` may carry one dict for every call on the same evaluation rows
+    with models that share the training set and kernels (one held-out block
+    of cross-validation, scored for each lambda); the first call keeps the
+    kernel values and prefactors there, and later calls reuse them, with
+    the same result bit for bit.
     """
     X_eval = _as_matrix(x_eval, "x_eval")
     Y_eval = _as_matrix(y_eval, "y_eval")
@@ -509,8 +548,8 @@ def empirical_score(model: FactorModel, x_eval, y_eval) -> float:
         raise DataError("empirical score needs at least one evaluation row")
     if X_eval.shape[1] != model.p or Y_eval.shape[1] != model.d:
         raise DataError("evaluation rows do not match the model's dimensions")
-    _, grad, second = _T_terms(model, X_eval, Y_eval,
-                               want_value=False, want_grad=True, want_second=True)
+    _, grad, second = _T_terms(model, X_eval, Y_eval, want_value=False,
+                               want_grad=True, want_second=True, pieces=pieces)
     c = model.base.grad_log(Y_eval)
     per_row = np.sum(0.5 * grad**2 + second + c * grad, axis=1)
     return float(np.mean(per_row))

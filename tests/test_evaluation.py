@@ -444,6 +444,79 @@ class TestCrossValidate:
         assert all(math.isfinite(c.mean_score)
                    for r in result.nodes for c in r.table)
 
+    def test_held_out_kernels_do_not_grow_with_the_lambda_grid(self, small_grid,
+                                                                monkeypatch):
+        """Each (node, scale, fold) builds its held-out k_X and k_Y once and
+        scores every lambda from them: 2 lambdas and 6 take the same
+        held-out kernel_matrix calls.  The 120 rows split into 3 folds of 40,
+        so a held-out call has 40 columns and an assembly call 80."""
+        held_out = []
+        real = score_fit_mod.kernel_matrix
+
+        def counted(spec, A, B, *args):
+            held_out.append(np.shape(B)[0] == 40)
+            return real(spec, A, B, *args)
+
+        monkeypatch.setattr(score_fit_mod, "kernel_matrix", counted)
+        counts = []
+        for lambdas in ((0.01, 0.1), (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3)):
+            held_out.clear()
+            config = CvConfig(folds=3, lambda_grid=lambdas,
+                              bandwidth_scale_grid=(0.5, 2.0), seed=7)
+            cross_validate(small_grid, make_dag("markov", 2), config)
+            counts.append((sum(held_out), len(held_out)))
+        nodes, scales, folds = 2, 2, 3
+        # k_X and k_Y per (node, scale, fold), for the block and the assembly
+        assert counts == [(nodes * scales * folds * 2, nodes * scales * folds * 4)] * 2
+
+    def test_lambda_loop_peak_stays_within_the_preflight(self):
+        """tracemalloc's peak over CV at 5 folds of n_fit = 800 training rows
+        (one worker: below _POOL_ROWS) against the fold's Gram: each
+        (scale, fold) lambda loop holds the symmetrized G, the held-out
+        pieces (5 * R / n_fit = 1.25 Grams at d = 1) and, in each solve,
+        the work array and cho_factor's check.  Measured 3.395; the bound
+        is the pre-flight's count, _PEAK_OVER_GRAM + 1.25 = 3.45."""
+        data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=1000,
+                                                                   seed=4)))
+        config = CvConfig(folds=5, lambda_grid=(0.01, 0.1, 1.0),
+                          bandwidth_scale_grid=(1.0,), seed=1)
+        n_fit, R = 800, 200
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cross_validate(data, make_dag("markov", 2), config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        gram = n_fit * n_fit * 8
+        assert peak <= (score_fit_mod._PEAK_OVER_GRAM + 5 * R / n_fit) * gram
+
+    def test_preflight_counts_the_held_out_pieces(self, small_grid, monkeypatch):
+        """Memory for a fit of the largest fold (2.2 Grams) but not for the
+        pieces beside it is a data error before any assembly."""
+        n_fit, R = 80, 40
+        have = score_fit_mod._PEAK_OVER_GRAM * n_fit**2 * 8 + 5 * n_fit * R * 8 - 8
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: have)
+        monkeypatch.setattr(evaluation, "build_gram_system", None)
+        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1),
+                          bandwidth_scale_grid=(1.0,), seed=2)
+        with pytest.raises(DataError, match="cross-validation with folds of 80"):
+            cross_validate(small_grid, make_dag("markov", 2), config)
+
+    def test_overflowing_lambda_scores_infinity_and_stays_in_the_table(self,
+                                                                      small_grid):
+        """At lambda = 1e-320, h / lambda overflows; the solve raises a
+        NumericalError, so the cell scores +inf instead of crashing CV."""
+        config = CvConfig(folds=2, lambda_grid=(1e-320, 0.01),
+                          bandwidth_scale_grid=(1.0,), seed=2)
+        result = cross_validate(small_grid, make_dag("markov", 2), config)
+        for node_result in result.nodes:
+            scores = {c.lam: c.fold_scores for c in node_result.table}
+            assert scores[1e-320] == (math.inf, math.inf)
+            assert all(math.isfinite(s) for s in scores[0.01])
+            assert node_result.best_lam == 0.01
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_score_is_never_selected(self):
         # lambda=1e-300 at scale 0.01 overflows T's derivatives, so the

@@ -459,6 +459,26 @@ class TestRidgeSolve:
         assert len(calls) == 2  # the solve and one refinement step
         np.testing.assert_allclose(beta, exact, rtol=1e-9)
 
+    @pytest.mark.parametrize("lam", [1e-320, 5e-324])
+    def test_overflowing_rhs_raises(self, rng, solve_calls, lam):
+        """h / lambda overflows to inf: a NumericalError before any solve,
+        not scipy's ValueError from cho_solve's finiteness check."""
+        X, Y, kx, ky, _ = random_instance(rng, 6, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        calls = solve_calls(lambda k, x: x)
+        with pytest.raises(NumericalError, match="overflows"):
+            _ridge_solve(system.G, system.h, lam, system.n)
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf @ G is nan
+    def test_non_finite_residual_raises(self, rng, solve_calls):
+        X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        calls = solve_calls(lambda k, x: np.full_like(x, np.inf))
+        with pytest.raises(NumericalError, match="residual is not finite"):
+            _ridge_solve(system.G, system.h, lam, system.n)
+        assert len(calls) == 1  # no refinement step on a non-finite residual
+
     def test_residual_left_after_three_steps_raises(self, rng, solve_calls):
         X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
@@ -937,6 +957,66 @@ class TestEmpiricalScore:
         assert empirical_score(model, X_eval, Y_eval) == pytest.approx(
             expect, rel=1e-4
         )
+
+
+class TestKeptPieces:
+    """empirical_score with ``pieces``, as cross-validation scores each
+    lambda of one held-out block, against the call without, bit for bit."""
+
+    @staticmethod
+    def models(rng, n, d, p):
+        """Models on one training set and one pair of kernels that differ in
+        beta and lambda, as the fits of one CV fold do."""
+        X, Y, kx, ky, _ = random_instance(rng, n, d, p)
+        return [FactorModel(x_train=X, y_train=Y, kernel_x=kx, kernel_y=ky,
+                            lam=lam, beta=rng.normal(size=n * d))
+                for lam in (1e-3, 0.1, 1.0)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_uncached_score(self, rng, monkeypatch, d, workers):
+        """n = _POOL_ROWS training rows, so two blocks run on two workers;
+        R = 129 is one block with the 1-column remainder joined, R = 257 two."""
+        n = score_fit_mod._POOL_ROWS
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+        models = self.models(rng, n, d, 2)
+        for R in (129, 257):
+            X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
+            pieces = {}
+            for model in models:
+                expect = score_fit_mod._T_terms(model, X_eval, Y_eval, False, True, True)
+                got = score_fit_mod._T_terms(model, X_eval, Y_eval, False, True, True,
+                                             pieces=pieces)
+                assert got[0] is None
+                assert np.array_equal(got[1], expect[1])
+                assert np.array_equal(got[2], expect[2])
+                assert (empirical_score(model, X_eval, Y_eval, pieces)
+                        == empirical_score(model, X_eval, Y_eval))
+            assert sorted(pieces) == score_fit_mod._blocks(R)
+            K, F = pieces[0, 128 if R == 257 else R]
+            assert K.shape == (n, 128 if R == 257 else R)
+            assert F.shape == (2 * d, d, 2) + K.shape  # 1 + 4 d^2 arrays in all
+
+    def test_a_failed_call_keeps_nothing(self, rng, monkeypatch):
+        model = self.models(rng, 20, 2, 1)[0]
+        X_eval, Y_eval = rng.normal(size=(30, 1)), rng.normal(size=(30, 2))
+        expect = empirical_score(model, X_eval, Y_eval)
+        real = score_fit_mod._mixed_factor
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise FloatingPointError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(score_fit_mod, "_mixed_factor", failing)
+        pieces = {}
+        with pytest.raises(FloatingPointError):
+            empirical_score(model, X_eval, Y_eval, pieces)
+        assert pieces == {}
+        assert empirical_score(model, X_eval, Y_eval, pieces) == expect
+        assert len(pieces) == 1
 
 
 class TestOptimality:
