@@ -25,6 +25,7 @@ from .score_fit import (
     _PEAK_OVER_GRAM,
     _as_matrix,
     _as_x_row,
+    _block_plan,
     _check_memory,
     build_gram_system,
     cross_T_blocks,
@@ -310,10 +311,16 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
         raise DataError(f"need at least {config.folds} rows for {config.folds}-fold CV")
     perm = np.random.default_rng(config.seed).permutation(n)
     fold_blocks = np.array_split(perm, config.folds)
-    # A fold's lambda loop holds the solve's arrays and, beside them, the
-    # held-out pieces: 1 + 4 d^2 (n_fit, R) arrays, with d = 1 per factor.
+    # A fold's lambda loop holds G (with the slack of _PEAK_OVER_GRAM) and
+    # the held-out pieces, 1 + 4 d^2 (n_fit, R) arrays with d = 1 per factor,
+    # for its whole length.  Beside them, each solve holds its work array and
+    # each score the d + 5 (n_fit, width) scratch arrays of every worker of
+    # _pair_sums, whichever is larger.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
-    _check_memory(_PEAK_OVER_GRAM * n_fit * n_fit * 8 + 5 * n_fit * R * 8,
+    gram = n_fit * n_fit * 8
+    _, workers, width = _block_plan(R, n_fit, 6)
+    scratch = workers * 6 * n_fit * width * 8
+    _check_memory((_PEAK_OVER_GRAM - 1) * gram + max(gram, scratch) + 5 * n_fit * R * 8,
                   f"cross-validation with folds of {n_fit} training rows",
                   "use fewer rows")
     nodes = tuple(

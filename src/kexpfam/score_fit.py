@@ -39,15 +39,13 @@ _GEMM_PANEL = 1024  # columns per GEMM of cross_T_blocks, whatever the worker co
 _POOL_ROWS = 1024
 
 # Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
-# tracemalloc around fit_factor at d=1 reads 2.127 at n=1536 and n=2000 (the
-# benchmark's score_fit.peak_over_gram) on 1, 2, 4 or 8 CPUs.  The peak is
-# the solve's: the symmetrized G, _ridge_solve's one work array and
-# cho_factor's finiteness check, a boolean array of an eighth of the Gram.
-# The assembly holds G and each worker's d + 5 (n, _CROSS_BLOCK) scratch
-# arrays, which together stay within the Gram's size from n=1536 up; then
-# G + G.T holds G and the sum.  The scratch weighs more as n falls: 2.53 at
-# n=1024 on 2 or more CPUs and 3.76 at n=300, but such a Gram is at most
-# 8*d^2 MiB.
+# tracemalloc around fit_factor at d=1 reads 2.004-2.017 at n=1536 and
+# n=2000 (the benchmark's score_fit.peak_over_gram) on 1, 2, 4 or 8 CPUs.
+# The peak is the solve's: G and _ridge_solve's one work array.  The
+# assembly holds G and each worker's d + 5 (n, _CROSS_BLOCK) scratch
+# arrays, which together stay within the Gram's size from n=1536 up.  The
+# scratch weighs more as n falls: 2.52-2.54 at n=1024 on 2 or more CPUs and
+# 3.76 at n=300, but such a Gram is at most 8*d^2 MiB.
 _PEAK_OVER_GRAM = 2.2
 
 
@@ -170,11 +168,21 @@ class FactorModel:
 
 @dataclass(frozen=True, eq=False)
 class GramSystem:
-    """The linear system data: symmetric PSD matrix G (nd x nd) and vector h."""
+    """The linear system data: symmetric PSD matrix G (nd x nd) and vector h.
+
+    Both are checked for finiteness here, once, so the solver need not
+    check them again, whether the system was assembled or given.
+    """
 
     G: np.ndarray
     h: np.ndarray
     n: int
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.G)):
+            raise NumericalError("Gram matrix has non-finite entries")
+        if not np.all(np.isfinite(self.h)):
+            raise NumericalError("h vector has non-finite entries")
 
 
 def _xi_coeffs(y_train, base: BaseDensity):
@@ -303,8 +311,11 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
 
     G is the nd x nd Gram matrix of derivative features: entry ((a,i),(b,j))
     is k_X(X_a, X_b) times the (first-dim i, second-dim j) first-order mixed
-    partial of the y-kernel at (Y_a, Y_b).  It is explicitly symmetrized to
-    guard the symmetric solver against roundoff.  Entry (b,i) of h is the
+    partial of the y-kernel at (Y_a, Y_b).  It is exactly symmetric as
+    assembled: an entry and its mirror come from the same element-wise
+    operations on equal or exactly negated operands (kernel_matrix gives
+    the exact transpose, Y_a - Y_b = -(Y_b - Y_a), the prefactors follow
+    fixed sign rules and products commute).  Entry (b,i) of h is the
     i-th y-partial of the averaged feature function at the training pair
     (X_b, Y_b).  Both are sums over the same kernel values, so each block
     builds k_X, k_Y and the differences Y_a - Y_b once for both, in the
@@ -336,13 +347,7 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
             np.sum(W, axis=0, out=h[lo:hi, j])
 
     _in_blocks(block, n, n, d + 5, budget=G.nbytes)
-    if not np.all(np.isfinite(G)):
-        raise NumericalError("Gram matrix has non-finite entries")
-    if not np.all(np.isfinite(h)):
-        raise NumericalError("h vector has non-finite entries")
-    S = G + G.T
-    S *= 0.5  # in place, so G and S are the only Gram-sized arrays
-    return GramSystem(G=S, h=h.reshape(-1), n=n)
+    return GramSystem(G=G, h=h.reshape(-1), n=n)
 
 
 def build_gram(x_train, y_train, kernel_x, kernel_y) -> np.ndarray:
@@ -391,24 +396,34 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
     attempt refills it from G.
     The solution must satisfy the residual bound
     ||(G + n*lam*I) beta - h/lam|| <= 1e-8 * max(1, ||h/lam||).
+
+    G and h were checked for finiteness when their GramSystem was built.
+    Here h/lam and the ridge n*lam are checked before any factorization,
+    and each residual after a solve; scipy checks nothing again, so it
+    allocates no array of G's shape beyond the work array.
     """
-    diag = np.diag_indices_from(G)
-    A = np.empty_like(G, order="F")
     with np.errstate(over="ignore"):  # an overflow is raised as typed below
         rhs = h / lam
+        ridge = n * lam
     if not np.all(np.isfinite(rhs)):
         raise NumericalError(f"h / lambda overflows at lambda = {lam:g}; "
                              "use a larger lambda")
+    if not math.isfinite(ridge):
+        raise NumericalError(f"the ridge n * lambda overflows at lambda = {lam:g}; "
+                             "use a smaller lambda")
 
+    diag = np.diag_indices_from(G)
+    A = np.empty_like(G, order="F")
     scale = np.trace(G) / G.shape[0]
     jitter = 0.0
     for attempt in range(4):
         np.copyto(A, G.T)
-        A[diag] += n * lam
+        A[diag] += ridge
         if jitter:
             A[diag] += jitter
         try:
-            factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True)
+            factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True,
+                                              check_finite=False)
             break
         except scipy.linalg.LinAlgError:
             jitter = 1e-10 * max(scale, 1.0) if jitter == 0.0 else jitter * 10.0
@@ -417,17 +432,17 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
             "Cholesky factorization failed after jitter escalation; "
             "the system is severely ill-conditioned"
         )
-    beta = scipy.linalg.cho_solve(factor, rhs)
+    beta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
     bound = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(rhs)))
     for step in range(4):
-        resid = G @ beta + n * lam * beta - rhs  # A now holds the factor
+        resid = G @ beta + ridge * beta - rhs  # A now holds the factor
         if not np.all(np.isfinite(resid)):
             raise NumericalError(f"solve residual is not finite at lambda = {lam:g}")
         if np.linalg.norm(resid) <= bound:
             return beta
         if step < 3:  # at most three refinement steps
-            beta = beta - scipy.linalg.cho_solve(factor, resid)
+            beta = beta - scipy.linalg.cho_solve(factor, resid, check_finite=False)
     raise NumericalError(
         f"solve residual {np.linalg.norm(resid):.3e} exceeds bound {bound:.3e}"
     )
@@ -634,29 +649,39 @@ def _blocks(size: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _in_blocks(work, size: int, rows: int, arrays: int,
-               budget: int | None = None) -> None:
-    """Call ``work(lo, hi, scratch)`` once for every block of ``_blocks(size)``,
-    where scratch is a list of ``arrays`` (rows, hi - lo) arrays.
+def _block_plan(size: int, rows: int, arrays: int,
+                budget: int | None = None) -> tuple[list, int, int]:
+    """(blocks, workers, width) for ``_in_blocks``: each of ``workers``
+    threads holds ``arrays`` (rows, width) scratch arrays.
 
-    The blocks run on up to one thread per CPU of ``_worker_count``; a pool
-    starts only for two blocks or more of at least ``_POOL_ROWS`` rows.
-    Each worker takes the next block in order when it is free, so a CPU
-    that the host slows down takes fewer blocks.  Before the pool starts,
-    the calling thread allocates one scratch per worker, which a worker
-    holds for one block at a time, so workers allocate nothing large.  With
-    a ``budget`` in bytes, the scratch of all workers together spans at
-    most ``_EVAL_CHUNK`` columns, or more only while it stays within the
-    budget.
+    A pool of up to one thread per CPU of ``_worker_count`` starts only for
+    two blocks or more of at least ``_POOL_ROWS`` rows.  With a ``budget``
+    in bytes, the scratch of all workers together spans at most
+    ``_EVAL_CHUNK`` columns, or more only while it stays within the budget.
     """
     blocks = _blocks(size)
     if not blocks:
-        return
+        return blocks, 1, 0
     width = max(hi - lo for lo, hi in blocks)
     workers = min(_worker_count(), len(blocks)) if rows >= _POOL_ROWS else 1
     if budget is not None:
         per_worker = arrays * rows * width * 8
         workers = min(workers, max(_EVAL_CHUNK // _CROSS_BLOCK, budget // per_worker))
+    return blocks, workers, width
+
+
+def _in_blocks(work, size: int, rows: int, arrays: int,
+               budget: int | None = None) -> None:
+    """Call ``work(lo, hi, scratch)`` once for every block of ``_blocks(size)``,
+    where scratch is a list of ``arrays`` (rows, hi - lo) arrays.
+
+    The blocks run on the threads that ``_block_plan`` gives.  Each worker
+    takes the next block in order when it is free, so a CPU that the host
+    slows down takes fewer blocks.  Before the pool starts, the calling
+    thread allocates one scratch per worker, which a worker holds for one
+    block at a time, so workers allocate nothing large.
+    """
+    blocks, workers, width = _block_plan(size, rows, arrays, budget)
     free = queue.SimpleQueue()  # one scratch per worker, taken for a block
     for _ in range(workers):
         free.put(np.empty((arrays, rows * width)))

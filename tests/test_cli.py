@@ -428,15 +428,18 @@ class TestExitCodes:
         assert run(["sample", "--model", model, "--n", 5,
                     "--out", tmp_path / "s.csv"]) == 3
 
-    @pytest.mark.parametrize("lam", ["1e-320", "5e-324"])
+    @pytest.mark.parametrize("lam", ["1e-320", "5e-324", "1e308"])
     def test_overflowing_lambda_is_numerical_error(self, tmp_path, capsys, lam):
-        """h / lambda overflows; the fit exits 3 with a typed error, not
-        with scipy's ValueError traceback."""
+        """h / lambda (small lambda) or the ridge n * lambda (large lambda)
+        overflows; the fit exits 3 with one typed error line, not with
+        scipy's ValueError traceback."""
         train = gen_grid(tmp_path, "t.csv", n=60, seed=0)
         capsys.readouterr()
         assert run(["fit", "--data", train, "--dag", "markov", "--lambda", lam,
                     "--out-model", tmp_path / "m.kcef"]) == 3
-        error = json.loads(capsys.readouterr().err)["error"]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
         assert error["type"] == "numerical"
         assert "overflows" in error["message"]
         assert not (tmp_path / "m.kcef").exists()
@@ -444,12 +447,12 @@ class TestExitCodes:
     def test_cv_with_an_overflowing_lambda_scores_infinity(self, tmp_path):
         train = gen_grid(tmp_path, "t.csv", n=60, seed=0)
         assert run(["fit", "--data", train, "--dag", "markov", "--cv",
-                    "--folds", 2, "--lambda-grid", "1e-320,0.01",
+                    "--folds", 2, "--lambda-grid", "1e-320,1e308,0.01",
                     "--scale-grid", 1, "--out-model", tmp_path / "cv.kcef"]) == 0
         rows = (tmp_path / "cv.cv.csv").read_text().splitlines()[1:]
         cells = [row.split(",") for row in rows]
-        assert len(cells) == 4  # 2 nodes x 2 lambdas
-        assert all((float(lam) < 1e-300) == (score == "inf")
+        assert len(cells) == 6  # 2 nodes x 3 lambdas
+        assert all((float(lam) != 0.01) == (score == "inf")
                    for _, lam, _, score in cells)
 
     def test_fit_too_large_for_memory_is_data_error(self, tmp_path, capsys,

@@ -472,9 +472,9 @@ class TestCrossValidate:
     def test_lambda_loop_peak_stays_within_the_preflight(self):
         """tracemalloc's peak over CV at 5 folds of n_fit = 800 training rows
         (one worker: below _POOL_ROWS) against the fold's Gram: each
-        (scale, fold) lambda loop holds the symmetrized G, the held-out
-        pieces (5 * R / n_fit = 1.25 Grams at d = 1) and, in each solve,
-        the work array and cho_factor's check.  Measured 3.395; the bound
+        (scale, fold) lambda loop holds G, the held-out pieces (5 * R / n_fit
+        = 1.25 Grams at d = 1) and, in each solve, the work array, or in each
+        score the worker's scratch (0.96 Grams).  Measured 3.275; the bound
         is the pre-flight's count, _PEAK_OVER_GRAM + 1.25 = 3.45."""
         data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=1000,
                                                                    seed=4)))
@@ -491,6 +491,37 @@ class TestCrossValidate:
             tracemalloc.stop()
         gram = n_fit * n_fit * 8
         assert peak <= (score_fit_mod._PEAK_OVER_GRAM + 5 * R / n_fit) * gram
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_preflight_counts_the_scratch_of_every_worker(self, monkeypatch,
+                                                          workers):
+        """At 5 folds of n_fit = 1040 training rows (enough for the pool),
+        the held-out score's workers each hold d + 5 (n_fit, 128) scratch
+        arrays beside G and the pieces: 1.48 Grams on 2 workers, more than
+        a solve's work array.  The pre-flight counts at least the traced
+        peak (measured 3.27 of its 3.45 Grams on 1 worker, 3.77 of 3.93 on
+        2)."""
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+        counted = []
+        real = evaluation._check_memory
+        monkeypatch.setattr(evaluation, "_check_memory",
+                            lambda need, *args: (counted.append(need),
+                                                 real(need, *args)))
+        data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=1300,
+                                                                   seed=4)))
+        config = CvConfig(folds=5, lambda_grid=(0.01, 0.1, 1.0),
+                          bandwidth_scale_grid=(1.0,), seed=1)
+        assert 1300 - 260 >= score_fit_mod._POOL_ROWS
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cross_validate(data, make_dag("markov", 2), config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == 1
+        assert peak <= counted[0]
 
     def test_preflight_counts_the_held_out_pieces(self, small_grid, monkeypatch):
         """Memory for a fit of the largest fold (2.2 Grams) but not for the

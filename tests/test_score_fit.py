@@ -3,6 +3,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from kexpfam.kernels import (
 from kexpfam.score_fit import (
     BaseDensity,
     FactorModel,
+    GramSystem,
     _cross_weights,
     _ridge_solve,
     build_gram,
@@ -219,10 +221,20 @@ class TestBuildGram:
                         )
                         assert abs(G[a * d + i, b * d + j] - expect) < 1e-12
 
-    def test_symmetry_exact(self, rng):
+    def test_symmetry_exact(self, rng, monkeypatch):
+        """G is used as assembled, without symmetrizing, so each entry must
+        equal its mirror bit for bit: on a small instance, and at n = 257
+        (two column blocks, the second with the 1-column remainder) on the
+        pool of 1 and 2 workers for every d and p."""
         X, Y, kx, ky, _ = random_instance(rng, 6, 2, 2)
         G = build_gram(X, Y, kx, ky)
         np.testing.assert_array_equal(G, G.T)
+        monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
+        for d, p, workers in itertools.product((1, 2, 3), (0, 2), (1, 2)):
+            monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+            X, Y, kx, ky, _ = random_instance(rng, 257, d, p)
+            G = build_gram(X, Y, kx, ky)
+            assert np.array_equal(G, G.T), (d, p, workers)
 
     def test_psd_probes(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 10, 2, 1)
@@ -356,7 +368,9 @@ class TestBuildGramSystem:
 
     def test_preflight_constant_bounds_a_real_fit(self, rng, monkeypatch):
         """_PEAK_OVER_GRAM bounds the traced peak of a fit for every worker
-        count a host may give the assembly, whatever CPUs run the test."""
+        count a host may give the assembly, whatever CPUs run the test.  The
+        fit holds G and the solve's work array and nothing else of the
+        Gram's size (2.004-2.017 measured), so the peak stays within 2.05."""
         for n, workers in itertools.product((1536, 2000), (1, 2, 4)):
             # the assembly runs on the pool, over more columns than the
             # _EVAL_CHUNK that its workers' scratch may span at once
@@ -373,6 +387,7 @@ class TestBuildGramSystem:
             finally:
                 tracemalloc.stop()
             assert peak <= score_fit_mod._PEAK_OVER_GRAM * n * n * 8, (n, workers)
+            assert peak <= 2.05 * n * n * 8, (n, workers)
 
 
 class TestRidgeSolve:
@@ -384,9 +399,9 @@ class TestRidgeSolve:
         calls = []
 
         def install(corrupt):
-            def recorded(factor, b):
+            def recorded(factor, b, **kwargs):
                 calls.append(b)
-                return corrupt(len(calls) - 1, real(factor, b))
+                return corrupt(len(calls) - 1, real(factor, b, **kwargs))
             monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_solve", recorded)
             return calls
         return install
@@ -470,6 +485,42 @@ class TestRidgeSolve:
             _ridge_solve(system.G, system.h, lam, system.n)
         assert calls == []
 
+    @pytest.mark.parametrize("lam", [1e308, np.float64(1e308)], ids=["float", "float64"])
+    def test_overflowing_ridge_raises_before_factoring(self, rng, monkeypatch, lam):
+        """n * lambda overflows to inf while h / lambda stays finite: a
+        NumericalError before any factorization and without a warning, not
+        a factorization of an infinite diagonal."""
+        X, Y, kx, ky, _ = random_instance(rng, 6, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        factored = []
+        monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_factor",
+                            lambda *args, **kwargs: factored.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="n \\* lambda overflows"):
+                _ridge_solve(system.G, system.h, lam, system.n)
+        assert factored == []
+
+    def test_scipy_checks_nothing_again(self, rng, monkeypatch):
+        """G and h are checked when the GramSystem is built, and h / lambda,
+        the ridge and each residual by _ridge_solve, so every factorization
+        and solve skips scipy's finiteness scan and its boolean array."""
+        X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        seen = []
+
+        def recording(real):
+            def call(*args, **kwargs):
+                seen.append(kwargs.get("check_finite", True))
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("cho_factor", "cho_solve"):
+            real = getattr(score_fit_mod.scipy.linalg, name)
+            monkeypatch.setattr(score_fit_mod.scipy.linalg, name, recording(real))
+        _ridge_solve(system.G, system.h, lam, system.n)
+        assert seen == [False, False]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf @ G is nan
     def test_non_finite_residual_raises(self, rng, solve_calls):
         X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
@@ -526,6 +577,21 @@ class TestFitFactor:
             given = fit_factor(X, Y, kx, ky, each, base, system=system)
             np.testing.assert_array_equal(
                 given.beta, fit_factor(X, Y, kx, ky, each, base).beta)
+
+    def test_non_finite_system_is_numerical_error(self, rng):
+        """A GramSystem checks G and h when it is built, so a system that a
+        caller hands to fit_factor gets the same typed error as an
+        assembled one."""
+        X, Y, kx, ky, _ = random_instance(rng, 6, 1, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        for bad in (np.nan, np.inf, -np.inf):
+            G, h = system.G.copy(), system.h.copy()
+            G[2, 3] = bad
+            with pytest.raises(NumericalError, match="Gram matrix"):
+                GramSystem(G=G, h=system.h, n=system.n)
+            h[4] = bad
+            with pytest.raises(NumericalError, match="h vector"):
+                GramSystem(G=system.G, h=h, n=system.n)
 
     def test_given_system_of_another_size_is_data_error(self, rng):
         X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
@@ -860,11 +926,10 @@ class TestWorkerCount:
         assert np.array_equal(got_grad, grad)
 
     def test_workers_allocate_nothing_large(self, rng, monkeypatch):
-        """tracemalloc's peak up to the end of the assembly's blocks (the
-        later symmetrization holds two Gram-sized arrays and would hide
-        them): a second worker adds its scratch and nothing else.  The slack
-        covers the pool's threads and small objects; one (n, 128) temporary
-        per block would be 1.5 MiB."""
+        """tracemalloc's peak up to the end of the assembly's blocks, before
+        GramSystem's finiteness check: a second worker adds its scratch and
+        nothing else.  The slack covers the pool's threads and small
+        objects; one (n, 128) temporary per block would be 1.5 MiB."""
         n = 1536
         X, Y, kx, ky, _ = random_instance(rng, n, 1, 1)
         real = score_fit_mod._pool
