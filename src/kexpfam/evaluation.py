@@ -25,6 +25,7 @@ from .score_fit import (
     _PEAK_OVER_GRAM,
     _as_matrix,
     _as_x_row,
+    _block_arrays,
     _block_plan,
     _check_memory,
     build_gram_system,
@@ -314,12 +315,13 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     # A fold's lambda loop holds G (with the slack of _PEAK_OVER_GRAM) and
     # the held-out pieces, 1 + 4 d^2 (n_fit, R) arrays with d = 1 per factor,
     # for its whole length.  Beside them, each solve holds its work array and
-    # each score the d + 5 (n_fit, width) scratch arrays of every worker of
+    # each score the (n_fit, width) scratch arrays of every worker of
     # _pair_sums, whichever is larger.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
     gram = n_fit * n_fit * 8
-    _, workers, width = _block_plan(R, n_fit, 6)
-    scratch = workers * 6 * n_fit * width * 8
+    arrays = _block_arrays(1)
+    _, workers, width = _block_plan(R, n_fit, arrays)
+    scratch = workers * arrays * n_fit * width * 8
     _check_memory((_PEAK_OVER_GRAM - 1) * gram + max(gram, scratch) + 5 * n_fit * R * 8,
                   f"cross-validation with folds of {n_fit} training rows",
                   "use fewer rows")

@@ -217,14 +217,15 @@ def kernel_matrix(spec, A: np.ndarray, B: np.ndarray, out=None,
         )
     tmp = np.empty_like(out) if scratch is None else scratch
     s2 = spec.variances
-    # out = sum_m (A_m - B_m)^2 / (2 s2_m), then exp(-out)
+    # out = sum_m (A_m - B_m)^2 / (-2 s2_m), then exp(out): the exact
+    # negation of sum_m (A_m - B_m)^2 / (2 s2_m), since x / -c = -(x / c)
+    # and a sum of negated terms is the negated sum, bit for bit
     for m in range(spec.dim):
         np.subtract(A[:, m, None], B[None, :, m], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
-        np.divide(tmp, 2.0 * s2[m], out=out if m == 0 else tmp)
+        np.divide(tmp, -2.0 * s2[m], out=out if m == 0 else tmp)
         if m:
             np.add(out, tmp, out=out)
-    np.negative(out, out=out)
     return np.exp(out, out=out)
 
 

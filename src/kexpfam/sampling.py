@@ -23,16 +23,21 @@ from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_weights,
 
 _INIT_RETRIES = 100
 _TRIAL_CAP = 1_000_000
-_GRID_ROW_CHUNK = 256  # distinct conditioning rows per kernel_matrix call
-# Peak bytes of _grid_pass over the 8 n (G + 2 _GRID_ROW_CHUNK) bytes of its
-# (n, G) weights and, in its row loop, kernel_matrix's two (_GRID_ROW_CHUNK,
-# n) arrays (its result and its scratch); the previous chunk's k_X is dropped
-# before the next is built.  With 1000 distinct rows, tracemalloc reads
-# 1.035-1.039 at n = 1024 for G = 131, 145 and 257, 1.017 at n = 2000 and
-# 1.115 at n = 300.  It bounds _cross_weights alone over 8 n (G + 3
-# _CROSS_BLOCK), its result and three scratch blocks: 1.03 at n = 1024 and
-# 1.11 at n = 300, where NumPy's ufunc buffers (about 130 KB, whatever n and
-# G) weigh most.
+# Distinct conditioning rows per chunk of the grid pass: one kernel_matrix
+# call for their k_X, then one (chunk, G) density and one (chunk, G) CDF,
+# each computed over the whole chunk at once.
+_GRID_ROW_CHUNK = 256
+# Peak bytes of _grid_pass over the 8 (n (G + 2 C) + 2 C G) bytes, with C =
+# _GRID_ROW_CHUNK, of its (n, G) weights, kernel_matrix's two (C, n) arrays
+# for a chunk's k_X (its result and its scratch) and the chunk's density and
+# CDF; k_X is dropped before the CDF is allocated, and a chunk's arrays
+# before the next chunk's k_X is built.  With 1000 distinct rows,
+# tracemalloc reads 0.89-0.95 at n = 1024 for G = 131 and 257, 0.94 at n =
+# 2000, 0.71 at n = 300 and 1.01-1.03 at n = 64 for G = 257 and 1025, where
+# the density and the CDF weigh most.  It bounds _cross_weights alone over
+# 8 n (G + 3 _CROSS_BLOCK), its result and three scratch blocks: 1.03 at n
+# = 1024 and 1.11 at n = 300, where NumPy's ufunc buffers (about 130 KB,
+# whatever n and G) weigh most.
 _GRID_PEAK_OVER_WEIGHTS = 1.15
 
 
@@ -234,19 +239,71 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     scale on which T varies).  Its spacing is at most sigma_y / 8 and its
     node count is odd, so the even nodes form a grid of spacing at most
     sigma_y / 4.  Raises DataError before allocating when ``_grid_pass``,
-    its (n, nodes) weights and a chunk of k_X rows, cannot fit in physical
-    memory, as with a tiny sigma_y.
+    its (n, nodes) weights, a chunk of k_X rows and the chunk's (rows,
+    nodes) density and CDF, cannot fit in physical memory, as with a tiny
+    sigma_y.
     """
     sigma_y = float(factor.kernel_y.bandwidths[0])
     half = 8.0 * factor.base.std
     lo = min(-half, float(factor.y_train.min()) - 8.0 * sigma_y)
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
-    _check_memory(_GRID_PEAK_OVER_WEIGHTS * factor.n * (nodes + 2 * _GRID_ROW_CHUNK) * 8,
+    _check_memory(_GRID_PEAK_OVER_WEIGHTS * 8 * (factor.n * (nodes + 2 * _GRID_ROW_CHUNK)
+                                                 + 2 * _GRID_ROW_CHUNK * nodes),
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")
     return np.linspace(lo, hi, nodes)
+
+
+def _grid_density(factor: FactorModel, x_rows: np.ndarray, weights: np.ndarray,
+                  log_q0: np.ndarray, grid: np.ndarray, node_index: int = 0):
+    """Densities on the grid of a chunk of at most ``_GRID_ROW_CHUNK``
+    distinct conditioning rows of a d = 1 factor.
+
+    Row u's log q0(y) + T(x_u, y) takes one matrix-vector product of its
+    k_X row with the (n, G) ``weights`` of ``_cross_weights``, written into
+    row u of a (rows, G) array, so a row's values do not depend on which or
+    how many rows come with it.  The rest runs over the whole array: one
+    finiteness check, the density exp(log p - row max) in place, the
+    trapezoid CDF as a cumulative sum along each row and the trapezoid sums
+    on the even nodes alone.
+
+    Returns (p, cdf, log Z, gap): the (rows, G) density over its row
+    maximum and its integral from grid[0], and per row log Z and |log Z -
+    log Z on the even nodes alone| (inf where the even nodes miss the peak
+    entirely and hold no mass).
+    """
+    kx = kernel_matrix(factor.kernel_x, x_rows, factor.x_train)  # (rows, n)
+    p = np.empty((kx.shape[0], grid.size))
+    for u, kx_row in enumerate(kx):
+        np.matmul(kx_row, weights, out=p[u])
+    del kx, kx_row  # free k_X before the CDF is allocated
+    p += log_q0
+    if not np.isfinite(p).all():
+        raise NumericalError(
+            f"natural parameter is not finite on the sampling grid "
+            f"at node {node_index}"
+        )
+    top = p.max(axis=1)
+    p -= top[:, None]
+    np.exp(p, out=p)
+    # the even nodes' trapezoid sums come first: their (rows, G / 2)
+    # temporaries are gone before the CDF is allocated
+    coarse = np.sum(0.5 * (p[:, 2::2] + p[:, :-2:2]) * (grid[2::2] - grid[:-2:2]),
+                    axis=1)
+    cdf = np.empty_like(p)
+    cdf[:, 0] = 0.0
+    terms = cdf[:, 1:]  # in place: the pre-flight counts no temporaries here
+    np.add(p[:, 1:], p[:, :-1], out=terms)
+    terms *= 0.5
+    terms *= np.diff(grid)
+    np.cumsum(terms, axis=1, out=terms)
+    log_z, gap = np.empty(p.shape[0]), np.empty(p.shape[0])
+    for u, (total, even) in enumerate(zip(cdf[:, -1], coarse)):
+        log_z[u] = top[u] + math.log(total)
+        gap[u] = abs(math.log(total / even)) if even > 0.0 else math.inf
+    return p, cdf, log_z, gap
 
 
 def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
@@ -257,9 +314,12 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
     ``_grid_nodes``.  Between nodes the density is taken as linear, so the
     trapezoid rule is its exact integral, and the draw for ``uniforms[r]``
     solves one quadratic in the cell that holds that fraction of the mass.
-    Rows with equal conditioning values share one density.  T takes one
-    matrix-vector product per distinct row, so a row's values do not depend
-    on which or how many rows are computed together, or on the row chunk.
+    Rows with equal conditioning values share one density.  The distinct
+    rows go through ``_grid_density`` in chunks of ``_GRID_ROW_CHUNK``; then
+    each distinct row takes one binary search for all of its uniforms, and
+    the quadratic runs once over the chunk's output rows.  Every step is
+    element-wise or along one row, so a row's values do not depend on which
+    or how many rows are computed together, or on the row chunk.
 
     Returns (draws (R,), log Z (R,), gap (R,), grid), where gap is
     |log Z - log Z on the even nodes alone|.
@@ -269,7 +329,6 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
                         f"has d = {factor.d}")
     grid = _grid_nodes(factor)
     widths = np.diff(grid)
-    coarse_widths = grid[2::2] - grid[:-2:2]
     weights = _cross_weights(factor, grid[:, None])  # (n, G)
     log_q0 = factor.base.log_pdf_rows(grid[:, None])
     uniq, inverse = np.unique(x_rows, axis=0, return_inverse=True)
@@ -280,34 +339,26 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
     draws = np.empty(x_rows.shape[0])
     log_z, gap = np.empty(uniq.shape[0]), np.empty(uniq.shape[0])
     for lo in range(0, uniq.shape[0], _GRID_ROW_CHUNK):
-        kx = kernel_matrix(factor.kernel_x, uniq[lo:lo + _GRID_ROW_CHUNK],
-                           factor.x_train)  # (chunk, n)
-        for u, kx_row in enumerate(kx, start=lo):
-            log_p = log_q0 + kx_row @ weights
-            if not np.all(np.isfinite(log_p)):
-                raise NumericalError(
-                    f"natural parameter is not finite on the sampling grid "
-                    f"at node {node_index}"
-                )
-            top = log_p.max()
-            p = np.exp(log_p - top)
-            cdf = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * widths)))
-            coarse = np.sum(0.5 * (p[2::2] + p[:-2:2]) * coarse_widths)
-            log_z[u] = top + math.log(cdf[-1])
-            # a peak that the even nodes miss entirely leaves no coarse mass
-            gap[u] = abs(math.log(cdf[-1] / coarse)) if coarse > 0.0 else math.inf
-
-            rows = order[starts[u]:ends[u]]
-            target = uniforms[rows] * cdf[-1]
-            i = np.minimum(np.searchsorted(cdf, target, side="right") - 1, grid.size - 2)
-            rest = target - cdf[i]
-            slope = (p[i + 1] - p[i]) / widths[i]
-            # p_i*s + slope*s^2/2 = rest, in the form that stays exact as slope -> 0
-            root = p[i] + np.sqrt(np.maximum(p[i] * p[i] + 2.0 * slope * rest, 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(root > 0.0, 2.0 * rest / root, 0.0)
-            draws[rows] = grid[i] + np.minimum(step, widths[i])
-        del kx, kx_row  # free this chunk's k_X before the next one is built
+        hi = min(lo + _GRID_ROW_CHUNK, uniq.shape[0])
+        p, cdf, log_z[lo:hi], gap[lo:hi] = _grid_density(
+            factor, uniq[lo:hi], weights, log_q0, grid, node_index)
+        rows = order[starts[lo]:ends[hi - 1]]  # this chunk's output rows
+        which = inverse[rows] - lo  # each one's distinct row in the chunk
+        target = uniforms[rows] * cdf[which, -1]
+        i = np.empty(rows.size, dtype=np.intp)
+        for u in range(hi - lo):
+            run = slice(starts[lo + u] - starts[lo], ends[lo + u] - starts[lo])
+            i[run] = cdf[u].searchsorted(target[run], side="right")
+        i = np.minimum(i - 1, grid.size - 2)
+        rest = target - cdf[which, i]
+        p_i = p[which, i]
+        slope = (p[which, i + 1] - p_i) / widths[i]
+        # p_i*s + slope*s^2/2 = rest, in the form that stays exact as slope -> 0
+        root = p_i + np.sqrt(np.maximum(p_i * p_i + 2.0 * slope * rest, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(root > 0.0, 2.0 * rest / root, 0.0)
+        draws[rows] = grid[i] + np.minimum(step, widths[i])
+        del p, cdf  # free this chunk's arrays before the next chunk's k_X
     return draws, log_z[inverse], gap[inverse], grid
 
 

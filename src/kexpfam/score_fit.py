@@ -42,10 +42,10 @@ _POOL_ROWS = 1024
 # tracemalloc around fit_factor at d=1 reads 2.004-2.017 at n=1536 and
 # n=2000 (the benchmark's score_fit.peak_over_gram) on 1, 2, 4 or 8 CPUs.
 # The peak is the solve's: G and _ridge_solve's one work array.  The
-# assembly holds G and each worker's d + 5 (n, _CROSS_BLOCK) scratch
-# arrays, which together stay within the Gram's size from n=1536 up.  The
-# scratch weighs more as n falls: 2.52-2.54 at n=1024 on 2 or more CPUs and
-# 3.76 at n=300, but such a Gram is at most 8*d^2 MiB.
+# assembly holds G and each worker's _block_arrays(d) (n, _CROSS_BLOCK)
+# scratch arrays (5 at d=1), which together stay within the Gram's size
+# from n=1536 up.  The scratch weighs more as n falls: 2.28 at n=1024 on 2
+# or more CPUs and 3.33 at n=300, but such a Gram is at most 8*d^2 MiB.
 _PEAK_OVER_GRAM = 2.2
 
 
@@ -258,7 +258,8 @@ def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
                 for lo, hi in _blocks(R)}
 
     def block(lo, hi, scratch):
-        K, Y, W, X, T, *V = scratch  # T is used only when d > 1
+        K, Y, W, X, *V = scratch
+        T = V.pop() if d > 1 else None
         K, F = (K, None) if kept is None else kept[lo, hi]
         if kept is None or fill:
             if kx_pair is None:
@@ -273,7 +274,7 @@ def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
             np.multiply(K, _weight(V, s2, a, e, j, q, W, T, X, Y, f, fill), out=W)
             np.sum(W, axis=0, out=out[lo:hi])
 
-    _in_blocks(block, R, n, d + 5)
+    _in_blocks(block, R, n, _block_arrays(d))
     if fill:
         pieces.update(kept)
     return value, grad, second
@@ -330,7 +331,8 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
     h = np.empty((n, d))
 
     def block(lo, hi, scratch):
-        K, Y, W, X, T, *V = scratch  # T is used only when d > 1
+        K, Y, W, X, *V = scratch
+        T = V.pop() if d > 1 else None
         kernel_matrix(kernel_x, x_train, x_train[lo:hi], K, W)
         kernel_matrix(kernel_y, y_train, y_train[lo:hi], Y, W)
         for m in range(d):
@@ -346,7 +348,7 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
             np.multiply(K, _weight(V, s2, a, e, j, 1, W, T, X, Y), out=W)
             np.sum(W, axis=0, out=h[lo:hi, j])
 
-    _in_blocks(block, n, n, d + 5, budget=G.nbytes)
+    _in_blocks(block, n, n, _block_arrays(d), budget=G.nbytes)
     return GramSystem(G=G, h=h.reshape(-1), n=n)
 
 
@@ -647,6 +649,14 @@ def _blocks(size: int) -> list[tuple[int, int]]:
     if size > 1 and size % _CROSS_BLOCK == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _block_arrays(d: int) -> int:
+    """Scratch arrays per worker of ``build_gram_system`` and ``_pair_sums``
+    for a d-dimensional y: k_X, k_Y, two products, one (Y_b - y) / s2 per
+    dimension and, only when d > 1, the term that ``_weight`` adds for each
+    dimension after the first."""
+    return d + 4 + (d > 1)
 
 
 def _block_plan(size: int, rows: int, arrays: int,

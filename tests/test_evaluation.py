@@ -496,11 +496,11 @@ class TestCrossValidate:
     def test_preflight_counts_the_scratch_of_every_worker(self, monkeypatch,
                                                           workers):
         """At 5 folds of n_fit = 1040 training rows (enough for the pool),
-        the held-out score's workers each hold d + 5 (n_fit, 128) scratch
-        arrays beside G and the pieces: 1.48 Grams on 2 workers, more than
-        a solve's work array.  The pre-flight counts at least the traced
-        peak (measured 3.27 of its 3.45 Grams on 1 worker, 3.77 of 3.93 on
-        2)."""
+        the held-out score's workers each hold five (n_fit, 128) scratch
+        arrays at d = 1 beside G and the pieces: 1.23 Grams on 2 workers,
+        more than a solve's work array.  The pre-flight counts at least the
+        traced peak (measured 3.27 of its 3.45 Grams on 1 worker, 3.52 of
+        3.68 on 2)."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         counted = []
         real = evaluation._check_memory

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import kexpfam.score_fit as score_fit
 from kexpfam.data_io import standardize
 from kexpfam.errors import DataError, NumericalError
 from kexpfam.factorization import NodeHyperparams, fit_joint, make_dag
-from kexpfam.kernels import ConstantKernel, GaussianKernelSpec
+from kexpfam.kernels import ConstantKernel, GaussianKernelSpec, kernel_matrix
 from kexpfam.sampling import (
     GridDatasetConfig,
     GridSamplerConfig,
@@ -53,6 +54,50 @@ def quadrature_cdf(factor, x0, half_width_stds=8.0, points=4097):
         [[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))]
     )
     return grid, cdf / cdf[-1]
+
+
+def per_row_grid_pass(factor, x_rows, uniforms):
+    """The grid pass as one loop over distinct rows, each row's density,
+    CDF, normalizer and draws computed on their own: the reference that
+    ``_grid_pass``'s whole-chunk steps must match bit for bit."""
+    grid = _grid_nodes(factor)
+    widths = np.diff(grid)
+    coarse_widths = grid[2::2] - grid[:-2:2]
+    weights = _cross_weights(factor, grid[:, None])
+    log_q0 = factor.base.log_pdf_rows(grid[:, None])
+    uniq, inverse = np.unique(x_rows, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    draws, log_z, gap = np.empty(x_rows.shape[0]), np.empty(uniq.shape[0]), np.empty(uniq.shape[0])
+    kx = kernel_matrix(factor.kernel_x, uniq, factor.x_train)
+    for u, kx_row in enumerate(kx):
+        log_p = log_q0 + kx_row @ weights
+        top = log_p.max()
+        p = np.exp(log_p - top)
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * widths)))
+        coarse = np.sum(0.5 * (p[2::2] + p[:-2:2]) * coarse_widths)
+        log_z[u] = top + math.log(cdf[-1])
+        gap[u] = abs(math.log(cdf[-1] / coarse)) if coarse > 0.0 else math.inf
+        rows = np.flatnonzero(inverse == u)
+        target = uniforms[rows] * cdf[-1]
+        i = np.minimum(np.searchsorted(cdf, target, side="right") - 1, grid.size - 2)
+        rest = target - cdf[i]
+        slope = (p[i + 1] - p[i]) / widths[i]
+        root = p[i] + np.sqrt(np.maximum(p[i] * p[i] + 2.0 * slope * rest, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(root > 0.0, 2.0 * rest / root, 0.0)
+        draws[rows] = grid[i] + np.minimum(step, widths[i])
+    return draws, log_z[inverse], gap[inverse], grid
+
+
+def spiked_conditional():
+    """T(x, y) = 1e6 k_X(x, 0) d/du k_Y(u, y) at u = 0.1: for x near 0 the
+    density peaks at an odd grid node and falls by more than 745 nats
+    within one cell, so the even nodes miss it; for |x| = 10, k_X is
+    about 2e-22 and the density is smooth."""
+    return FactorModel(x_train=np.array([[0.0]]), y_train=np.array([[0.1]]),
+                       kernel_x=GaussianKernelSpec([1.0]),
+                       kernel_y=GaussianKernelSpec([1.0]), lam=1.0,
+                       beta=np.array([1e6]), xi_coeff=0.0)
 
 
 def ecdf_sup_distance(samples, grid, cdf):
@@ -360,6 +405,55 @@ class TestGridSampler:
         for r in range(5):
             alone = _grid_pass(grid_conditional, x_rows[r:r + 1], uniforms[r:r + 1])
             assert (draws[r], log_z[r], gap[r]) == tuple(v[0] for v in alone[:3])
+
+    @pytest.mark.parametrize("case", ["repeated rows", "parentless", "missed peak"])
+    def test_matches_the_per_row_reference(self, case, grid_conditional, joint_model,
+                                           monkeypatch):
+        """With 3 distinct rows per chunk, the rows span at least 3 chunks
+        (one for a parentless factor), and every draw, log Z and gap equals
+        the per-row reference bit for bit, infinite gaps included."""
+        monkeypatch.setattr(sampling_mod, "_GRID_ROW_CHUNK", 3)
+        rng = np.random.default_rng(12)
+        if case == "repeated rows":
+            factor = grid_conditional
+            x_rows = rng.normal(size=(8, 1))[rng.integers(0, 8, size=40)]
+        elif case == "parentless":
+            factor = joint_model.factors[0]
+            x_rows = np.empty((40, 0))
+        else:
+            factor = spiked_conditional()
+            x_rows = np.array([[0.0], [10.0], [0.5], [-10.0], [0.0], [3.0],
+                               [-0.2], [10.0], [7.0], [1.5], [0.5]])
+        uniforms = rng.random(x_rows.shape[0])
+        uniforms[:2] = 0.0, np.nextafter(1.0, 0.0)
+        got = _grid_pass(factor, x_rows, uniforms)
+        want = per_row_grid_pass(factor, x_rows, uniforms)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        distinct = np.unique(x_rows, axis=0).shape[0]
+        assert distinct == 1 if case == "parentless" else distinct > 2 * 3
+        if case == "missed peak":
+            assert np.isinf(got[2]).any() and np.isfinite(got[2]).any()
+
+    def test_non_finite_T_in_a_later_chunk_names_the_node(self, grid_conditional,
+                                                         monkeypatch):
+        """The first chunk of 3 distinct rows passes; in the second chunk,
+        the last row's k_X, and so its T, is NaN."""
+        monkeypatch.setattr(sampling_mod, "_GRID_ROW_CHUNK", 3)
+        calls = []
+
+        def nan_in_second_chunk(spec, A, B):
+            calls.append(A.shape[0])
+            kx = kernel_matrix(spec, A, B)
+            if len(calls) == 2:
+                kx[-1] = np.nan
+            return kx
+
+        monkeypatch.setattr(sampling_mod, "kernel_matrix", nan_in_second_chunk)
+        x_rows = np.linspace(-1.0, 1.0, 9)[:, None]
+        with pytest.raises(NumericalError, match="at node 4"):
+            _grid_pass(grid_conditional, x_rows, np.full(9, 0.5), node_index=4)
+        assert calls == [3, 3]
 
     def test_grid_too_large_for_memory_is_data_error(self, joint_model, monkeypatch):
         monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 1024)

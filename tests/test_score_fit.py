@@ -389,6 +389,25 @@ class TestBuildGramSystem:
             assert peak <= score_fit_mod._PEAK_OVER_GRAM * n * n * 8, (n, workers)
             assert peak <= 2.05 * n * n * 8, (n, workers)
 
+    def test_d1_assembly_holds_no_idle_scratch(self, rng, monkeypatch):
+        """At n = 1024 on 2 workers each (n, 128) scratch array is 0.125
+        Grams, so the assembly's peak counts them: G and five arrays per
+        worker at d = 1 (2.29 measured), where a sixth, idle array read
+        2.54."""
+        n = 1024
+        assert n >= score_fit_mod._POOL_ROWS
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 2)
+        X, Y, kx, ky, _ = random_instance(rng, n, 1, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build_gram_system(X, Y, kx, ky, BaseDensity())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * n * n * 8
+
 
 class TestRidgeSolve:
     @pytest.fixture
@@ -950,7 +969,8 @@ class TestWorkerCount:
                 build_gram_system(X, Y, kx, ky, BaseDensity())
         finally:
             tracemalloc.stop()
-        scratch = (1 + 5) * n * score_fit_mod._CROSS_BLOCK * 8  # d + 5 arrays
+        # five (n, 128) arrays at d = 1
+        scratch = score_fit_mod._block_arrays(1) * n * score_fit_mod._CROSS_BLOCK * 8
         assert sorted(peaks) == [1, 2]
         assert peaks[2] <= peaks[1] + scratch + 256 * 1024
 
