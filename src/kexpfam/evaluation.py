@@ -26,8 +26,8 @@ from .score_fit import (
     _as_matrix,
     _as_x_row,
     _block_arrays,
-    _block_plan,
     _check_memory,
+    _scratch_bytes,
     build_gram_system,
     cross_T_blocks,
     empirical_score,
@@ -134,6 +134,7 @@ def _log_z_from_draws(model: FactorModel, X_rows: np.ndarray, draws: np.ndarray)
         s2 = s2 * shift**2 + np.multiply(w, w, out=w).sum(axis=1)
         m = new_m
         S += block.shape[1]
+        del block, w  # so that the next block is not allocated beside it
     log_z = m + np.log(s1) - math.log(S)
     if S < 2:
         return log_z, np.zeros_like(log_z)
@@ -180,6 +181,8 @@ def log_partition_from_draws(model: FactorModel, x, draws) -> LogPartitionEstima
     draws = _as_matrix(draws, "draws")
     if draws.shape[1] != model.d:
         raise DataError("draws must match the factor's target dimension")
+    if draws.shape[0] < 1:
+        raise DataError("the normalizer needs at least one draw")
     log_z, se = _log_z_from_draws(model, _as_x_row(x, model.p), draws)
     return LogPartitionEstimate(log_z=float(log_z[0]), std_err=float(se[0]),
                                 sample_count=draws.shape[0])
@@ -206,6 +209,8 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
         raise DataError(
             f"test rows have {rows.shape[1]} columns, model expects {model.dim}"
         )
+    if rows.shape[0] < 1:
+        raise DataError("test log-likelihood needs at least one test row")
     Z = model.standardize_rows(rows)
     total = np.full(rows.shape[0], model.log_jacobian)
     per_node = []
@@ -319,9 +324,7 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     # _pair_sums, whichever is larger.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
     gram = n_fit * n_fit * 8
-    arrays = _block_arrays(1)
-    _, workers, width = _block_plan(R, n_fit, arrays)
-    scratch = workers * arrays * n_fit * width * 8
+    scratch = _scratch_bytes(R, n_fit, _block_arrays(1))
     _check_memory((_PEAK_OVER_GRAM - 1) * gram + max(gram, scratch) + 5 * n_fit * R * 8,
                   f"cross-validation with folds of {n_fit} training rows",
                   "use fewer rows")

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .factorization import JointModel
 from .kernels import kernel_matrix
-from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_weights,
-                        _T_terms)
+from .score_fit import (_WEIGHT_ARRAYS, FactorModel, _as_x_row, _check_memory,
+                        _cross_weights, _scratch_bytes, _T_terms)
 
 _INIT_RETRIES = 100
 _TRIAL_CAP = 1_000_000
@@ -27,17 +27,16 @@ _TRIAL_CAP = 1_000_000
 # call for their k_X, then one (chunk, G) density and one (chunk, G) CDF,
 # each computed over the whole chunk at once.
 _GRID_ROW_CHUNK = 256
-# Peak bytes of _grid_pass over the 8 (n (G + 2 C) + 2 C G) bytes, with C =
-# _GRID_ROW_CHUNK, of its (n, G) weights, kernel_matrix's two (C, n) arrays
-# for a chunk's k_X (its result and its scratch) and the chunk's density and
-# CDF; k_X is dropped before the CDF is allocated, and a chunk's arrays
-# before the next chunk's k_X is built.  With 1000 distinct rows,
-# tracemalloc reads 0.89-0.95 at n = 1024 for G = 131 and 257, 0.94 at n =
-# 2000, 0.71 at n = 300 and 1.01-1.03 at n = 64 for G = 257 and 1025, where
-# the density and the CDF weigh most.  It bounds _cross_weights alone over
-# 8 n (G + 3 _CROSS_BLOCK), its result and three scratch blocks: 1.03 at n
-# = 1024 and 1.11 at n = 300, where NumPy's ufunc buffers (about 130 KB,
-# whatever n and G) weigh most.
+# Peak bytes of _grid_pass over those of its (n, G) weights plus the larger
+# of their fill's scratch (_scratch_bytes) and 8 (2 C n + 2 C G) bytes, with
+# C = _GRID_ROW_CHUNK: a chunk's k_X (kernel_matrix's result and scratch)
+# and its density and CDF, of which k_X is dropped before the CDF and all
+# before the next chunk.  With 1000 distinct rows, tracemalloc reads 0.77-
+# 0.83 on one worker and 0.89 on 2 or 4 at n = 1024 (G = 131, 257), 0.82-
+# 0.89 at n = 2000, 0.63 at n = 300 and 0.88-0.90 at n = 64 (G = 257, 1025).
+# It bounds _cross_weights alone over its result and scratch: 1.02-1.03 at
+# n = 1024 and 1.09 at n = 300, where NumPy's ufunc buffers (about 130 KB)
+# weigh most.
 _GRID_PEAK_OVER_WEIGHTS = 1.15
 
 
@@ -239,17 +238,19 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     scale on which T varies).  Its spacing is at most sigma_y / 8 and its
     node count is odd, so the even nodes form a grid of spacing at most
     sigma_y / 4.  Raises DataError before allocating when ``_grid_pass``,
-    its (n, nodes) weights, a chunk of k_X rows and the chunk's (rows,
-    nodes) density and CDF, cannot fit in physical memory, as with a tiny
-    sigma_y.
+    its (n, nodes) weights and either their fill's scratch or a chunk of
+    k_X rows and the chunk's (rows, nodes) density and CDF, cannot fit in
+    physical memory, as with a tiny sigma_y.
     """
     sigma_y = float(factor.kernel_y.bandwidths[0])
     half = 8.0 * factor.base.std
     lo = min(-half, float(factor.y_train.min()) - 8.0 * sigma_y)
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
-    _check_memory(_GRID_PEAK_OVER_WEIGHTS * 8 * (factor.n * (nodes + 2 * _GRID_ROW_CHUNK)
-                                                 + 2 * _GRID_ROW_CHUNK * nodes),
+    weights = 8 * factor.n * nodes
+    fill = _scratch_bytes(nodes, factor.n, _WEIGHT_ARRAYS, budget=weights)
+    chunk = 16 * _GRID_ROW_CHUNK * (factor.n + nodes)
+    _check_memory(_GRID_PEAK_OVER_WEIGHTS * (weights + max(fill, chunk)),
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")

@@ -31,11 +31,12 @@ RESIDUAL_RTOL = 1e-8
 
 _CROSS_BLOCK = 128  # columns per element-wise block of every buffered kernel sum
 _EVAL_CHUNK = 256  # columns that the assembly's workers may span together at any size
-_GEMM_PANEL = 1024  # columns per GEMM of cross_T_blocks, whatever the worker count
-# Blocks of fewer rows run on one thread: their element-wise passes are too
-# short for threads to pay.  On 2 CPUs, two threads assembled an n = 400
-# system (CV's folds) in 7.5 ms against 4.7 ms for one and tied at n = 1000;
-# at n = 2000 they took 125 ms against 180 ms while the second CPU was free.
+_IS_CHUNK = 2048  # draws per block that cross_T_blocks yields
+_WEIGHT_ARRAYS = 3  # scratch arrays per worker of _weights_block
+# Blocks whose work, rows times (1 + the rows of the GEMM each takes), is
+# less run on one thread.  On 2 CPUs, two threads assembled an n = 400
+# system (CV's folds) in 7.5 ms against 4.7 ms for one, tied at n = 1000 and
+# took 125 ms against 180 ms at n = 2000, while the second CPU was free.
 _POOL_ROWS = 1024
 
 # Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
@@ -572,46 +573,45 @@ def empirical_score(model: FactorModel, x_eval, y_eval,
     return float(np.mean(per_row))
 
 
-def _cross_weights(model: FactorModel, Y_set: np.ndarray,
-                   out: np.ndarray | None = None,
-                   rows: slice = slice(None)) -> np.ndarray:
-    """k_Y(Y_b, y_s) times T's weight for every training sample b and point
-    y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s]
-    (the per-draw factor of cross_T_blocks and the grid sampler).
+def _weights_block(model: FactorModel, a, e, Y_block: np.ndarray, out, kb, vb, tb):
+    """One block of ``_cross_weights`` into ``out``, with scratch ``kb``,
+    ``vb`` and ``tb`` of out's shape.  Each entry comes from the operations
+    of ``kernel_matrix(...) * _weight(V, ..., 0, 0)`` in the same order, bit
+    for bit; the only rewrite is an exact one: -(u/s2) is u/(-s2)."""
+    Y, s2 = model.y_train, model.kernel_y.variances
+    kernel_matrix(model.kernel_y, Y, Y_block, kb, tb)
+    # weight = sum_l a_l * (-u_l/s2_l) + e * ((u_l/s2_l)^2 - 1/s2_l)
+    for l in range(model.d):
+        term = out if l == 0 else tb
+        np.subtract(Y[:, l, None], Y_block[None, :, l], out=vb)
+        np.divide(vb, -s2[l], out=vb)
+        np.multiply(a[:, l, None], vb, out=term)
+        np.multiply(vb, vb, out=vb)
+        np.subtract(vb, 1.0 / s2[l], out=vb)
+        np.multiply(e, vb, out=vb)
+        np.add(term, vb, out=term)
+        if l:
+            np.add(out, tb, out=out)
+    np.multiply(kb, out, out=out)
 
-    Writes into ``out`` (allocated when None) and works through the columns
-    in blocks of ``_CROSS_BLOCK`` with three reused (rows, block) scratch
-    arrays, so its memory beyond ``out`` does not grow with S.  Only the
-    training samples in ``rows`` (a slice of range(n)) are filled, so
-    callers on several threads can fill disjoint row ranges of one buffer.
-    Each entry comes from the operations of ``kernel_matrix(...) *
-    _weight(V, ..., 0, 0)`` in the same order, bit for bit, whatever the
-    row range; the only rewrite is an exact one: -(u/s2) is u/(-s2).
+
+def _cross_weights(model: FactorModel, Y_set: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """k_Y(Y_b, y_s) times T's weight for every training sample b and point
+    y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s].
+
+    Writes into ``out`` (allocated when None) through ``_in_blocks``, with
+    out's bytes as the budget, so its memory beyond ``out`` does not grow
+    with S, and no entry depends on the blocks or the worker count.
     """
     a, e = _model_coeffs(model)
-    Y, a, s2 = model.y_train[rows], a[rows], model.kernel_y.variances
-    n, S = Y.shape[0], Y_set.shape[0]
-    out = np.empty((model.n, S)) if out is None else out
-    scratch = np.empty((3, n * min(_CROSS_BLOCK, S)))
-    for lo in range(0, S, _CROSS_BLOCK):
-        hi = min(lo + _CROSS_BLOCK, S)
-        # contiguous (n, width) views, also for a partial last block
-        kb, vb, tb = (row[:n * (hi - lo)].reshape(n, hi - lo) for row in scratch)
-        ob = out[rows, lo:hi]
-        kernel_matrix(model.kernel_y, Y, Y_set[lo:hi], kb, tb)
-        # weight = sum_l a_l * (-u_l/s2_l) + e * ((u_l/s2_l)^2 - 1/s2_l)
-        for l in range(model.d):
-            term = ob if l == 0 else tb
-            np.subtract(Y[:, l, None], Y_set[None, lo:hi, l], out=vb)
-            np.divide(vb, -s2[l], out=vb)
-            np.multiply(a[:, l, None], vb, out=term)
-            np.multiply(vb, vb, out=vb)
-            np.subtract(vb, 1.0 / s2[l], out=vb)
-            np.multiply(e, vb, out=vb)
-            np.add(term, vb, out=term)
-            if l:
-                np.add(ob, tb, out=ob)
-        np.multiply(kb, ob, out=ob)
+    n, S = model.n, Y_set.shape[0]
+    out = np.empty((n, S)) if out is None else out
+
+    def block(lo, hi, scratch):
+        _weights_block(model, a, e, Y_set[lo:hi], out[:, lo:hi], *scratch)
+
+    _in_blocks(block, S, n, _WEIGHT_ARRAYS, budget=out.nbytes)
     return out
 
 
@@ -621,13 +621,6 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _even_slices(size: int, parts: int) -> list[slice]:
-    """``parts`` contiguous slices that cover range(size), in order, whose
-    lengths differ by at most one."""
-    bounds = [size * k // parts for k in range(parts + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @contextmanager
@@ -659,39 +652,48 @@ def _block_arrays(d: int) -> int:
     return d + 4 + (d > 1)
 
 
-def _block_plan(size: int, rows: int, arrays: int,
-                budget: int | None = None) -> tuple[list, int, int]:
-    """(blocks, workers, width) for ``_in_blocks``: each of ``workers``
-    threads holds ``arrays`` (rows, width) scratch arrays.
+def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
+                gemm_rows: int = 0) -> tuple[int, int]:
+    """(workers, width) for ``_in_blocks``: each of ``workers`` threads
+    holds ``arrays`` (rows, width) scratch arrays.  It is arithmetic on the
+    sizes alone, so that a pre-flight may ask about any size.
 
     A pool of up to one thread per CPU of ``_worker_count`` starts only for
-    two blocks or more of at least ``_POOL_ROWS`` rows.  With a ``budget``
-    in bytes, the scratch of all workers together spans at most
-    ``_EVAL_CHUNK`` columns, or more only while it stays within the budget.
+    two blocks or more whose work, rows times (1 + ``gemm_rows``), reaches
+    ``_POOL_ROWS``.  With a ``budget`` in bytes, the scratch of all workers
+    together spans at most ``_EVAL_CHUNK`` columns, or more only while it
+    stays within the budget.
     """
-    blocks = _blocks(size)
-    if not blocks:
-        return blocks, 1, 0
-    width = max(hi - lo for lo, hi in blocks)
-    workers = min(_worker_count(), len(blocks)) if rows >= _POOL_ROWS else 1
+    if size == 0:
+        return 1, 0
+    joined = size > 1 and size % _CROSS_BLOCK == 1  # as in _blocks
+    width = min(size, _CROSS_BLOCK) + joined
+    workers = 1 if rows * (1 + gemm_rows) < _POOL_ROWS else min(
+        _worker_count(), -(-size // _CROSS_BLOCK) - joined)
     if budget is not None:
         per_worker = arrays * rows * width * 8
         workers = min(workers, max(_EVAL_CHUNK // _CROSS_BLOCK, budget // per_worker))
-    return blocks, workers, width
+    return workers, width
 
 
-def _in_blocks(work, size: int, rows: int, arrays: int,
-               budget: int | None = None) -> None:
+def _scratch_bytes(size: int, rows: int, arrays: int, **plan) -> int:
+    """Bytes of the scratch that ``_in_blocks`` holds for these arguments."""
+    workers, width = _block_plan(size, rows, arrays, **plan)
+    return workers * arrays * rows * width * 8
+
+
+def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
     """Call ``work(lo, hi, scratch)`` once for every block of ``_blocks(size)``,
     where scratch is a list of ``arrays`` (rows, hi - lo) arrays.
 
-    The blocks run on the threads that ``_block_plan`` gives.  Each worker
-    takes the next block in order when it is free, so a CPU that the host
-    slows down takes fewer blocks.  Before the pool starts, the calling
-    thread allocates one scratch per worker, which a worker holds for one
-    block at a time, so workers allocate nothing large.
+    The blocks run on the threads that ``_block_plan`` gives for ``plan``
+    (a budget, GEMM rows).  Each worker takes the next block in order when
+    it is free, so a CPU that the host slows down takes fewer blocks.
+    Before the pool starts, the calling thread allocates one scratch per
+    worker, which a worker holds for one block at a time, so workers
+    allocate nothing large.
     """
-    blocks, workers, width = _block_plan(size, rows, arrays, budget)
+    workers, width = _block_plan(size, rows, arrays, **plan)
     free = queue.SimpleQueue()  # one scratch per worker, taken for a block
     for _ in range(workers):
         free.put(np.empty((arrays, rows * width)))
@@ -707,41 +709,34 @@ def _in_blocks(work, size: int, rows: int, arrays: int,
             free.put(buf)
 
     with _pool(workers) as run:
-        list(run(run_block, blocks))
+        list(run(run_block, _blocks(size)))
 
 
-def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray,
-                   chunk: int = 2048):
+def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     """Yield (slice, block) pairs covering T(x_r, y_s) for all rows and draws.
 
-    X_rows is (R, p) and Y_set is (S, d); each block has shape (R, chunk) and
-    column s of the full matrix corresponds to draw Y_set[s].  Each chunk of
-    draws fills one (n, chunk) weight buffer, reused for the whole call,
-    through ``_cross_weights`` and takes a GEMM with k_X, so memory is
-    O(n * (R + chunk)) whatever S is.  Every yielded block is a fresh array.
-
-    Each chunk is split across one thread per CPU of ``_worker_count`` (at
-    most n; a single worker runs inline): every worker fills a contiguous
-    range of the buffer's training rows, and the GEMM runs in column panels
-    of ``_GEMM_PANEL``.  Neither the weights' element-wise operations nor
-    the panels depend on the worker count, so neither do the blocks, bit
-    for bit.
+    X_rows is (R, p) and Y_set is (S, d); each block is a fresh (R, width)
+    array for a chunk of at most ``_IS_CHUNK`` draws, and column s of the
+    full matrix corresponds to draw Y_set[s].  Each chunk is one
+    ``_in_blocks`` call: a block of draws computes its weights into worker
+    scratch and takes one GEMM with k_X into its columns, bit for bit the
+    same on any worker count.  The scratch stays within the bytes of one
+    (n, ``_IS_CHUNK``) array, so memory is O(n * R) plus that, whatever S.
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
+    a, e = _model_coeffs(model)
     n, S = model.n, Y_set.shape[0]
-    kxT = kernel_matrix(model.kernel_x, model.x_train, X_rows).T  # (R, n)
-    workers = min(_worker_count(), n)
-    row_ranges = _even_slices(n, workers)
-    # flat, so that every chunk's (n, width) view is contiguous
-    buf = np.empty(n * min(chunk, S))
-    with _pool(workers) as run:
-        for lo in range(0, S, chunk):
-            hi = min(lo + chunk, S)
-            W = buf[:n * (hi - lo)].reshape(n, hi - lo)
-            list(run(lambda rows: _cross_weights(model, Y_set[lo:hi], W, rows),
-                     row_ranges))
-            block = np.empty((kxT.shape[0], hi - lo))
-            panels = [slice(c, c + _GEMM_PANEL) for c in range(0, hi - lo, _GEMM_PANEL)]
-            list(run(lambda cols: np.matmul(kxT, W[:, cols], out=block[:, cols]), panels))
-            yield slice(lo, hi), block
+    kxT = kernel_matrix(model.kernel_x, X_rows, model.x_train)  # exact k_X.T, C order
+    for lo in range(0, S, _IS_CHUNK):
+        hi = min(lo + _IS_CHUNK, S)
+        block = np.empty((kxT.shape[0], hi - lo))
+
+        def fill(b_lo, b_hi, scratch):  # weights into scratch[0], then a GEMM
+            _weights_block(model, a, e, Y_set[lo + b_lo:lo + b_hi], *scratch)
+            np.matmul(kxT, scratch[0], out=block[:, b_lo:b_hi])
+
+        _in_blocks(fill, hi - lo, n, 1 + _WEIGHT_ARRAYS, budget=n * _IS_CHUNK * 8,
+                   gemm_rows=kxT.shape[0])
+        yield slice(lo, hi), block
+        del block  # the caller drops its reference too: one block at a time

@@ -118,6 +118,11 @@ class TestLogPartition:
             ratios.append(single.std_err / pooled.std_err)
         assert 1.2 <= np.mean(ratios) <= 1.7
 
+    def test_no_draws_is_data_error(self, fitted_1d):
+        factor = fitted_1d[0].factors[0]
+        with pytest.raises(DataError, match="at least one draw"):
+            log_partition_from_draws(factor, None, np.empty((0, 1)))
+
     def test_reordering_draws_is_invariant(self, fitted_1d, rng):
         model, _ = fitted_1d
         factor = model.factors[0]
@@ -136,34 +141,40 @@ class TestLogPartition:
         est = log_partition_from_draws(factor, None, draws)
         assert est.log_z == pytest.approx(expect, abs=1e-12)
         # stream 64-draw chunks; 300 draws end on a partial chunk
-        monkeypatch.setattr(
-            evaluation, "cross_T_blocks",
-            lambda m, X, Y: score_fit_mod.cross_T_blocks(m, X, Y, chunk=64))
+        monkeypatch.setattr(score_fit_mod, "_IS_CHUNK", 64)
         log_z, _ = evaluation._log_z_from_draws(factor, np.empty((1, 0)), draws)
         assert log_z[0] == pytest.approx(expect, abs=1e-12)
 
-    def test_memory_does_not_grow_with_draw_count(self):
-        """IS holds k_X (n, R), one (n, chunk) weight buffer and one (R, chunk)
-        block, updated in place.  The traced peak reads 1.17 times their
-        bytes here; three (R, chunk) temporaries per block read 1.31, and
-        weights built from fresh temporaries for every chunk read 4.87."""
+    def test_memory_does_not_grow_with_draw_count(self, monkeypatch):
+        """IS holds k_X (n, R), one (R, chunk) block at a time, updated in
+        place, and each worker's four (n, 128) scratch arrays.  The traced
+        peak reads 1.02 times their bytes on 1 and 2 workers; a second
+        block allocated beside the first read 1.38 and 1.27, and one (n,
+        chunk) weight buffer for the whole call 2.3 and 1.6 times the
+        bound."""
         rng = np.random.default_rng(4)
-        n, R, S, chunk = 1024, 200, 5000, 2048  # chunk: cross_T_blocks' default
+        n, R, S = 1024, 200, 5000
+        chunk = score_fit_mod._IS_CHUNK
         factor = FactorModel(x_train=rng.normal(size=(n, 1)),
                              y_train=rng.normal(size=(n, 1)),
                              kernel_x=GaussianKernelSpec([1.0]),
                              kernel_y=GaussianKernelSpec([1.0]),
                              lam=1e-2, beta=1e-3 * rng.normal(size=n))
         X_rows = rng.normal(size=(R, 1))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            evaluation._partition_for_rows(factor, X_rows, S, seed=0)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * (n * chunk + n * R + R * chunk) * 8
+        for workers in (1, 2):
+            monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+            scratch = score_fit_mod._scratch_bytes(chunk, n, 4, budget=n * chunk * 8,
+                                                   gemm_rows=R)
+            assert scratch == workers * 4 * n * score_fit_mod._CROSS_BLOCK * 8
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                evaluation._partition_for_rows(factor, X_rows, S, seed=0)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * ((n * R + R * chunk) * 8 + scratch), workers
 
     def test_nonfinite_block_raises(self, fitted_1d, monkeypatch):
         factor = fitted_1d[0].factors[0]
@@ -237,6 +248,14 @@ class TestTestLoglik:
                     - np.sum(np.log(ds.column_stds)))
         assert abs(mean_is - log_quad.mean()) < 0.02
 
+    def test_no_test_rows_is_data_error(self, fitted_1d):
+        model, _ = fitted_1d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="at least one test row"):
+                evaluation.test_loglik(model, np.empty((0, model.dim)),
+                                       is_samples=100)
+
     @pytest.mark.parametrize("is_samples", [0, -5])
     def test_nonpositive_is_samples_is_data_error(self, fitted_1d, is_samples):
         model, ds = fitted_1d
@@ -254,8 +273,9 @@ class TestTestLoglik:
         np.testing.assert_array_equal(per_row[:5], per_row[5:])
 
     def test_does_not_depend_on_worker_count(self, monkeypatch):
-        """IS splits each chunk of draws across ``_worker_count`` threads;
-        3 workers split the n = 100 training rows unevenly (33, 33, 34)."""
+        """IS splits each chunk of draws into blocks of 128 draws across
+        ``_worker_count`` threads; the n = 100 training rows times (1 + the
+        20 test rows) are work enough to pool."""
         raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=100, seed=3))
         model = fit_joint(standardize(raw), make_dag("markov", 2),
                           NodeHyperparams(lam=0.02))
@@ -263,7 +283,7 @@ class TestTestLoglik:
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
-            # 3000 draws: a full chunk of two GEMM panels, then a partial one
+            # 3000 draws: a full chunk of 16 blocks, then a partial one of 8
             mean, per_row, stats = evaluation.test_loglik(
                 model, rows, is_samples=3000, seed=7, return_stats=True)
             results.append((mean, per_row,

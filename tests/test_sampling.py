@@ -462,10 +462,12 @@ class TestGridSampler:
         ancestral_sample(joint_model, 5, HmcConfig(burn_in=2))
 
     @pytest.mark.parametrize("sigma_y", [1.0, 50.0])
-    def test_preflight_constant_bounds_the_grid_weights(self, sigma_y):
+    def test_preflight_constant_bounds_the_grid_weights(self, sigma_y, monkeypatch):
         """_GRID_PEAK_OVER_WEIGHTS bounds the traced peak of the grid's
         weights on a typical grid and on the smallest grid that
-        ``_grid_nodes`` builds, where the scratch blocks weigh most."""
+        ``_grid_nodes`` builds, where the scratch blocks weigh most.  At n =
+        1024 the fill pools: on 1 worker it holds three scratch blocks, on
+        2 the scratch that ``_scratch_bytes`` counts for both workers."""
         rng = np.random.default_rng(5)
         n = 1024
         model = FactorModel(x_train=rng.normal(size=(n, 1)),
@@ -474,18 +476,25 @@ class TestGridSampler:
                             kernel_y=GaussianKernelSpec([sigma_y]),
                             lam=1e-2, beta=rng.normal(size=n))
         grid = _grid_nodes(model)[:, None]
+        G = grid.shape[0]
         if sigma_y > 1.0:  # the node count's floor of 129 is below two blocks
-            assert grid.shape[0] < 2 * _CROSS_BLOCK
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _cross_weights(model, grid)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        need = n * (grid.shape[0] + 3 * _CROSS_BLOCK) * 8
-        assert peak <= sampling_mod._GRID_PEAK_OVER_WEIGHTS * need
+            assert G < 2 * _CROSS_BLOCK
+        for workers in (1, 2):
+            monkeypatch.setattr(score_fit, "_worker_count", lambda: workers)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _cross_weights(model, grid)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            if workers == 1:
+                need = n * (G + 3 * _CROSS_BLOCK) * 8
+            else:
+                need = n * G * 8 + score_fit._scratch_bytes(
+                    G, n, score_fit._WEIGHT_ARRAYS, budget=n * G * 8)
+            assert peak <= sampling_mod._GRID_PEAK_OVER_WEIGHTS * need, workers
 
     @pytest.mark.parametrize("sigma_y", [1.0, 50.0])
     def test_preflight_bounds_the_whole_grid_pass(self, sigma_y, monkeypatch):
@@ -502,19 +511,21 @@ class TestGridSampler:
                             lam=1e-2, beta=1e-3 * rng.normal(size=n))
         rows = 4 * sampling_mod._GRID_ROW_CHUNK  # all distinct
         x_rows, uniforms = rng.normal(size=(rows, 1)), rng.uniform(size=rows)
-        checked = []
-        monkeypatch.setattr(sampling_mod, "_check_memory",
-                            lambda need, *_: checked.append(need))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _grid_pass(model, x_rows, uniforms)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert len(checked) == 1
-        assert peak <= checked[0]
+        for workers in (1, 2):  # the weights' fill pools at n = 1024
+            monkeypatch.setattr(score_fit, "_worker_count", lambda: workers)
+            checked = []
+            monkeypatch.setattr(sampling_mod, "_check_memory",
+                                lambda need, *_: checked.append(need))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _grid_pass(model, x_rows, uniforms)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert len(checked) == 1
+            assert peak <= checked[0], workers
 
     def test_tiny_y_bandwidth_is_rejected_before_allocating(self, monkeypatch):
         monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 2**36)

@@ -716,10 +716,11 @@ class TestDerivativesOfT:
 
 
 class TestCrossTBlocks:
-    def test_matches_brute_force_at_every_pair(self, rng):
+    def test_matches_brute_force_at_every_pair(self, rng, monkeypatch):
         model = fit_random(rng, n=7, d=2, p=2, lam=0.15)
         X_rows, Y_set = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
-        blocks = list(cross_T_blocks(model, X_rows, Y_set, chunk=2))
+        monkeypatch.setattr(score_fit_mod, "_IS_CHUNK", 2)
+        blocks = list(cross_T_blocks(model, X_rows, Y_set))
         assert [sl for sl, _ in blocks] == [slice(0, 2), slice(2, 4), slice(4, 5)]
         full = np.hstack([block for _, block in blocks])
         assert full.shape == (3, 5)
@@ -755,15 +756,17 @@ class TestCrossWeights:
     @pytest.mark.parametrize("chunk", [300, 2048])
     @pytest.mark.parametrize("p", [0, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_cross_T_blocks_are_gemms_of_the_reference(self, rng, d, p, chunk):
+    def test_cross_T_blocks_are_gemms_of_the_reference(self, rng, monkeypatch,
+                                                       d, p, chunk):
         model = fit_random(rng, n=9, d=d, p=p, lam=0.05)
         S = 2 * chunk + 41  # the last chunk is partial, and so is its last block
         X_rows, Y_set = rng.normal(size=(4, p)), 2.0 * rng.normal(size=(S, d))
         ref = self.reference(model, Y_set)
         kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
-        # collected first: a block that aliased the reused weight buffer
+        monkeypatch.setattr(score_fit_mod, "_IS_CHUNK", chunk)
+        # collected first: a block that aliased scratch reused across chunks
         # would be overwritten by the chunks after it
-        blocks = list(cross_T_blocks(model, X_rows, Y_set, chunk=chunk))
+        blocks = list(cross_T_blocks(model, X_rows, Y_set))
         assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, 2 * chunk),
                                             slice(2 * chunk, S)]
         for sl, block in blocks:
@@ -771,56 +774,81 @@ class TestCrossWeights:
         for (_, first), (_, second) in itertools.combinations(blocks, 2):
             assert not np.shares_memory(first, second)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_row_ranges_fill_the_full_weights(self, rng, d):
-        model = fit_random(rng, n=10, d=d, p=2, lam=0.05)
-        S = score_fit_mod._CROSS_BLOCK + 37  # ends on a partial block
-        Y_set = 2.0 * rng.normal(size=(S, d))
-        full = _cross_weights(model, Y_set)
-        for parts in (1, 2, 3):  # 3 parts of n = 10 rows: 3, 3 and 4
-            ranges = score_fit_mod._even_slices(model.n, parts)
-            assert np.array_equal(np.r_[tuple(ranges)], np.arange(model.n))
-            out = np.full((model.n, S), np.nan)
-            for rows in ranges:
-                _cross_weights(model, Y_set, out, rows)
-            assert np.array_equal(out, full)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cross_T_blocks_do_not_depend_on_worker_count(self, rng, monkeypatch,
                                                           d, workers):
+        """Each chunk of draws is one ``_in_blocks`` call over its blocks of
+        ``_CROSS_BLOCK`` draws, on as many threads as the CPUs, the blocks
+        and a budget of one (n, _IS_CHUNK) array allow: 4 scratch arrays
+        per worker, so at most 4 workers for blocks of 128 and 3 for the
+        joined block of 129."""
         model = fit_random(rng, n=10, d=d, p=2, lam=0.05)
-        chunk, panel = 2048, score_fit_mod._GEMM_PANEL
-        S = chunk + panel + 41  # the last chunk is partial and has two panels
+        chunk = score_fit_mod._IS_CHUNK
+        S = chunk + 2 * score_fit_mod._CROSS_BLOCK + 1  # the last block is joined
         X_rows, Y_set = rng.normal(size=(4, 2)), 2.0 * rng.normal(size=(S, d))
         ref = self.reference(model, Y_set)
         kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
+        monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
-        filled = []
-        real = score_fit_mod._cross_weights
+        calls, pools = [], []
+        real_in_blocks = score_fit_mod._in_blocks
+        real_pool = score_fit_mod.ThreadPoolExecutor
 
-        def recording(model, Y_set, out, rows):
-            filled.append(rows)
-            return real(model, Y_set, out, rows)
+        def recording_in_blocks(work, size, *args, **kwargs):
+            done = []
+            calls.append((size, done))
+            real_in_blocks(lambda lo, hi, scratch: (done.append((lo, hi)),
+                                                    work(lo, hi, scratch)),
+                           size, *args, **kwargs)
 
-        monkeypatch.setattr(score_fit_mod, "_cross_weights", recording)
-        blocks = list(cross_T_blocks(model, X_rows, Y_set, chunk=chunk))
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(score_fit_mod, "_in_blocks", recording_in_blocks)
+        monkeypatch.setattr(score_fit_mod, "ThreadPoolExecutor", recording_pool)
+        blocks = list(cross_T_blocks(model, X_rows, Y_set))
         assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, S)]
         for sl, block in blocks:
             assert np.array_equal(block, kx.T @ ref[:, sl])
-        # each chunk fills the buffer once per worker, in any order
-        assert sorted(filled) == sorted(2 * score_fit_mod._even_slices(model.n, workers))
+        # every block of each chunk once, in any order
+        assert [size for size, _ in calls] == [chunk, S - chunk]
+        for size, done in calls:
+            assert sorted(done) == score_fit_mod._blocks(size)
+        assert pools == {1: [], 2: [2, 2], 3: [3, 2], 8: [4, 2]}[workers]
+
+    def test_pooling_follows_the_work_of_a_block(self, rng, monkeypatch):
+        """A block's work is its n training rows times (1 + the R rows of its
+        GEMM): at n = 500 the 500 rows of a test set reach ``_POOL_ROWS``
+        and pool, one conditioning row (a parentless node) does not."""
+        model = fit_random(rng, n=500, d=1, p=1, lam=0.05)
+        Y_set = rng.normal(size=(300, 1))
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 2)
+        pools = []
+        real = score_fit_mod.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(score_fit_mod, "ThreadPoolExecutor", recording)
+        for R, expect in ((500, [2]), (1, [])):
+            pools.clear()
+            list(cross_T_blocks(model, rng.normal(size=(R, 1)), Y_set))
+            assert pools == expect, R
 
     def test_more_workers_than_cores_under_fast_thread_switching(self, rng,
                                                                  monkeypatch):
-        """Eight workers share one weight buffer and one block while the
-        interpreter switches threads every microsecond; a GEMM panel that
-        read rows not yet filled, or a row or column left unwritten, would
-        change the blocks."""
+        """Four workers (of 8 CPUs, within the budget) share the blocks of
+        each chunk while the interpreter switches threads every
+        microsecond; a GEMM that read weights of another worker's block, or
+        a column left unwritten, would change the blocks."""
         model = fit_random(rng, n=20, d=2, p=2, lam=0.05)
         X_rows, Y_set = rng.normal(size=(5, 2)), 2.0 * rng.normal(size=(3000, 2))
         ref = self.reference(model, Y_set)
         kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
+        monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 8)
         blocks = []
         interval = sys.getswitchinterval()
@@ -857,6 +885,21 @@ class TestWorkerCount:
         assert score_fit_mod._blocks(300) == [(0, 128), (128, 256), (256, 300)]
         monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", 1)
         assert score_fit_mod._blocks(3) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_block_plan_counts_the_blocks_by_arithmetic(self, monkeypatch):
+        """With a CPU for every block, ``_block_plan`` gives one worker per
+        block of ``_blocks`` and their widest block, from the sizes alone:
+        ``_blocks(131)`` is 2 blocks, so 2 workers."""
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 10**6)
+        for block in (128, 3, 1):
+            monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", block)
+            for size in (1, 2, 3, 4, 7, 127, 128, 129, 130, 131, 256, 257, 300, 2177):
+                blocks = score_fit_mod._blocks(size)
+                plan = (len(blocks), max(hi - lo for lo, hi in blocks))
+                assert score_fit_mod._block_plan(size, 1, 1) == plan, (block, size)
+                assert (score_fit_mod._scratch_bytes(size, 3, 2)
+                        == plan[0] * 2 * 3 * plan[1] * 8)
+        assert score_fit_mod._block_plan(0, 1, 1) == (1, 0)
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("d", [1, 2])
