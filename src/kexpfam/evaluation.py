@@ -5,13 +5,14 @@ log-likelihoods, cross-validation over hyperparameter grids, and a score
 The importance-sampling proposal is the base density itself, making the
 normalizer estimate a plain Monte Carlo average of exp(T) under q0.  The
 draws are seeded per (seed, node index), so repeated evaluation is
-deterministic; nothing is kept between calls.
+deterministic; no state outlives a call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,8 +248,8 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
 
     def score_fold(kx, ky, block) -> list[float]:
         """Held-out score of every lambda on one fold: the fold's system is
-        assembled once and fitted once per lambda, and the held-out kernel
-        pieces are built by the first score and kept for the others."""
+        assembled once and fitted once per lambda, and then every fit is
+        scored on the held-out rows in one pass."""
         mask = np.ones(values.shape[0], dtype=bool)
         mask[block] = False
         x_fit, y_fit = x_all[mask], y_all[mask]
@@ -256,15 +257,16 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
             system = build_gram_system(x_fit, y_fit, kx, ky, base)
         except (NumericalError, FloatingPointError):
             return [math.inf] * len(lambdas)
-        scores, pieces = [], {}
-        for lam in lambdas:
-            try:
-                fitted = fit_factor(x_fit, y_fit, kx, ky, lam, base, system=system)
-                score = empirical_score(fitted, x_all[block], y_all[block], pieces)
-            except (KexpfamError, FloatingPointError):
-                score = math.inf
-            # an overflowed score (nan) would make the pick depend on grid order
-            scores.append(score if math.isfinite(score) else math.inf)
+        scores, fits = [math.inf] * len(lambdas), {}  # a failed fit scores +inf
+        for i, lam in enumerate(lambdas):
+            with suppress(KexpfamError, FloatingPointError):
+                fits[i] = fit_factor(x_fit, y_fit, kx, ky, lam, base, system=system)
+        del system  # G is dropped before the scoring scratch is allocated
+        with np.errstate(all="ignore"):  # an overflow in one fit's score is nan
+            held_out = (empirical_score(list(fits.values()), x_all[block], y_all[block])
+                        if fits else [])
+        for i, score in zip(fits, held_out):  # nan would make the pick order-bound
+            scores[i] = score if math.isfinite(score) else math.inf
         return scores
 
     # one entry per (scale, fold), in that order
@@ -300,9 +302,9 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     as bad input, such as a fold too large for memory, raises DataError.
     Selection is invariant to grid enumeration order.  Each fold's system
     is assembled once per (node, bandwidth scale) and solved for every
-    lambda, which gives the same bits as one fit per grid cell; the
-    held-out kernel pieces are built once per (node, scale, fold) and score
-    every lambda, with the same bits as scoring each fit on its own.
+    lambda, which gives the same bits as one fit per grid cell; then one
+    pass over the held-out rows scores every lambda's fit, with the same
+    bits as scoring each fit on its own.
     """
     config = config if config is not None else CvConfig()
     base = base if base is not None else BaseDensity()
@@ -317,15 +319,14 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
         raise DataError(f"need at least {config.folds} rows for {config.folds}-fold CV")
     perm = np.random.default_rng(config.seed).permutation(n)
     fold_blocks = np.array_split(perm, config.folds)
-    # A fold's lambda loop holds G (with the slack of _PEAK_OVER_GRAM) and
-    # the held-out pieces, 1 + 4 d^2 (n_fit, R) arrays with d = 1 per factor,
-    # for its whole length.  Beside them, each solve holds its work array and
-    # each score the (n_fit, width) scratch arrays of every worker of
-    # _pair_sums, whichever is larger.
+    # A fold holds G (with the slack of _PEAK_OVER_GRAM) and, in turn, the
+    # workers' scratch of its assembly, a solve's work array and the scratch
+    # of the scoring pass (d = 1 per factor), where G's bytes are slack.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
     gram = n_fit * n_fit * 8
-    scratch = _scratch_bytes(R, n_fit, _block_arrays(1))
-    _check_memory((_PEAK_OVER_GRAM - 1) * gram + max(gram, scratch) + 5 * n_fit * R * 8,
+    assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1), budget=gram)
+    scoring = _scratch_bytes(R, n_fit, _block_arrays(1, len(config.lambda_grid)))
+    _check_memory((_PEAK_OVER_GRAM - 1) * gram + max(gram, assembly, scoring),
                   f"cross-validation with folds of {n_fit} training rows",
                   "use fewer rows")
     nodes = tuple(

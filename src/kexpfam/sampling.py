@@ -28,7 +28,7 @@ _TRIAL_CAP = 1_000_000
 # each computed over the whole chunk at once.
 _GRID_ROW_CHUNK = 256
 # Peak bytes of _grid_pass over those of its (n, G) weights plus the larger
-# of their fill's scratch (_scratch_bytes) and 8 (2 C n + 2 C G) bytes, with
+# of their scratch (_scratch_bytes) and 8 (2 C n + 2 C G) bytes, with
 # C = _GRID_ROW_CHUNK: a chunk's k_X (kernel_matrix's result and scratch)
 # and its density and CDF, of which k_X is dropped before the CDF and all
 # before the next chunk.  With 1000 distinct rows, tracemalloc reads 0.77-
@@ -185,7 +185,7 @@ def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
 
     total_iters = config.burn_in + config.thin * samples_per_chain
     out = np.empty((C, samples_per_chain, d))
-    n_kept = 0
+    n_out = 0
     accepted = 0
     for t in range(total_iters):
         p0 = np.vstack([rng.normal(size=d) for rng in rngs])
@@ -201,8 +201,8 @@ def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
         U[accept] = U_prop[accept]
         accepted += int(np.sum(accept))
         if t >= config.burn_in and (t - config.burn_in + 1) % config.thin == 0:
-            out[:, n_kept, :] = y
-            n_kept += 1
+            out[:, n_out, :] = y
+            n_out += 1
     accept_rate = accepted / (total_iters * C) if total_iters else 1.0
     return out, accept_rate
 
@@ -238,7 +238,7 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     scale on which T varies).  Its spacing is at most sigma_y / 8 and its
     node count is odd, so the even nodes form a grid of spacing at most
     sigma_y / 4.  Raises DataError before allocating when ``_grid_pass``,
-    its (n, nodes) weights and either their fill's scratch or a chunk of
+    its (n, nodes) weights and either their scratch or a chunk of
     k_X rows and the chunk's (rows, nodes) density and CDF, cannot fit in
     physical memory, as with a tiny sigma_y.
     """
@@ -248,9 +248,9 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
     weights = 8 * factor.n * nodes
-    fill = _scratch_bytes(nodes, factor.n, _WEIGHT_ARRAYS, budget=weights)
+    scratch = _scratch_bytes(nodes, factor.n, _WEIGHT_ARRAYS, budget=weights)
     chunk = 16 * _GRID_ROW_CHUNK * (factor.n + nodes)
-    _check_memory(_GRID_PEAK_OVER_WEIGHTS * (weights + max(fill, chunk)),
+    _check_memory(_GRID_PEAK_OVER_WEIGHTS * (weights + max(scratch, chunk)),
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")

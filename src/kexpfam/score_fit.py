@@ -14,7 +14,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -93,6 +93,8 @@ def _as_x_row(x, p: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != p:
         raise DataError(f"conditioning point has dimension {x.size}, expected {p}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("evaluation points must be finite")
     return x[None, :]
 
 
@@ -199,22 +201,25 @@ def _model_coeffs(model: FactorModel):
     return model.beta2d + e * model.base.grad_log(model.y_train), e
 
 
-def _weight(V, s2, a, e, j: int, q: int, out, term, extra, tmp, kept=None,
-            fill=False):
-    """sum_l a[b,l] * mixed(l,1; j,q) + e * mixed(l,2; j,q), elementwise over
-    (train, eval), written into ``out``.  T, its y-partials, xi_hat and h are
-    all sums sum_b k_X(X_b, x) * k_Y(Y_b, y) * weight that differ only in the
-    per-sample coefficients a (n, d) and the scalar e.  V[l] holds
-    (Y_b - y)_l / s2_l; ``term`` (only used when d > 1), ``extra`` and
-    ``tmp`` are scratch of out's shape.  ``kept`` may carry the mixed
-    prefactors, kept[l, p - 1] = mixed(l,p; j,q), which are read in place of
-    V, or first written there from V with ``fill``."""
-    for l in range(a.shape[1]):
+def _prefactors(V, s2, j: int, q: int, pairs, tmp):
+    """Yield the pair (mixed(l,1; j,q), mixed(l,2; j,q)) of each dimension l,
+    written into ``pairs[l]`` once the pair before is taken, so that one use
+    may pass ``_weight``'s own [(out, extra)] + [(term, extra)] * (d - 1).
+    V[l] holds (Y_b - y)_l / s2_l and ``tmp`` is scratch."""
+    for l, (f1, f2) in enumerate(pairs):
+        _mixed_factor(V[l], s2[l], 1, V[j], s2[j], q, l == j, f1, tmp)
+        _mixed_factor(V[l], s2[l], 2, V[j], s2[j], q, l == j, f2, tmp)
+        yield f1, f2
+
+
+def _weight(F, a, e, out, term, extra):
+    """sum_l a[b,l] * f1_l + e * f2_l over the prefactor pairs (f1_l, f2_l) of
+    F, elementwise over (train, eval), into ``out``.  T, its y-partials,
+    xi_hat and h are all sums sum_b k_X(X_b, x) * k_Y(Y_b, y) * weight that
+    differ only in the per-sample coefficients a (n, d) and the scalar e.
+    ``term`` (only used when d > 1) and ``extra`` are scratch of out's shape."""
+    for l, (f1, f2) in enumerate(F):
         t = out if l == 0 else term
-        f1, f2 = (t, extra) if kept is None else kept[l]
-        if kept is None or fill:
-            _mixed_factor(V[l], s2[l], 1, V[j], s2[j], q, l == j, f1, tmp)
-            _mixed_factor(V[l], s2[l], 2, V[j], s2[j], q, l == j, f2, tmp)
         np.multiply(a[:, l, None], f1, out=t)
         np.multiply(e, f2, out=extra)
         np.add(t, extra, out=t)
@@ -223,62 +228,52 @@ def _weight(V, s2, a, e, j: int, q: int, out, term, extra, tmp, kept=None,
     return out
 
 
-def _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
-               want_value=True, want_grad=False, want_second=False, kx_pair=None,
-               pieces=None):
-    """Kernel sums with coefficients (a, e) and their first/second y-partials
-    at paired rows (X_eval[r], Y_eval[r]).  Returns (value (R,), grad (R, d),
-    second (R, d)), None where not wanted.
+def _pair_sums(x_train, y_train, kernel_x, kernel_y, coeffs, X_eval, Y_eval,
+               want_value=True, want_grad=False, want_second=False, kx_pair=None):
+    """Kernel sums with each coefficient pair (a, e) of ``coeffs`` and their
+    first/second y-partials at paired rows (X_eval[r], Y_eval[r]).  Returns
+    one (value (R,), grad (R, d), second (R, d)) per pair, None where not
+    wanted.
 
-    The rows go through ``_in_blocks``: each block of rows is computed in
-    reused scratch by the same operations as the whole call at once, so
-    no value depends on the block split or the worker count.
-
-    ``pieces`` may carry a dict shared by calls with the same training set,
-    kernels, evaluation rows and wanted outputs, which differ only in
-    (a, e).  The first call that completes fills it with every block's
-    k_X * k_Y and mixed prefactors, and later calls compute only the (a, e)
-    terms from them, by the same operations in the same order, so the sums
-    are the same bits.  The pieces take one (n, R) array for k_X * k_Y and
-    2 d per wanted sum: 1 + 4 d^2 for ``empirical_score``.
+    The rows go through ``_in_blocks``: each block of rows builds k_X * k_Y,
+    the scaled differences and the prefactors of each sum once in reused
+    scratch, then takes every pair's weights from them.  Each sum comes from
+    the same operations as the whole call for one pair at once, so no value
+    depends on the block split, the worker count or the other pairs.
     """
     n, d = y_train.shape
     s2 = kernel_y.variances
     R = X_eval.shape[0]
-    value = np.empty(R) if want_value else None
-    grad = np.empty((R, d)) if want_grad else None
-    second = np.empty((R, d)) if want_second else None
-    sums = [(value, 0, 0)] if want_value else []
+    results = [(np.empty(R) if want_value else None,
+                np.empty((R, d)) if want_grad else None,
+                np.empty((R, d)) if want_second else None) for _ in coeffs]
+    sums = [(0, 0)] if want_value else []
     for j in range(d):
-        sums += [(grad[:, j], j, 1)] if want_grad else []
-        sums += [(second[:, j], j, 2)] if want_second else []
-    fill = pieces is not None and not pieces
-    kept = pieces
-    if fill:  # allocated here, so that workers allocate nothing large
-        kept = {(lo, hi): (np.empty((n, hi - lo)), np.empty((len(sums), d, 2, n, hi - lo)))
-                for lo, hi in _blocks(R)}
+        sums += [(j, 1)] if want_grad else []
+        sums += [(j, 2)] if want_second else []
+    shared = len(coeffs) > 1
 
     def block(lo, hi, scratch):
         K, Y, W, X, *V = scratch
+        P = [(V.pop(), V.pop()) for _ in range(d)] if shared else None
         T = V.pop() if d > 1 else None
-        K, F = (K, None) if kept is None else kept[lo, hi]
-        if kept is None or fill:
-            if kx_pair is None:
-                kernel_matrix(kernel_x, x_train, X_eval[lo:hi], K, W)
-            kernel_matrix(kernel_y, y_train, Y_eval[lo:hi], Y, W)
-            np.multiply(K if kx_pair is None else kx_pair[:, lo:hi], Y, out=K)
-            for m in range(d):
-                np.subtract(y_train[:, m, None], Y_eval[None, lo:hi, m], out=V[m])
-                np.divide(V[m], s2[m], out=V[m])
-        for k, (out, j, q) in enumerate(sums):
-            f = None if F is None else F[k]
-            np.multiply(K, _weight(V, s2, a, e, j, q, W, T, X, Y, f, fill), out=W)
-            np.sum(W, axis=0, out=out[lo:hi])
+        pairs = P or [(W, X)] + [(T, X)] * (d - 1)  # one model: _weight's arrays
+        if kx_pair is None:
+            kernel_matrix(kernel_x, x_train, X_eval[lo:hi], K, W)
+        kernel_matrix(kernel_y, y_train, Y_eval[lo:hi], Y, W)
+        np.multiply(K if kx_pair is None else kx_pair[:, lo:hi], Y, out=K)
+        for m in range(d):
+            np.subtract(y_train[:, m, None], Y_eval[None, lo:hi, m], out=V[m])
+            np.divide(V[m], s2[m], out=V[m])
+        for j, q in sums:
+            F = _prefactors(V, s2, j, q, pairs, Y)
+            F = list(F) if shared else F  # every pair's weights read the list
+            for (a, e), res in zip(coeffs, results):
+                np.multiply(K, _weight(F, a, e, W, T, X), out=W)
+                np.sum(W, axis=0, out=(res[0] if q == 0 else res[q][:, j])[lo:hi])
 
-    _in_blocks(block, R, n, _block_arrays(d))
-    if fill:
-        pieces.update(kept)
-    return value, grad, second
+    _in_blocks(block, R, n, _block_arrays(d, len(coeffs)))
+    return results
 
 
 def _physical_memory_bytes() -> int | None:
@@ -346,7 +341,8 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
                 np.multiply(K, W, out=G[i::d, lo * d + j:hi * d:d])
         np.multiply(K, Y, out=K)  # now k_X * k_Y
         for j in range(d):
-            np.multiply(K, _weight(V, s2, a, e, j, 1, W, T, X, Y), out=W)
+            F = _prefactors(V, s2, j, 1, [(W, X)] + [(T, X)] * (d - 1), Y)
+            np.multiply(K, _weight(F, a, e, W, T, X), out=W)
             np.sum(W, axis=0, out=h[lo:hi, j])
 
     _in_blocks(block, n, n, _block_arrays(d), budget=G.nbytes)
@@ -379,9 +375,9 @@ def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,
         raise DataError(f"derivative dimension {j} out of range")
     X_eval = _as_x_row(x, x_train.shape[1])
     Y_eval = _as_x_row(y, y_train.shape[1])
-    a, e = _xi_coeffs(y_train, base)
-    sums = _pair_sums(x_train, y_train, kernel_x, kernel_y, a, e, X_eval, Y_eval,
-                      want_value=q == 0, want_grad=q == 1, want_second=q == 2)
+    [sums] = _pair_sums(x_train, y_train, kernel_x, kernel_y,
+                        [_xi_coeffs(y_train, base)], X_eval, Y_eval,
+                        want_value=q == 0, want_grad=q == 1, want_second=q == 2)
     return float(sums[0][0] if q == 0 else sums[q][0, j])
 
 
@@ -480,34 +476,24 @@ def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
 
 def _T_terms(model: FactorModel, X_eval: np.ndarray, Y_eval: np.ndarray,
              want_value=True, want_grad=False, want_second=False,
-             kx_pair: np.ndarray | None = None, pieces: dict | None = None):
+             kx_pair: np.ndarray | None = None):
     """Natural parameter and its first/second y-partials at paired rows.
 
     X_eval is (R, p), Y_eval is (R, d); entry r of each output refers to the
     pair (X_eval[r], Y_eval[r]).  ``kx_pair`` may carry a precomputed
     conditioning-kernel matrix of shape (n, R) (reused across leapfrog steps,
-    where x stays fixed), and ``pieces`` the cache of ``_pair_sums``.
-    Returns (value (R,), grad (R, d), second (R, d)), with None for outputs
-    not requested.
+    where x stays fixed).  Returns (value (R,), grad (R, d), second (R, d)),
+    with None for outputs not requested.
     """
-    a, e = _model_coeffs(model)
-    return _pair_sums(model.x_train, model.y_train, model.kernel_x, model.kernel_y,
-                      a, e, X_eval, Y_eval, want_value=want_value,
-                      want_grad=want_grad, want_second=want_second, kx_pair=kx_pair,
-                      pieces=pieces)
-
-
-def _pair_eval_arrays(model: FactorModel, x, y):
-    X_eval = _as_x_row(x, model.p)
-    Y_eval = _as_x_row(y, model.d)
-    if not (np.all(np.isfinite(X_eval)) and np.all(np.isfinite(Y_eval))):
-        raise DataError("evaluation points must be finite")
-    return X_eval, Y_eval
+    [sums] = _pair_sums(model.x_train, model.y_train, model.kernel_x, model.kernel_y,
+                        [_model_coeffs(model)], X_eval, Y_eval, want_value=want_value,
+                        want_grad=want_grad, want_second=want_second, kx_pair=kx_pair)
+    return sums
 
 
 def eval_T(model: FactorModel, x, y) -> float:
     """Evaluate the fitted natural parameter T(x, y)."""
-    X_eval, Y_eval = _pair_eval_arrays(model, x, y)
+    X_eval, Y_eval = _as_x_row(x, model.p), _as_x_row(y, model.d)
     value, _, _ = _T_terms(model, X_eval, Y_eval, want_value=True)
     v = float(value[0])
     if not np.isfinite(v):
@@ -517,14 +503,14 @@ def eval_T(model: FactorModel, x, y) -> float:
 
 def grad_y_T(model: FactorModel, x, y) -> np.ndarray:
     """All first-order y-partials of T at (x, y), shape (d,)."""
-    X_eval, Y_eval = _pair_eval_arrays(model, x, y)
+    X_eval, Y_eval = _as_x_row(x, model.p), _as_x_row(y, model.d)
     _, grad, _ = _T_terms(model, X_eval, Y_eval, want_value=False, want_grad=True)
     return grad[0].copy()
 
 
 def laplacian_terms_T(model: FactorModel, x, y) -> tuple[np.ndarray, np.ndarray]:
     """First and pure-second y-partials of T at (x, y): (grad (d,), second (d,))."""
-    X_eval, Y_eval = _pair_eval_arrays(model, x, y)
+    X_eval, Y_eval = _as_x_row(x, model.p), _as_x_row(y, model.d)
     _, grad, second = _T_terms(model, X_eval, Y_eval,
                                want_value=False, want_grad=True, want_second=True)
     return grad[0].copy(), second[0].copy()
@@ -543,8 +529,7 @@ def unnorm_logpdf_rows(model: FactorModel, X_eval, Y_eval) -> np.ndarray:
     return model.base.log_pdf_rows(Y_eval) + value
 
 
-def empirical_score(model: FactorModel, x_eval, y_eval,
-                    pieces: dict | None = None) -> float:
+def empirical_score(model, x_eval, y_eval):
     """Empirical score objective of the fitted parameter on evaluation rows.
 
     The per-row, per-dimension contribution is
@@ -552,25 +537,37 @@ def empirical_score(model: FactorModel, x_eval, y_eval,
     rows.  Usable on held-out data as a cross-validation criterion; lower is
     better, and the minimizer on its own training set is always <= 0.
 
-    ``pieces`` may carry one dict for every call on the same evaluation rows
-    with models that share the training set and kernels (one held-out block
-    of cross-validation, scored for each lambda); the first call keeps the
-    kernel values and prefactors there, and later calls reuse them, with
-    the same result bit for bit.
+    ``model`` may also be a list of models that share the training rows,
+    kernels and base density, such as one cross-validation fold's fit for
+    each lambda.  The rows are then scored for all of them in one pass of
+    ``_pair_sums``, and the result is a list with one score per model, each
+    bit for bit the score of that model alone.
     """
+    many = isinstance(model, (list, tuple))
+    models = list(model) if many else [model]
+    if not models:
+        raise DataError("empirical score needs at least one model")
+    setups = [(m.x_train, m.y_train, *map(astuple, (m.kernel_x, m.kernel_y, m.base)))
+              for m in models]
+    if not all(np.array_equal(u, v) for s in setups[1:] for u, v in zip(s, setups[0])):
+        raise DataError("models scored together must share their training rows, "
+                        "kernels and base density")
+    first = models[0]
     X_eval = _as_matrix(x_eval, "x_eval")
     Y_eval = _as_matrix(y_eval, "y_eval")
     if X_eval.shape[0] != Y_eval.shape[0]:
         raise DataError("x_eval and y_eval must have the same number of rows")
     if X_eval.shape[0] < 1:
         raise DataError("empirical score needs at least one evaluation row")
-    if X_eval.shape[1] != model.p or Y_eval.shape[1] != model.d:
+    if X_eval.shape[1] != first.p or Y_eval.shape[1] != first.d:
         raise DataError("evaluation rows do not match the model's dimensions")
-    _, grad, second = _T_terms(model, X_eval, Y_eval, want_value=False,
-                               want_grad=True, want_second=True, pieces=pieces)
-    c = model.base.grad_log(Y_eval)
-    per_row = np.sum(0.5 * grad**2 + second + c * grad, axis=1)
-    return float(np.mean(per_row))
+    sums = _pair_sums(first.x_train, first.y_train, first.kernel_x, first.kernel_y,
+                      [_model_coeffs(m) for m in models], X_eval, Y_eval,
+                      want_value=False, want_grad=True, want_second=True)
+    c = first.base.grad_log(Y_eval)
+    scores = [float(np.mean(np.sum(0.5 * grad**2 + second + c * grad, axis=1)))
+              for _, grad, second in sums]
+    return scores if many else scores[0]
 
 
 def _weights_block(model: FactorModel, a, e, Y_block: np.ndarray, out, kb, vb, tb):
@@ -644,12 +641,13 @@ def _blocks(size: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _block_arrays(d: int) -> int:
+def _block_arrays(d: int, models: int = 1) -> int:
     """Scratch arrays per worker of ``build_gram_system`` and ``_pair_sums``
     for a d-dimensional y: k_X, k_Y, two products, one (Y_b - y) / s2 per
-    dimension and, only when d > 1, the term that ``_weight`` adds for each
-    dimension after the first."""
-    return d + 4 + (d > 1)
+    dimension, only when d > 1 the term that ``_weight`` adds for each
+    dimension after the first and, only for more than one model, the two
+    prefactors of each dimension that every model reads."""
+    return d + 4 + (d > 1) + 2 * d * (models > 1)
 
 
 def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
@@ -704,7 +702,7 @@ def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
         try:
             # C-contiguous (rows, width) views, also for a partial block, so
             # that every ufunc runs the loop it runs on a fresh array
-            work(lo, hi, [row[:rows * (hi - lo)].reshape(rows, hi - lo) for row in buf])
+            work(lo, hi, list(buf[:, :rows * (hi - lo)].reshape(arrays, rows, hi - lo)))
         finally:
             free.put(buf)
 
@@ -732,11 +730,11 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
         hi = min(lo + _IS_CHUNK, S)
         block = np.empty((kxT.shape[0], hi - lo))
 
-        def fill(b_lo, b_hi, scratch):  # weights into scratch[0], then a GEMM
+        def gemm_block(b_lo, b_hi, scratch):  # weights into scratch[0], then a GEMM
             _weights_block(model, a, e, Y_set[lo + b_lo:lo + b_hi], *scratch)
             np.matmul(kxT, scratch[0], out=block[:, b_lo:b_hi])
 
-        _in_blocks(fill, hi - lo, n, 1 + _WEIGHT_ARRAYS, budget=n * _IS_CHUNK * 8,
+        _in_blocks(gemm_block, hi - lo, n, 1 + _WEIGHT_ARRAYS, budget=n * _IS_CHUNK * 8,
                    gemm_rows=kxT.shape[0])
         yield slice(lo, hi), block
         del block  # the caller drops its reference too: one block at a time

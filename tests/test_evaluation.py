@@ -489,38 +489,51 @@ class TestCrossValidate:
         # k_X and k_Y per (node, scale, fold), for the block and the assembly
         assert counts == [(nodes * scales * folds * 2, nodes * scales * folds * 4)] * 2
 
-    def test_lambda_loop_peak_stays_within_the_preflight(self):
-        """tracemalloc's peak over CV at 5 folds of n_fit = 800 training rows
-        (one worker: below _POOL_ROWS) against the fold's Gram: each
-        (scale, fold) lambda loop holds G, the held-out pieces (5 * R / n_fit
-        = 1.25 Grams at d = 1) and, in each solve, the work array, or in each
-        score the worker's scratch (0.96 Grams).  Measured 3.275; the bound
-        is the pre-flight's count, _PEAK_OVER_GRAM + 1.25 = 3.45."""
+    def test_lambda_loop_peak_stays_within_the_preflight(self, monkeypatch):
+        """tracemalloc's peak over CV against the fold's Gram, at 5 folds of
+        n_fit = 800 training rows and at 2 folds of 500 (one worker: below
+        _POOL_ROWS).  Each (scale, fold) holds G and, in turn, the assembly's
+        five (n_fit, 128) scratch arrays, the solve's work array and, after
+        G is dropped, the scoring pass's seven (1.12 and 1.79 Grams).  The
+        bound is the pre-flight's count, G with the slack of _PEAK_OVER_GRAM
+        plus the largest of these: 2.32 and 2.99 Grams, where the held-out
+        pieces kept across lambdas counted 3.45 and 7.48.  Measured 2.03 (the
+        solve) and 2.38 (the assembly)."""
+        counted = []
+        real = evaluation._check_memory
+        monkeypatch.setattr(evaluation, "_check_memory",
+                            lambda need, *args: (counted.append(need),
+                                                 real(need, *args)))
         data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=1000,
                                                                    seed=4)))
-        config = CvConfig(folds=5, lambda_grid=(0.01, 0.1, 1.0),
-                          bandwidth_scale_grid=(1.0,), seed=1)
-        n_fit, R = 800, 200
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            cross_validate(data, make_dag("markov", 2), config)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        gram = n_fit * n_fit * 8
-        assert peak <= (score_fit_mod._PEAK_OVER_GRAM + 5 * R / n_fit) * gram
+        for folds, n_fit in ((5, 800), (2, 500)):
+            config = CvConfig(folds=folds, lambda_grid=(0.01, 0.1, 1.0),
+                              bandwidth_scale_grid=(1.0,), seed=1)
+            gram = n_fit * n_fit * 8
+            scoring = 7 * n_fit * 128 * 8  # R = 200 and 500: 128-column blocks
+            # the assembly's five arrays weigh less than the scoring pass's seven
+            count = (score_fit_mod._PEAK_OVER_GRAM - 1) * gram + max(gram, scoring)
+            counted.clear()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                cross_validate(data, make_dag("markov", 2), config)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert counted == [count]
+            assert peak <= count, (folds, peak / gram)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_preflight_counts_the_scratch_of_every_worker(self, monkeypatch,
                                                           workers):
         """At 5 folds of n_fit = 1040 training rows (enough for the pool),
-        the held-out score's workers each hold five (n_fit, 128) scratch
-        arrays at d = 1 beside G and the pieces: 1.23 Grams on 2 workers,
-        more than a solve's work array.  The pre-flight counts at least the
-        traced peak (measured 3.27 of its 3.45 Grams on 1 worker, 3.52 of
-        3.68 on 2)."""
+        the workers of the assembly each hold five (n_fit, 128) scratch
+        arrays at d = 1 beside G, 1.23 Grams on 2 workers, and those of the
+        scoring pass seven, 1.72 Grams; both are more than a solve's work
+        array.  The pre-flight counts at least the traced peak (measured
+        2.02 of its 2.2 Grams on 1 worker, 2.28 of 2.92 on 2)."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         counted = []
         real = evaluation._check_memory
@@ -543,22 +556,36 @@ class TestCrossValidate:
         assert len(counted) == 1
         assert peak <= counted[0]
 
-    def test_preflight_counts_the_held_out_pieces(self, small_grid, monkeypatch):
-        """Memory for a fit of the largest fold (2.2 Grams) but not for the
-        pieces beside it is a data error before any assembly."""
-        n_fit, R = 80, 40
-        have = score_fit_mod._PEAK_OVER_GRAM * n_fit**2 * 8 + 5 * n_fit * R * 8 - 8
-        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: have)
-        monkeypatch.setattr(evaluation, "build_gram_system", None)
-        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1),
+    def test_preflight_counts_the_held_out_pieces(self, monkeypatch):
+        """The held-out pieces live in the scoring pass's worker scratch:
+        k_X * k_Y, the scaled differences and, for more than one lambda, the
+        prefactors that every lambda reads, seven (n_fit, 128) arrays at
+        d = 1.  At 2 folds of n_fit = 150 they outweigh G with its slack and
+        the assembly's five arrays, so memory for all but 8 of the counted
+        bytes is a data error before any assembly, and the count itself is
+        enough."""
+        n_fit = 150
+        need = ((score_fit_mod._PEAK_OVER_GRAM - 1) * n_fit**2 * 8
+                + 7 * n_fit * 128 * 8)
+        data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=300,
+                                                                   seed=4)))
+        config = CvConfig(folds=2, lambda_grid=(0.01, 0.1),
                           bandwidth_scale_grid=(1.0,), seed=2)
-        with pytest.raises(DataError, match="cross-validation with folds of 80"):
-            cross_validate(small_grid, make_dag("markov", 2), config)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need - 8)
+        real_build = evaluation.build_gram_system
+        monkeypatch.setattr(evaluation, "build_gram_system", None)
+        with pytest.raises(DataError, match="cross-validation with folds of 150"):
+            cross_validate(data, make_dag("markov", 2), config)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need)
+        monkeypatch.setattr(evaluation, "build_gram_system", real_build)
+        cross_validate(data, make_dag("markov", 2), config)
 
     def test_overflowing_lambda_scores_infinity_and_stays_in_the_table(self,
                                                                       small_grid):
         """At lambda = 1e-320, h / lambda overflows; the solve raises a
-        NumericalError, so the cell scores +inf instead of crashing CV."""
+        NumericalError, so the cell scores +inf instead of crashing CV.  In
+        the middle of the grid it leaves the other cells, scored in the same
+        pass, bit for bit as in the grid without it."""
         config = CvConfig(folds=2, lambda_grid=(1e-320, 0.01),
                           bandwidth_scale_grid=(1.0,), seed=2)
         result = cross_validate(small_grid, make_dag("markov", 2), config)
@@ -567,6 +594,16 @@ class TestCrossValidate:
             assert scores[1e-320] == (math.inf, math.inf)
             assert all(math.isfinite(s) for s in scores[0.01])
             assert node_result.best_lam == 0.01
+        tables = [
+            cross_validate(small_grid, make_dag("markov", 2),
+                           CvConfig(folds=2, lambda_grid=lambdas,
+                                    bandwidth_scale_grid=(1.0,), seed=2)).nodes
+            for lambdas in ((0.01, 1e-320, 0.1), (0.01, 0.1))]
+        for with_failure, without in zip(*tables):
+            scores = {c.lam: c.fold_scores for c in with_failure.table}
+            assert scores.pop(1e-320) == (math.inf, math.inf)
+            assert scores == {c.lam: c.fold_scores for c in without.table}
+            assert with_failure.best_lam == without.best_lam
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_score_is_never_selected(self):

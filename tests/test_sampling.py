@@ -204,6 +204,13 @@ class TestHmcConditional:
         with pytest.raises(DataError):
             hmc_sample_conditional(grid_conditional, [0.0], 0, HmcConfig())
 
+    def test_non_finite_conditioning_point_is_data_error(self, grid_conditional):
+        """A nan x makes every potential nan; it is bad input, not a
+        numerical failure after a hundred resamplings of y."""
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match="must be finite"):
+                hmc_sample_conditional(grid_conditional, [bad], 10, HmcConfig())
+
 
 def grid_binned_tv(points, bins=20):
     """Total variation between the 2-d histogram of ``points`` and the true

@@ -290,6 +290,12 @@ class TestXiHat:
             assert g == pytest.approx(grad_fd[j], rel=1e-5, abs=1e-8)
             assert s == pytest.approx(sec_fd[j], rel=1e-4, abs=1e-6)
 
+    def test_non_finite_point_is_data_error(self, rng):
+        X, Y, kx, ky, _ = random_instance(rng, 3, 2, 1)
+        for x, y in (([np.nan], [0.0, 0.0]), ([0.0], [0.0, np.inf])):
+            with pytest.raises(DataError, match="must be finite"):
+                xi_hat(X, Y, kx, ky, BaseDensity(), x, y)
+
     def test_bad_deriv_request(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 3, 2, 1)
         with pytest.raises(DataError):
@@ -1087,9 +1093,10 @@ class TestEmpiricalScore:
         )
 
 
-class TestKeptPieces:
-    """empirical_score with ``pieces``, as cross-validation scores each
-    lambda of one held-out block, against the call without, bit for bit."""
+class TestScoreList:
+    """empirical_score on a list of models that share their training set,
+    as cross-validation scores each lambda of one held-out block in one
+    pass, against each model scored alone, bit for bit."""
 
     @staticmethod
     def models(rng, n, d, p):
@@ -1102,49 +1109,66 @@ class TestKeptPieces:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_the_uncached_score(self, rng, monkeypatch, d, workers):
+    def test_matches_each_model_alone(self, rng, monkeypatch, d, workers):
         """n = _POOL_ROWS training rows, so two blocks run on two workers;
-        R = 129 is one block with the 1-column remainder joined, R = 257 two."""
+        R = 129 is one block with the 1-column remainder joined, R = 257 two.
+        The list builds each block's k_X and k_Y once for all models."""
         n = score_fit_mod._POOL_ROWS
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         models = self.models(rng, n, d, 2)
-        for R in (129, 257):
-            X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
-            pieces = {}
-            for model in models:
-                expect = score_fit_mod._T_terms(model, X_eval, Y_eval, False, True, True)
-                got = score_fit_mod._T_terms(model, X_eval, Y_eval, False, True, True,
-                                             pieces=pieces)
-                assert got[0] is None
-                assert np.array_equal(got[1], expect[1])
-                assert np.array_equal(got[2], expect[2])
-                assert (empirical_score(model, X_eval, Y_eval, pieces)
-                        == empirical_score(model, X_eval, Y_eval))
-            assert sorted(pieces) == score_fit_mod._blocks(R)
-            K, F = pieces[0, 128 if R == 257 else R]
-            assert K.shape == (n, 128 if R == 257 else R)
-            assert F.shape == (2 * d, d, 2) + K.shape  # 1 + 4 d^2 arrays in all
+        real, calls = score_fit_mod.kernel_matrix, []
 
-    def test_a_failed_call_keeps_nothing(self, rng, monkeypatch):
-        model = self.models(rng, 20, 2, 1)[0]
-        X_eval, Y_eval = rng.normal(size=(30, 1)), rng.normal(size=(30, 2))
-        expect = empirical_score(model, X_eval, Y_eval)
-        real = score_fit_mod._mixed_factor
-        calls = []
-
-        def failing(*args):
+        def counted(*args):
             calls.append(None)
-            if len(calls) == 5:
-                raise FloatingPointError("injected")
             return real(*args)
 
-        monkeypatch.setattr(score_fit_mod, "_mixed_factor", failing)
-        pieces = {}
-        with pytest.raises(FloatingPointError):
-            empirical_score(model, X_eval, Y_eval, pieces)
-        assert pieces == {}
-        assert empirical_score(model, X_eval, Y_eval, pieces) == expect
-        assert len(pieces) == 1
+        monkeypatch.setattr(score_fit_mod, "kernel_matrix", counted)
+        for R in (129, 257):
+            X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
+            alone = [empirical_score(model, X_eval, Y_eval) for model in models]
+            calls.clear()
+            assert empirical_score(models, X_eval, Y_eval) == alone
+            assert len(calls) == 2 * len(score_fit_mod._blocks(R))
+            assert empirical_score(tuple(models[:1]), X_eval, Y_eval) == alone[:1]
+            got = score_fit_mod._pair_sums(
+                models[0].x_train, models[0].y_train, models[0].kernel_x,
+                models[0].kernel_y, [score_fit_mod._model_coeffs(m) for m in models],
+                X_eval, Y_eval, want_value=False, want_grad=True, want_second=True)
+            for model, (value, grad, second) in zip(models, got):
+                expect = score_fit_mod._T_terms(model, X_eval, Y_eval, False, True, True)
+                assert value is None
+                assert np.array_equal(grad, expect[1])
+                assert np.array_equal(second, expect[2])
+
+    def test_a_mixed_list_is_data_error(self, rng):
+        X, Y, kx, ky, _ = random_instance(rng, 20, 1, 2)
+        X_eval, Y_eval = rng.normal(size=(7, 2)), rng.normal(size=(7, 1))
+
+        def model(**changed):
+            args = dict(x_train=X, y_train=Y, kernel_x=kx, kernel_y=ky, lam=0.1,
+                        beta=rng.normal(size=20))
+            return FactorModel(**(args | changed))
+
+        first = model()
+        for other in (model(x_train=X + 1.0), model(y_train=Y[::-1]),
+                      model(kernel_x=GaussianKernelSpec(2.0 * kx.bandwidths)),
+                      model(kernel_y=GaussianKernelSpec(2.0 * ky.bandwidths)),
+                      model(base=BaseDensity(std=1.0)),
+                      model(x_train=X[:, :1], kernel_x=GaussianKernelSpec([1.0]))):
+            with pytest.raises(DataError, match="must share"):
+                empirical_score([first, other], X_eval, Y_eval)
+        # equal kernels built as new objects share the setup
+        same = model(kernel_x=GaussianKernelSpec(kx.bandwidths.copy()),
+                     kernel_y=GaussianKernelSpec(ky.bandwidths.copy()))
+        assert empirical_score([first, same], X_eval, Y_eval) == [
+            empirical_score(first, X_eval, Y_eval), empirical_score(same, X_eval, Y_eval)]
+        constant = [FactorModel(x_train=np.empty((20, 0)), y_train=Y, kernel_x=kernel,
+                                kernel_y=ky, lam=0.1, beta=np.zeros(20))
+                    for kernel in (ConstantKernel(1.0), ConstantKernel(2.0))]
+        with pytest.raises(DataError, match="must share"):
+            empirical_score(constant, np.empty((7, 0)), Y_eval)
+        with pytest.raises(DataError, match="at least one model"):
+            empirical_score([], X_eval, Y_eval)
 
 
 class TestOptimality:
