@@ -63,9 +63,10 @@ _OPENBLAS_LIBS = (
     ("numpy", "libscipy_openblas64_-*", "scipy_openblas_{}_num_threads64_"),
     ("scipy", "libscipy_openblas-*", "scipy_openblas_{}_num_threads"),
 )
-# the HmcConfig fields that ``sample`` takes as flags (--step-size, ...)
+# the HmcConfig fields that ``sample`` takes as flags (--step-size, ...); not
+# chains, since ancestral HMC runs one chain per output row
 _HMC_OPTIONS = (("step_size", float), ("leapfrog_steps", int), ("burn_in", int),
-               ("thin", int), ("chains", int))
+               ("thin", int))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -221,15 +222,14 @@ def _fit_from_args(args, dataset):
             folds=args.folds,
             lambda_grid=_parse_float_list(args.lambda_grid, "--lambda-grid"),
             bandwidth_scale_grid=_parse_float_list(args.scale_grid, "--scale-grid"),
-            seed=args.cv_seed,
+            seed=args.seed,
         )
         cv_result = cross_validate(dataset, dag, cv_config, base)
         hyper = cv_result.hyperparams()
     else:
         if args.lam is None:
             raise DataError("fit requires either --lambda or --cv")
-        hyper = NodeHyperparams(lam=args.lam, x_scale=args.bandwidth_scale,
-                                y_scale=args.bandwidth_scale)
+        hyper = NodeHyperparams(lam=args.lam, scale=args.bandwidth_scale)
     model = fit_joint(dataset, dag, hyper, base)
     return model, cv_result
 
@@ -309,8 +309,7 @@ def _cmd_eval(args, argv) -> int:
         "seed": args.seed,
         "per_node": per_node,
     })
-    rows_path = args.per_row or _sidecar(args.out, ".rows.csv")
-    save_csv(rows_path, per_row[:, None], ["loglik"])
+    save_csv(_sidecar(args.out, ".rows.csv"), per_row[:, None], ["loglik"])
     _write_provenance(args.out, "eval", argv)
     print(f"mean test log-likelihood {mean:.4f} (stderr {stderr:.4f}, "
           f"n={len(per_row)})")
@@ -400,7 +399,9 @@ def _add_fit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda-grid", default=_grid_text(cv_defaults.lambda_grid))
     parser.add_argument("--scale-grid",
                         default=_grid_text(cv_defaults.bandwidth_scale_grid))
-    parser.add_argument("--cv-seed", type=int, default=cv_defaults.seed)
+    parser.add_argument("--seed", type=int, default=cv_defaults.seed,
+                        help="seeds the CV fold split and, in eval, the IS draws "
+                             "and the --curve subsets")
     parser.add_argument("--base-std", type=float, default=BaseDensity().std)
     parser.add_argument("--prune-threshold", type=float, default=None,
                         help="drop one of each column pair correlated above this")
@@ -428,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fit", help="fit a factorized model to a CSV dataset")
     f.add_argument("--data", required=True)
     _add_fit_options(f)
-    f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out-model", required=True)
     f.set_defaults(func=_cmd_fit)
 
@@ -436,9 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model")
     e.add_argument("--test", required=True)
     e.add_argument("--is-samples", type=int, default=10_000)
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", required=True)
-    e.add_argument("--per-row", default=None)
     e.add_argument("--curve", action="store_true",
                    help="refit at n in {200,500,1000,2000} and emit a table")
     e.add_argument("--data", default=None, help="training CSV (with --curve)")
@@ -500,6 +498,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("io", str(exc))
         return 4
+    except MemoryError as exc:  # an allocation that no pre-flight foresaw
+        _emit_error("data", f"out of memory: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -73,43 +73,47 @@ def load_csv(path) -> tuple[np.ndarray, list[str]]:
     """Read a numeric CSV with a header row.
 
     Any missing, non-numeric, or ragged cell aborts the load with an error
-    naming the offending row (1-based file line) and column.
+    naming the offending row (1-based file line) and column; a file that is
+    not UTF-8 text aborts it with an error naming the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        names = [c.strip() for c in header]
-        if not names or any(not c for c in names):
-            raise DataError(f"{path}: header row has empty column names")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}: row {line_no} has {len(row)} cells, "
-                    f"expected {len(names)}"
-                )
-            parsed = []
-            for col, cell in zip(names, row):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            names = [c.strip() for c in header]
+            if not names or any(not c for c in names):
+                raise DataError(f"{path}: header row has empty column names")
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(names):
                     raise DataError(
-                        f"{path}: row {line_no}, column {col!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {line_no}, column {col!r}: "
-                        f"non-finite value {cell!r}"
+                        f"{path}: row {line_no} has {len(row)} cells, "
+                        f"expected {len(names)}"
                     )
-                parsed.append(value)
-            rows.append(parsed)
+                parsed = []
+                for col, cell in zip(names, row):
+                    text = cell.strip()
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {line_no}, column {col!r}: "
+                            f"cannot parse {cell!r} as a number"
+                        ) from None
+                    if not np.isfinite(value):
+                        raise DataError(
+                            f"{path}: row {line_no}, column {col!r}: "
+                            f"non-finite value {cell!r}"
+                        )
+                    parsed.append(value)
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64), names

@@ -109,8 +109,7 @@ class CvResult:
 
     def hyperparams(self) -> list[NodeHyperparams]:
         return [
-            NodeHyperparams(lam=r.best_lam, x_scale=r.best_scale, y_scale=r.best_scale)
-            for r in self.nodes
+            NodeHyperparams(lam=r.best_lam, scale=r.best_scale) for r in self.nodes
         ]
 
 
@@ -360,6 +359,7 @@ def fisher_divergence(p_grad, q_grad, x_samples, y_samples) -> float:
 
 _BUMP_A = (-2.0, -1.0)
 _BUMP_B = (1.0, 2.0)
+_BUMP_GRID = 4096  # points of each bump's inverse-CDF table and of the TV quadrature
 
 
 def _bump_pdf(y, lo, hi):
@@ -389,16 +389,15 @@ def _bump_pdf_deriv(y, lo, hi):
     return np.where(inside, -(2.0 * np.pi / w**2) * np.sin(z), 0.0)
 
 
-def _bump_sample(rng, size, lo, hi, grid_points=4096):
-    grid = np.linspace(lo, hi, grid_points)
+def _bump_sample(rng, size, lo, hi):
+    grid = np.linspace(lo, hi, _BUMP_GRID)
     pdf = _bump_pdf(grid, lo, hi)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
     cdf /= cdf[-1]
     return np.interp(rng.uniform(size=size), cdf, grid)
 
 
-def disjoint_support_demo(n_samples: int = 100_000, seed: int = 0,
-                          quad_points: int = 4096) -> dict:
+def disjoint_support_demo(n_samples: int = 100_000, seed: int = 0) -> dict:
     """Degenerate case for the score divergence.
 
     The conditional density switches between two disjoint-support bumps as
@@ -431,7 +430,7 @@ def disjoint_support_demo(n_samples: int = 100_000, seed: int = 0,
 
     divergence = fisher_divergence(p_grad, q_grad, x[:, None], y[:, None])
 
-    grid = np.linspace(_BUMP_A[0] - 0.5, _BUMP_B[1] + 0.5, quad_points)
+    grid = np.linspace(_BUMP_A[0] - 0.5, _BUMP_B[1] + 0.5, _BUMP_GRID)
     p_a = _bump_pdf(grid, *_BUMP_A)
     mix = 0.5 * (p_a + _bump_pdf(grid, *_BUMP_B))
     diff = np.abs(p_a - mix)

@@ -94,21 +94,20 @@ class NodeHyperparams:
     """Per-node fit settings.
 
     Bandwidths default to the median heuristic of the node's own training
-    columns, optionally rescaled; explicit bandwidth vectors override the
-    heuristic entirely.
+    columns, times ``scale`` for both kernels; an explicit bandwidth vector
+    overrides the heuristic of its kernel entirely.
     """
 
     lam: float = 0.01
     x_bandwidths: np.ndarray | None = None
     y_bandwidths: np.ndarray | None = None
-    x_scale: float = 1.0
-    y_scale: float = 1.0
+    scale: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam <= 0:
             raise DataError("lambda must be positive and finite")
-        if self.x_scale <= 0 or self.y_scale <= 0:
-            raise DataError("bandwidth scales must be positive")
+        if self.scale <= 0:
+            raise DataError("bandwidth scale must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,14 +170,14 @@ def _node_kernels(values: np.ndarray, parents: tuple[int, ...], node: int,
     if hp.y_bandwidths is not None:
         ky = GaussianKernelSpec(np.asarray(hp.y_bandwidths, dtype=np.float64))
     else:
-        ky = GaussianKernelSpec(hp.y_scale * median_heuristic(y_cols))
+        ky = GaussianKernelSpec(hp.scale * median_heuristic(y_cols))
     if not parents:
         return ConstantKernel(1.0), ky
     x_cols = values[:, list(parents)]
     if hp.x_bandwidths is not None:
         kx = GaussianKernelSpec(np.asarray(hp.x_bandwidths, dtype=np.float64))
     else:
-        kx = GaussianKernelSpec(hp.x_scale * median_heuristic(x_cols))
+        kx = GaussianKernelSpec(hp.scale * median_heuristic(x_cols))
     return kx, ky
 
 

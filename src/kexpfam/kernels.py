@@ -17,6 +17,7 @@ from .errors import DataError
 BANDWIDTH_FLOOR = 1e-8
 
 _VALID_ORDERS = (0, 1, 2)
+_MEDIAN_ROWS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,11 +249,11 @@ def partial_matrix(spec: GaussianKernelSpec, A: np.ndarray, B: np.ndarray,
     return _mixed_factor(v_i, s2[i], p, v_j, s2[j], q, same_dim=i == j) * base
 
 
-def median_heuristic(data: np.ndarray, subsample_cap: int = 1000) -> np.ndarray:
+def median_heuristic(data: np.ndarray) -> np.ndarray:
     """Per-dimension median of pairwise absolute coordinate differences.
 
-    Rows are subsampled (deterministically) down to ``subsample_cap`` before
-    forming pairs.  A zero median in some dimension is replaced by the
+    Rows are subsampled (deterministically) down to 1000 before forming
+    pairs.  A zero median in some dimension is replaced by the
     smallest positive median across dimensions, or by 1.0 if every median is
     zero.
 
@@ -269,11 +270,11 @@ def median_heuristic(data: np.ndarray, subsample_cap: int = 1000) -> np.ndarray:
     n = data.shape[0]
     if n < 2:
         raise DataError("median heuristic needs at least two rows")
-    if n > subsample_cap:
+    if n > _MEDIAN_ROWS:
         rng = np.random.default_rng(0)
-        idx = rng.choice(n, size=subsample_cap, replace=False)
+        idx = rng.choice(n, size=_MEDIAN_ROWS, replace=False)
         data = data[np.sort(idx)]
-        n = subsample_cap
+        n = _MEDIAN_ROWS
     # Over a sorted column, s[i+1:] - s[i] for every i are the pairwise
     # absolute differences: the same multiset, so the same median, bit for
     # bit, without gathering the pairs through index arrays.

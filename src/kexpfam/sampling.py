@@ -58,7 +58,8 @@ class HmcConfig:
     Defaults follow the experimental protocol this library reproduces:
     burn-in of 100 iterations, 20 chains, thinning by 10.  The mass matrix
     is the identity and no step-size adaptation is performed, which keeps
-    runs reproducible.
+    runs reproducible.  ``chains`` is read by ``hmc_sample_conditional``
+    alone; ``ancestral_sample`` runs one chain per output row.
     """
 
     step_size: float = 0.1
@@ -373,7 +374,9 @@ def ancestral_sample(model: JointModel, count: int,
     exact inverse-CDF draw of ``_grid_pass``, from one uniform per row of a
     Philox stream keyed by (seed, node): row r always takes the stream's
     r-th uniform, so the first k rows do not depend on ``count``.  With an
-    ``HmcConfig`` each output row runs its own HMC chain per node instead.
+    ``HmcConfig`` each output row runs its own HMC chain per node instead,
+    for ``burn_in + thin`` iterations, and keeps the chain's last state; so
+    only that sum matters, and ``config.chains`` is not used.
     Model math happens in standardized coordinates; results are mapped back
     to original units at the end.
 

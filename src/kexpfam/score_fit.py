@@ -179,7 +179,6 @@ class GramSystem:
 
     G: np.ndarray
     h: np.ndarray
-    n: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.G)):
@@ -346,7 +345,7 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
             np.sum(W, axis=0, out=h[lo:hi, j])
 
     _in_blocks(block, n, n, _block_arrays(d), budget=G.nbytes)
-    return GramSystem(G=G, h=h.reshape(-1), n=n)
+    return GramSystem(G=G, h=h.reshape(-1))
 
 
 def build_gram(x_train, y_train, kernel_x, kernel_y) -> np.ndarray:
@@ -467,7 +466,7 @@ def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
     elif system.G.shape != (nd, nd) or system.h.shape != (nd,):
         raise DataError(f"the given system has size {system.h.size}, "
                         f"expected n*d = {nd}")
-    beta = _ridge_solve(system.G, system.h, lam, system.n)
+    beta = _ridge_solve(system.G, system.h, lam, y_train.shape[0])
     return FactorModel(
         x_train=x_train, y_train=y_train, kernel_x=kernel_x, kernel_y=kernel_y,
         lam=lam, beta=beta, base=base, xi_coeff=-1.0 / lam,
@@ -592,18 +591,17 @@ def _weights_block(model: FactorModel, a, e, Y_block: np.ndarray, out, kb, vb, t
     np.multiply(kb, out, out=out)
 
 
-def _cross_weights(model: FactorModel, Y_set: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _cross_weights(model: FactorModel, Y_set: np.ndarray) -> np.ndarray:
     """k_Y(Y_b, y_s) times T's weight for every training sample b and point
     y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s].
 
-    Writes into ``out`` (allocated when None) through ``_in_blocks``, with
-    out's bytes as the budget, so its memory beyond ``out`` does not grow
-    with S, and no entry depends on the blocks or the worker count.
+    Fills the result through ``_in_blocks``, with its bytes as the budget,
+    so the memory beyond it does not grow with S, and no entry depends on
+    the blocks or the worker count.
     """
     a, e = _model_coeffs(model)
     n, S = model.n, Y_set.shape[0]
-    out = np.empty((n, S)) if out is None else out
+    out = np.empty((n, S))
 
     def block(lo, hi, scratch):
         _weights_block(model, a, e, Y_set[lo:hi], out[:, lo:hi], *scratch)

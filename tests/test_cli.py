@@ -15,8 +15,9 @@ import kexpfam.evaluation as evaluation
 import kexpfam.sampling as sampling
 import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
-from kexpfam.data_io import load_csv, load_model
+from kexpfam.data_io import load_csv, load_model, standardize
 from kexpfam.evaluation import CvConfig
+from kexpfam.factorization import make_dag
 from kexpfam.sampling import GridSamplerConfig, HmcConfig, ancestral_sample
 
 
@@ -352,7 +353,7 @@ class TestCurve:
 
 class TestFitOptions:
     FIT_OPTIONS = ("dag", "lam", "bandwidth_scale", "cv", "folds", "lambda_grid",
-                   "scale_grid", "cv_seed", "base_std", "prune_threshold")
+                   "scale_grid", "seed", "base_std", "prune_threshold")
 
     def test_fit_and_eval_share_defaults_from_cv_config(self):
         parser = cli.build_parser()
@@ -365,14 +366,13 @@ class TestFitOptions:
             pytest.approx(config.lambda_grid, rel=1e-5)
         assert cli._parse_float_list(fit.scale_grid, "--scale-grid") == \
             config.bandwidth_scale_grid
-        assert (fit.folds, fit.cv_seed) == (config.folds, config.seed)
+        assert (fit.folds, fit.seed) == (config.folds, config.seed)
 
     @pytest.mark.parametrize("flag, value, field, expect", [
         ("--step-size", "0.05", "step_size", 0.05),
         ("--leapfrog-steps", "7", "leapfrog_steps", 7),
         ("--burn-in", "3", "burn_in", 3),
         ("--thin", "2", "thin", 2),
-        ("--chains", "4", "chains", 4),
     ])
     def test_each_hmc_flag_alone_selects_hmc(self, flag, value, field, expect):
         parser = cli.build_parser()
@@ -382,6 +382,40 @@ class TestFitOptions:
             GridSamplerConfig(seed=9)
         config = cli._sampler_config(parser.parse_args(argv + [flag, value]))
         assert config == dataclasses.replace(HmcConfig(seed=9), **{field: expect})
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--model", "m.kcef", "--n", "5", "--chains", "4", "--out", "s.csv"],
+        ["eval", "--model", "m.kcef", "--test", "t.csv", "--per-row", "x.csv",
+         "--out", "e.json"],
+        ["fit", "--data", "d.csv", "--cv", "--cv-seed", "1", "--out-model", "m.kcef"],
+        ["eval", "--curve", "--data", "d.csv", "--test", "t.csv", "--cv",
+         "--cv-seed", "1", "--out", "c.csv"],
+    ], ids=["sample-chains", "eval-per-row", "fit-cv-seed", "curve-cv-seed"])
+    def test_removed_flags_are_usage_errors(self, argv):
+        """Ancestral HMC runs one chain per row, the per-row CSV is always
+        the summary's .rows.csv sidecar and --seed seeds the CV split, so
+        these flags are gone."""
+        assert run(argv) == 1
+
+    def test_fit_seed_seeds_the_cv_split(self, tmp_path):
+        train = gen_grid(tmp_path, "cv_seed.csv", n=120, seed=3)
+        grids = {"lambda_grid": (0.001, 0.01, 0.1), "bandwidth_scale_grid": (0.5, 1.0, 2.0)}
+        values, names = load_csv(train)
+        tables = {}
+        for seed in (0, 3):
+            model = tmp_path / f"cv{seed}.kcef"
+            assert run(["fit", "--data", train, "--cv", "--folds", 3,
+                        "--lambda-grid", "0.001,0.01,0.1", "--scale-grid", "0.5,1,2",
+                        "--seed", seed, "--out-model", model]) == 0
+            expect = evaluation.cross_validate(
+                standardize(values, names), make_dag("markov", 2),
+                CvConfig(folds=3, seed=seed, **grids))
+            tables[seed], _ = load_csv(tmp_path / f"cv{seed}.cv.csv")
+            assert np.array_equal(tables[seed], [[r.node, c.lam, c.scale, c.mean_score]
+                                                 for r in expect.nodes for c in r.table])
+            fitted = load_model(model)
+            assert [f.lam for f in fitted.factors] == [r.best_lam for r in expect.nodes]
+        assert not np.array_equal(tables[0], tables[3])
 
 
 class TestDiverge:
@@ -409,6 +443,40 @@ class TestExitCodes:
         bad.write_text("a,b\n1,oops\n")
         assert run(["fit", "--data", bad, "--lambda", 0.1,
                     "--out-model", tmp_path / "m.kcef"]) == 2
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe\x00a\x00,\x00b\x00\n")
+        capsys.readouterr()
+        assert run(["fit", "--data", bad, "--lambda", 0.1,
+                    "--out-model", tmp_path / "m.kcef"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data"
+        assert "utf16.csv" in error["message"]
+
+    @pytest.mark.parametrize("callee, argv", [
+        ("rejection_sample_grid", ["gen-grid", "--dim", 3, "--n", 100_000_000_000]),
+        ("ancestral_sample", ["sample", "--model", "{model}", "--n", 10**12]),
+        ("test_loglik", ["eval", "--model", "{model}", "--test", "{test}",
+                         "--is-samples", 100_000_000_000]),
+    ], ids=["gen-grid", "sample", "eval"])
+    def test_allocation_failure_is_data_error(self, workspace, capsys, monkeypatch,
+                                              callee, argv):
+        """A MemoryError that no pre-flight foresaw is a data error (exit 2).
+        The callee raises it at once, so nothing large is allocated."""
+        tmp_path, _, test, model = workspace
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, callee, out_of_memory)
+        argv = [str(a).format(model=model, test=test) for a in argv]
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "big.out"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "data", "message":
+                         "out of memory: Unable to allocate 745. GiB for an array"}
+        assert not (tmp_path / "big.out").exists()
 
     def test_io_error_missing_file(self, tmp_path):
         assert run(["fit", "--data", tmp_path / "absent.csv", "--lambda", 0.1,

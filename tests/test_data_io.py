@@ -65,6 +65,15 @@ class TestCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path)
 
+    @pytest.mark.parametrize("blob", [b"\xff\xfe\x00a\x00,\x00b\x00\n",
+                                      b"a,b\n1,2\n3,\xe9\n"],
+                             ids=["header", "data_row"])
+    def test_non_utf8_file_is_data_error_naming_it(self, tmp_path, blob):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="latin.csv: not a UTF-8 text file"):
+            load_csv(path)
+
 
 class TestStandardize:
     def test_two_point_column(self):

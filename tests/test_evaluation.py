@@ -419,8 +419,7 @@ class TestCrossValidate:
             assert [(c.lam, c.scale) for c in node_result.table] == list(
                 itertools.product(config.lambda_grid, config.bandwidth_scale_grid))
             for cell in node_result.table:
-                hp = NodeHyperparams(lam=cell.lam, x_scale=cell.scale,
-                                     y_scale=cell.scale)
+                hp = NodeHyperparams(lam=cell.lam, scale=cell.scale)
                 kx, ky = _node_kernels(values, parents, node, hp)
                 expect = []
                 for block in blocks:
@@ -647,7 +646,7 @@ class TestCrossValidate:
         result = cross_validate(small_grid, make_dag("markov", 2), config)
         hyper = result.hyperparams()
         assert all(isinstance(h, NodeHyperparams) for h in hyper)
-        assert hyper[0].lam == 0.05 and hyper[0].x_scale == 2.0
+        assert hyper[0].lam == 0.05 and hyper[0].scale == 2.0
 
     def test_default_grid_selects_interior_lambda(self):
         """Soft sanity check: warn (do not fail) if the chosen lambda sits on

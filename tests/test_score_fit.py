@@ -462,7 +462,7 @@ class TestRidgeSolve:
     def test_jitter_attempt_refills_the_work_array_from_G(self, rng, failing_factor):
         X, Y, kx, ky, lam = random_instance(rng, 8, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
-        G, n = system.G, system.n
+        G, n = system.G, len(Y)
         before = G.copy()
         received = failing_factor(1)
         beta = _ridge_solve(G, system.h, lam, n)
@@ -478,7 +478,7 @@ class TestRidgeSolve:
     def test_four_failed_factorizations_raise(self, rng, failing_factor):
         X, Y, kx, ky, lam = random_instance(rng, 8, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
-        G, n = system.G, system.n
+        G, n = system.G, len(Y)
         before = G.copy()
         received = failing_factor(4)
         with pytest.raises(NumericalError, match="jitter escalation"):
@@ -493,9 +493,9 @@ class TestRidgeSolve:
     def test_refinement_repairs_an_inexact_solve(self, rng, solve_calls):
         X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
-        exact = _ridge_solve(system.G, system.h, lam, system.n)
+        exact = _ridge_solve(system.G, system.h, lam, len(Y))
         calls = solve_calls(lambda k, x: x * (1 + 1e-3) if k == 0 else x)
-        beta = _ridge_solve(system.G, system.h, lam, system.n)
+        beta = _ridge_solve(system.G, system.h, lam, len(Y))
         assert len(calls) == 2  # the solve and one refinement step
         np.testing.assert_allclose(beta, exact, rtol=1e-9)
 
@@ -507,7 +507,7 @@ class TestRidgeSolve:
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
         calls = solve_calls(lambda k, x: x)
         with pytest.raises(NumericalError, match="overflows"):
-            _ridge_solve(system.G, system.h, lam, system.n)
+            _ridge_solve(system.G, system.h, lam, len(Y))
         assert calls == []
 
     @pytest.mark.parametrize("lam", [1e308, np.float64(1e308)], ids=["float", "float64"])
@@ -523,7 +523,7 @@ class TestRidgeSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="n \\* lambda overflows"):
-                _ridge_solve(system.G, system.h, lam, system.n)
+                _ridge_solve(system.G, system.h, lam, len(Y))
         assert factored == []
 
     def test_scipy_checks_nothing_again(self, rng, monkeypatch):
@@ -543,7 +543,7 @@ class TestRidgeSolve:
         for name in ("cho_factor", "cho_solve"):
             real = getattr(score_fit_mod.scipy.linalg, name)
             monkeypatch.setattr(score_fit_mod.scipy.linalg, name, recording(real))
-        _ridge_solve(system.G, system.h, lam, system.n)
+        _ridge_solve(system.G, system.h, lam, len(Y))
         assert seen == [False, False]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf @ G is nan
@@ -552,7 +552,7 @@ class TestRidgeSolve:
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
         calls = solve_calls(lambda k, x: np.full_like(x, np.inf))
         with pytest.raises(NumericalError, match="residual is not finite"):
-            _ridge_solve(system.G, system.h, lam, system.n)
+            _ridge_solve(system.G, system.h, lam, len(Y))
         assert len(calls) == 1  # no refinement step on a non-finite residual
 
     def test_residual_left_after_three_steps_raises(self, rng, solve_calls):
@@ -560,7 +560,7 @@ class TestRidgeSolve:
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
         calls = solve_calls(lambda k, x: x * (1 + 1e-3) if k == 0 else 0 * x)
         with pytest.raises(NumericalError, match="exceeds bound"):
-            _ridge_solve(system.G, system.h, lam, system.n)
+            _ridge_solve(system.G, system.h, lam, len(Y))
         assert len(calls) == 4  # the solve and three refinement steps
 
 
@@ -603,6 +603,21 @@ class TestFitFactor:
             np.testing.assert_array_equal(
                 given.beta, fit_factor(X, Y, kx, ky, each, base).beta)
 
+    def test_given_system_takes_n_from_its_rows(self, rng):
+        """A fit with a given system takes its ridge n * lambda from the n
+        rows of its own y_train (not n * d), and a system carries no n of
+        its own that could disagree with them."""
+        X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        with pytest.raises(TypeError):
+            GramSystem(G=system.G, h=system.h, n=5)
+        beta = fit_factor(X, Y, kx, ky, lam, system=system).beta
+        rhs = system.h / lam
+        bound = 1e-8 * max(1.0, np.linalg.norm(rhs))
+        for n, holds in ((len(Y), True), (Y.size, False), (5, False)):
+            resid = system.G @ beta + n * lam * beta - rhs
+            assert (np.linalg.norm(resid) <= bound) == holds
+
     def test_non_finite_system_is_numerical_error(self, rng):
         """A GramSystem checks G and h when it is built, so a system that a
         caller hands to fit_factor gets the same typed error as an
@@ -613,10 +628,10 @@ class TestFitFactor:
             G, h = system.G.copy(), system.h.copy()
             G[2, 3] = bad
             with pytest.raises(NumericalError, match="Gram matrix"):
-                GramSystem(G=G, h=system.h, n=system.n)
+                GramSystem(G=G, h=system.h)
             h[4] = bad
             with pytest.raises(NumericalError, match="h vector"):
-                GramSystem(G=system.G, h=h, n=system.n)
+                GramSystem(G=system.G, h=h)
 
     def test_given_system_of_another_size_is_data_error(self, rng):
         X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
@@ -755,9 +770,6 @@ class TestCrossWeights:
         Y_set = 2.0 * rng.normal(size=(S, d))
         ref = self.reference(model, Y_set)
         assert np.array_equal(_cross_weights(model, Y_set), ref)
-        out = np.full((model.n, S), np.nan)
-        assert _cross_weights(model, Y_set, out) is out
-        assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("chunk", [300, 2048])
     @pytest.mark.parametrize("p", [0, 2])
@@ -1247,6 +1259,5 @@ class TestDeterminism:
     def test_gram_system_container(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 5, 1, 1)
         sys = build_gram_system(X, Y, kx, ky, BaseDensity())
-        assert sys.n == 5
         np.testing.assert_array_equal(sys.G, build_gram(X, Y, kx, ky))
         np.testing.assert_array_equal(sys.h, build_h(X, Y, kx, ky, BaseDensity()))
