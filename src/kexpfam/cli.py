@@ -287,6 +287,9 @@ def _stderr_of_mean(per_row: np.ndarray) -> float:
 
 
 def _cmd_eval(args, argv) -> int:
+    given = _fit_flags_in(argv)
+    if given and not args.curve:
+        raise DataError(f"{given[0]} sets up a fit, and eval fits only with --curve")
     if args.is_samples < 1:  # before --curve's first fit
         raise DataError("num_samples must be >= 1")
     if args.curve:
@@ -386,25 +389,41 @@ def _grid_text(values) -> str:
     return ",".join(f"{v:g}" for v in values)
 
 
-def _add_fit_options(parser: argparse.ArgumentParser) -> None:
-    """The model-fitting options shared by ``fit`` and ``eval --curve``."""
+def _add_fit_options(parser: argparse.ArgumentParser,
+                     defaults: bool = True) -> dict[str, str]:
+    """The model-fitting options shared by ``fit`` and ``eval --curve``.
+    Returns the flag of each option but --seed by its dest; without
+    ``defaults`` those options are set only where the argv gives them."""
     cv_defaults = CvConfig()
-    parser.add_argument("--dag", default="markov",
-                        help="full | markov | custom:<json parent lists>")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--bandwidth-scale", type=float, default=1.0)
-    parser.add_argument("--cv", action="store_true",
-                        help="grid-search hyperparameters per node")
-    parser.add_argument("--folds", type=int, default=cv_defaults.folds)
-    parser.add_argument("--lambda-grid", default=_grid_text(cv_defaults.lambda_grid))
-    parser.add_argument("--scale-grid",
-                        default=_grid_text(cv_defaults.bandwidth_scale_grid))
+    flags = {}
+
+    def add(flag, default, **kwargs):
+        action = parser.add_argument(
+            flag, default=default if defaults else argparse.SUPPRESS, **kwargs)
+        flags[action.dest] = flag
+
+    add("--dag", "markov", help="full | markov | custom:<json parent lists>")
+    add("--lambda", None, dest="lam", type=float)
+    add("--bandwidth-scale", 1.0, type=float)
+    add("--cv", False, action="store_true", help="grid-search hyperparameters per node")
+    add("--folds", cv_defaults.folds, type=int)
+    add("--lambda-grid", _grid_text(cv_defaults.lambda_grid))
+    add("--scale-grid", _grid_text(cv_defaults.bandwidth_scale_grid))
     parser.add_argument("--seed", type=int, default=cv_defaults.seed,
                         help="seeds the CV fold split and, in eval, the IS draws "
                              "and the --curve subsets")
-    parser.add_argument("--base-std", type=float, default=BaseDensity().std)
-    parser.add_argument("--prune-threshold", type=float, default=None,
-                        help="drop one of each column pair correlated above this")
+    add("--base-std", BaseDensity().std, type=float)
+    add("--prune-threshold", None, type=float,
+        help="drop one of each column pair correlated above this")
+    return flags
+
+
+def _fit_flags_in(argv) -> list[str]:
+    """The fit options but --seed that ``argv`` sets."""
+    probe = argparse.ArgumentParser(add_help=False)
+    flags = _add_fit_options(probe, defaults=False)
+    given, _ = probe.parse_known_args(argv)
+    return [flag for dest, flag in flags.items() if dest in vars(given)]
 
 
 def build_parser() -> argparse.ArgumentParser:

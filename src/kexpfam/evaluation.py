@@ -23,7 +23,6 @@ from .kernels import median_heuristic
 from .score_fit import (
     BaseDensity,
     FactorModel,
-    _PEAK_OVER_GRAM,
     _as_matrix,
     _as_x_row,
     _block_arrays,
@@ -318,14 +317,14 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
         raise DataError(f"need at least {config.folds} rows for {config.folds}-fold CV")
     perm = np.random.default_rng(config.seed).permutation(n)
     fold_blocks = np.array_split(perm, config.folds)
-    # A fold holds G (with the slack of _PEAK_OVER_GRAM) and, in turn, the
-    # workers' scratch of its assembly, a solve's work array and the scratch
-    # of the scoring pass (d = 1 per factor), where G's bytes are slack.
+    # A fold holds G and, in turn, the workers' scratch of its assembly and
+    # the scratch of the scoring pass (d = 1 per factor), where G's bytes
+    # are slack; a solve adds only vectors of n_fit.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
     gram = n_fit * n_fit * 8
     assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1), budget=gram)
     scoring = _scratch_bytes(R, n_fit, _block_arrays(1, len(config.lambda_grid)))
-    _check_memory((_PEAK_OVER_GRAM - 1) * gram + max(gram, assembly, scoring),
+    _check_memory(gram + max(assembly, scoring),
                   f"cross-validation with folds of {n_fit} training rows",
                   "use fewer rows")
     nodes = tuple(

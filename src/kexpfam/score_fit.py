@@ -29,7 +29,7 @@ from .kernels import (
 
 RESIDUAL_RTOL = 1e-8
 
-_CROSS_BLOCK = 128  # columns per element-wise block of every buffered kernel sum
+_CROSS_BLOCK = 128  # columns per block of every buffered kernel sum, at most
 _EVAL_CHUNK = 256  # columns that the assembly's workers may span together at any size
 _IS_CHUNK = 2048  # draws per block that cross_T_blocks yields
 _WEIGHT_ARRAYS = 3  # scratch arrays per worker of _weights_block
@@ -39,15 +39,16 @@ _WEIGHT_ARRAYS = 3  # scratch arrays per worker of _weights_block
 # took 125 ms against 180 ms at n = 2000, while the second CPU was free.
 _POOL_ROWS = 1024
 
-# Peak traced memory of one fit over the bytes of its (n*d)^2 Gram matrix:
-# tracemalloc around fit_factor at d=1 reads 2.004-2.017 at n=1536 and
-# n=2000 (the benchmark's score_fit.peak_over_gram) on 1, 2, 4 or 8 CPUs.
-# The peak is the solve's: G and _ridge_solve's one work array.  The
-# assembly holds G and each worker's _block_arrays(d) (n, _CROSS_BLOCK)
-# scratch arrays (5 at d=1), which together stay within the Gram's size
-# from n=1536 up.  The scratch weighs more as n falls: 2.28 at n=1024 on 2
-# or more CPUs and 3.33 at n=300, but such a Gram is at most 8*d^2 MiB.
-_PEAK_OVER_GRAM = 2.2
+# One worker's scratch for a block without a GEMM: the width halves while
+# the scratch would exceed _WORKER_SCRATCH, down to _MIN_BLOCK columns.
+# Those blocks are elementwise operations and axis-0 sums, whose bits do not
+# depend on the width.  At n = 2000 and d = 1 the assembly's five (n, 64)
+# arrays hold 4.9 MiB per worker, not 9.8, and took the same time.
+_WORKER_SCRATCH = 8 * 2**20
+_MIN_BLOCK = 32
+# The strict upper triangle of a diagonal block that _mirror_lower refills
+_STRICT_UPPER = np.triu(np.ones((_CROSS_BLOCK, _CROSS_BLOCK), dtype=bool), 1)
+_STRICT_UPPER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -173,18 +174,39 @@ class FactorModel:
 class GramSystem:
     """The linear system data: symmetric PSD matrix G (nd x nd) and vector h.
 
-    Both are checked for finiteness here, once, so the solver need not
-    check them again, whether the system was assembled or given.
+    Both are checked here, once, whether the system was assembled or given,
+    so the solver need not check them again: finiteness, then that G is
+    exactly symmetric, each entry equal to its mirror.  ``_ridge_solve``
+    factors G in its own memory and then copies G's lower triangle back
+    onto the upper one, so a G that is not symmetric would come back
+    changed.  The checks run in strips of 128 rows, so that no temporary of
+    G's size appears.  G is kept as given when it is a writable C-ordered
+    float64 array (as assembled), and copied into one otherwise.
+
+    Equal values may differ in the sign of a zero.  An assembled G at d = 1
+    has the same bits as its mirror; at d > 1, a zero mixed partial of two
+    rows tied in one coordinate may not, and a solve then leaves such an
+    entry above the diagonal with its mirror's sign.
     """
 
     G: np.ndarray
     h: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.G)):
+        G = np.require(self.G, np.float64, ["C", "W"])
+        h = np.asarray(self.h, dtype=np.float64)
+        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+            raise DataError(f"Gram matrix must be square, got shape {G.shape}")
+        strips = [slice(lo, lo + _CROSS_BLOCK) for lo in range(0, len(G), _CROSS_BLOCK)]
+        if not all(np.isfinite(G[s]).all() for s in strips):
             raise NumericalError("Gram matrix has non-finite entries")
-        if not np.all(np.isfinite(self.h)):
+        if not np.all(np.isfinite(h)):
             raise NumericalError("h vector has non-finite entries")
+        # each strip of columns from the diagonal down against its mirror
+        if not all(np.array_equal(G[s.start:, s], G[s, s.start:].T) for s in strips):
+            raise DataError("Gram matrix is not exactly symmetric")
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "h", h)
 
 
 def _xi_coeffs(y_train, base: BaseDensity):
@@ -295,11 +317,13 @@ def _check_memory(need: float, what: str, remedy: str) -> None:
         )
 
 
-def _check_fit_size(nd: int) -> None:
-    """Raise DataError before assembly when a fit of size nd cannot fit in
-    physical memory."""
-    _check_memory(_PEAK_OVER_GRAM * nd * nd * 8, f"a fit with n*d = {nd}",
-                  "use fewer rows")
+def _check_fit_size(n: int, d: int) -> None:
+    """Raise DataError before assembly when a fit of n rows of d dimensions
+    cannot fit in physical memory.  A fit holds G and, while it assembles
+    G, the workers' scratch; the solve adds only vectors of length n*d."""
+    gram = (n * d) ** 2 * 8
+    _check_memory(gram + _scratch_bytes(n, n, _block_arrays(d), budget=gram),
+                  f"a fit with n*d = {n * d}", "use fewer rows")
 
 
 def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -> GramSystem:
@@ -319,7 +343,7 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
     """
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
     n, d = y_train.shape
-    _check_fit_size(n * d)
+    _check_fit_size(n, d)
     s2 = kernel_y.variances
     a, e = _xi_coeffs(y_train, base)
     G = np.empty((n * d, n * d))
@@ -380,25 +404,44 @@ def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,
     return float(sums[0][0] if q == 0 else sums[q][0, j])
 
 
+def _mirror_lower(G: np.ndarray) -> None:
+    """Copy G's strict lower triangle onto its strict upper triangle, in
+    place: each block above the diagonal from its transposed mirror, and
+    the strict upper part of each diagonal block through a fixed mask."""
+    size = len(_STRICT_UPPER)
+    for lo in range(0, len(G), size):
+        hi = min(lo + size, len(G))
+        for col in range(hi, len(G), size):
+            np.copyto(G[lo:hi, col:col + size], G[col:col + size, lo:hi].T)
+        block = G[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=_STRICT_UPPER[:hi - lo, :hi - lo])
+
+
 def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray:
     """Solve (G + n*lam*I) beta = h / lam for beta.
 
-    The ridge and any jitter go onto the diagonal of one Fortran-order work
-    array, which LAPACK factors in place, so G is left untouched and one
-    assembled system can be solved for several lambdas.  G is exactly
-    symmetric, so G.T fills the work array in its own memory order.
+    G is the C-ordered, exactly symmetric G of a ``GramSystem``.  LAPACK
+    factors G + n*lam*I in G's own memory, in the lower triangle of the
+    Fortran-order view G.T, which is G's upper triangle.  G's strict lower
+    triangle stays intact and its diagonal is kept in a vector: each
+    residual is a symmetric product (``dsymv``) with that triangle, and
+    before returning, or raising, G's upper triangle and diagonal are
+    written back from them.  So G comes back bit for bit as it went in (up
+    to the sign of a zero, see ``GramSystem``), and one assembled system
+    can be solved for several lambdas, one solve at a time.  These are the LAPACK routines that scipy's ``cho_factor``
+    and ``cho_solve`` call, on the same operands, so beta has their bits.
+
     The shifted matrix is PSD plus a positive ridge, so a Cholesky
     factorization is used; on breakdown a small jitter (1e-10 times the mean
     diagonal mass of G) is added and escalated tenfold up to three times.
-    A failed factorization has already overwritten the work array, so every
-    attempt refills it from G.
+    A failed factorization has already overwritten part of G's upper
+    triangle, so every attempt after the first refills it from the lower.
     The solution must satisfy the residual bound
     ||(G + n*lam*I) beta - h/lam|| <= 1e-8 * max(1, ||h/lam||).
 
-    G and h were checked for finiteness when their GramSystem was built.
-    Here h/lam and the ridge n*lam are checked before any factorization,
-    and each residual after a solve; scipy checks nothing again, so it
-    allocates no array of G's shape beyond the work array.
+    G and h were checked when their GramSystem was built.  Here h/lam and
+    the ridge n*lam are checked before any factorization, and each residual
+    after a solve.
     """
     with np.errstate(over="ignore"):  # an overflow is raised as typed below
         rhs = h / lam
@@ -410,40 +453,48 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
         raise NumericalError(f"the ridge n * lambda overflows at lambda = {lam:g}; "
                              "use a smaller lambda")
 
-    diag = np.diag_indices_from(G)
-    A = np.empty_like(G, order="F")
+    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+    A = G.T  # F-ordered: LAPACK's lower triangle is G's upper one
+    on_diag = G.reshape(-1)[::len(G) + 1]  # a writable view of G's diagonal
+    diag = on_diag.copy()
     scale = np.trace(G) / G.shape[0]
     jitter = 0.0
-    for attempt in range(4):
-        np.copyto(A, G.T)
-        A[diag] += ridge
-        if jitter:
-            A[diag] += jitter
-        try:
-            factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True,
-                                              check_finite=False)
-            break
-        except scipy.linalg.LinAlgError:
+    try:
+        for attempt in range(4):
+            if attempt:
+                _mirror_lower(G)
+            np.add(diag, ridge, out=on_diag)
+            if jitter:
+                on_diag += jitter
+            _, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                break
             jitter = 1e-10 * max(scale, 1.0) if jitter == 0.0 else jitter * 10.0
-    else:
-        raise NumericalError(
-            "Cholesky factorization failed after jitter escalation; "
-            "the system is severely ill-conditioned"
-        )
-    beta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        else:
+            raise NumericalError(
+                "Cholesky factorization failed after jitter escalation; "
+                "the system is severely ill-conditioned"
+            )
+        factor_diag = on_diag.copy()
+        beta = lapack.dpotrs(A, rhs, lower=1)[0]
 
-    bound = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(rhs)))
-    for step in range(4):
-        resid = G @ beta + ridge * beta - rhs  # A now holds the factor
-        if not np.all(np.isfinite(resid)):
-            raise NumericalError(f"solve residual is not finite at lambda = {lam:g}")
-        if np.linalg.norm(resid) <= bound:
-            return beta
-        if step < 3:  # at most three refinement steps
-            beta = beta - scipy.linalg.cho_solve(factor, resid, check_finite=False)
-    raise NumericalError(
-        f"solve residual {np.linalg.norm(resid):.3e} exceeds bound {bound:.3e}"
-    )
+        bound = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(rhs)))
+        for step in range(4):
+            on_diag[:] = diag  # dsymv reads G's diagonal and intact lower triangle
+            resid = blas.dsymv(1.0, A, beta) + ridge * beta - rhs
+            if not np.all(np.isfinite(resid)):
+                raise NumericalError(f"solve residual is not finite at lambda = {lam:g}")
+            if np.linalg.norm(resid) <= bound:
+                return beta
+            if step < 3:  # at most three refinement steps
+                on_diag[:] = factor_diag
+                beta = beta - lapack.dpotrs(A, resid, lower=1)[0]
+        raise NumericalError(
+            f"solve residual {np.linalg.norm(resid):.3e} exceeds bound {bound:.3e}"
+        )
+    finally:
+        _mirror_lower(G)
+        on_diag[:] = diag
 
 
 def fit_factor(x_train, y_train, kernel_x, kernel_y, lam: float,
@@ -629,12 +680,12 @@ def _pool(workers: int):
         yield pool.map
 
 
-def _blocks(size: int) -> list[tuple[int, int]]:
-    """(lo, hi) blocks of ``_CROSS_BLOCK`` columns that cover range(size).
+def _blocks(size: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) blocks of ``width`` columns that cover range(size).
     A 1-column remainder joins the block before it: numpy sums a single
     column pairwise, which would change its last bits."""
-    bounds = [*range(0, size, _CROSS_BLOCK), size]
-    if size > 1 and size % _CROSS_BLOCK == 1:
+    bounds = [*range(0, size, width), size]
+    if size > 1 and size % width == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -650,49 +701,63 @@ def _block_arrays(d: int, models: int = 1) -> int:
 
 def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
                 gemm_rows: int = 0) -> tuple[int, int]:
-    """(workers, width) for ``_in_blocks``: each of ``workers`` threads
-    holds ``arrays`` (rows, width) scratch arrays.  It is arithmetic on the
-    sizes alone, so that a pre-flight may ask about any size.
+    """(workers, width) for ``_in_blocks``: the blocks are
+    ``_blocks(size, width)``, and each of ``workers`` threads holds
+    ``arrays`` (rows, ``_widest(size, width)``) scratch arrays.  It is
+    arithmetic on the sizes alone, so that a pre-flight may ask about any
+    size.
 
-    A pool of up to one thread per CPU of ``_worker_count`` starts only for
-    two blocks or more whose work, rows times (1 + ``gemm_rows``), reaches
-    ``_POOL_ROWS``.  With a ``budget`` in bytes, the scratch of all workers
-    together spans at most ``_EVAL_CHUNK`` columns, or more only while it
-    stays within the budget.
+    Blocks are ``_CROSS_BLOCK`` columns wide.  Without a GEMM
+    (``gemm_rows`` 0) the width halves while one worker's scratch would
+    exceed ``_WORKER_SCRATCH``, down to ``_MIN_BLOCK``; a GEMM keeps its
+    width, which fixes its bits.  A pool of up to one thread per CPU of
+    ``_worker_count`` starts only for two blocks or more whose work, rows
+    times (1 + ``gemm_rows``), reaches ``_POOL_ROWS``.  With a ``budget``
+    in bytes, the scratch of all workers together spans at most
+    ``_EVAL_CHUNK`` columns, or more only while it stays within the budget.
     """
+    width = _CROSS_BLOCK
+    while not gemm_rows and width > _MIN_BLOCK and arrays * rows * width * 8 > _WORKER_SCRATCH:
+        width //= 2
     if size == 0:
-        return 1, 0
-    joined = size > 1 and size % _CROSS_BLOCK == 1  # as in _blocks
-    width = min(size, _CROSS_BLOCK) + joined
+        return 1, width
+    joined = _widest(size, width) > width  # a 1-column remainder joins a block
     workers = 1 if rows * (1 + gemm_rows) < _POOL_ROWS else min(
-        _worker_count(), -(-size // _CROSS_BLOCK) - joined)
+        _worker_count(), -(-size // width) - joined)
     if budget is not None:
-        per_worker = arrays * rows * width * 8
-        workers = min(workers, max(_EVAL_CHUNK // _CROSS_BLOCK, budget // per_worker))
+        per_worker = arrays * rows * _widest(size, width) * 8
+        workers = min(workers, max(_EVAL_CHUNK // width, budget // per_worker))
     return workers, width
+
+
+def _widest(size: int, width: int) -> int:
+    """Columns of the widest block of ``_blocks(size, width)``."""
+    return min(size, width) + (size > 1 and size % width == 1)
 
 
 def _scratch_bytes(size: int, rows: int, arrays: int, **plan) -> int:
     """Bytes of the scratch that ``_in_blocks`` holds for these arguments."""
     workers, width = _block_plan(size, rows, arrays, **plan)
-    return workers * arrays * rows * width * 8
+    return workers * arrays * rows * _widest(size, width) * 8
 
 
 def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
-    """Call ``work(lo, hi, scratch)`` once for every block of ``_blocks(size)``,
-    where scratch is a list of ``arrays`` (rows, hi - lo) arrays.
+    """Call ``work(lo, hi, scratch)`` once for every block of
+    ``_blocks(size, width)``, where scratch is a list of ``arrays`` (rows,
+    hi - lo) arrays.
 
-    The blocks run on the threads that ``_block_plan`` gives for ``plan``
-    (a budget, GEMM rows).  Each worker takes the next block in order when
-    it is free, so a CPU that the host slows down takes fewer blocks.
-    Before the pool starts, the calling thread allocates one scratch per
-    worker, which a worker holds for one block at a time, so workers
-    allocate nothing large.
+    The blocks run on the threads, and take the width, that ``_block_plan``
+    gives for ``plan`` (a budget, GEMM rows).  Each worker takes the next
+    block in order when it is free, so a CPU that the host slows down takes
+    fewer blocks.  Before the pool starts, the calling thread allocates one
+    scratch per worker, which a worker holds for one block at a time, so
+    workers allocate nothing large.
     """
     workers, width = _block_plan(size, rows, arrays, **plan)
+    widest = _widest(size, width)
     free = queue.SimpleQueue()  # one scratch per worker, taken for a block
     for _ in range(workers):
-        free.put(np.empty((arrays, rows * width)))
+        free.put(np.empty((arrays, rows * widest)))
 
     def run_block(block):
         lo, hi = block
@@ -705,7 +770,7 @@ def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
             free.put(buf)
 
     with _pool(workers) as run:
-        list(run(run_block, _blocks(size)))
+        list(run(run_block, _blocks(size, width)))
 
 
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):

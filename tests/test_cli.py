@@ -157,6 +157,26 @@ class TestFitEvalPipeline:
         assert names == ["loglik"]
         assert rows.shape == (200, 1)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "5"), ("--dag", "full"), ("--cv", None), ("--folds", "9"),
+        ("--lambda-grid", "0.1,1"), ("--scale-grid", "1"), ("--bandwidth-scale", "3"),
+        ("--base-std", "7"), ("--prune-threshold", "0.9"),
+    ])
+    def test_eval_without_curve_refuses_a_fit_option(self, workspace, capsys,
+                                                     flag, value):
+        """Plain eval fits nothing, so a fit option would change no byte of
+        its outputs: a data error that names the flag, before any work.
+        --seed seeds the IS draws and stays valid."""
+        tmp_path, _, test, model = workspace
+        out = tmp_path / f"eval{flag}.json"
+        argv = ["eval", "--model", model, "--test", test, "--is-samples", 300,
+                "--seed", 1, "--out", out]
+        assert run(argv + [flag] + ([value] if value else [])) == 2
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error["type"] == "data" and flag in error["message"]
+        assert not out.exists()
+        assert run(argv) == 0
+
     def test_eval_reports_each_nodes_largest_is_std_err(self, workspace):
         tmp_path, _, test, model = workspace
         out = tmp_path / "eval_stats.json"

@@ -492,12 +492,11 @@ class TestCrossValidate:
         """tracemalloc's peak over CV against the fold's Gram, at 5 folds of
         n_fit = 800 training rows and at 2 folds of 500 (one worker: below
         _POOL_ROWS).  Each (scale, fold) holds G and, in turn, the assembly's
-        five (n_fit, 128) scratch arrays, the solve's work array and, after
-        G is dropped, the scoring pass's seven (1.12 and 1.79 Grams).  The
-        bound is the pre-flight's count, G with the slack of _PEAK_OVER_GRAM
-        plus the largest of these: 2.32 and 2.99 Grams, where the held-out
-        pieces kept across lambdas counted 3.45 and 7.48.  Measured 2.03 (the
-        solve) and 2.38 (the assembly)."""
+        five (n_fit, 128) scratch arrays and, after G is dropped, the
+        scoring pass's seven (1.12 and 1.79 Grams); each solve factors G in
+        its own memory.  The bound is the pre-flight's count, G plus the
+        larger scratch: 2.12 and 2.79 Grams, where the former count, with a
+        solve's work array and 0.2 Grams of slack, was 2.32 and 2.99."""
         counted = []
         real = evaluation._check_memory
         monkeypatch.setattr(evaluation, "_check_memory",
@@ -511,7 +510,7 @@ class TestCrossValidate:
             gram = n_fit * n_fit * 8
             scoring = 7 * n_fit * 128 * 8  # R = 200 and 500: 128-column blocks
             # the assembly's five arrays weigh less than the scoring pass's seven
-            count = (score_fit_mod._PEAK_OVER_GRAM - 1) * gram + max(gram, scoring)
+            count = gram + scoring
             counted.clear()
             tracemalloc.start()
             try:
@@ -530,9 +529,8 @@ class TestCrossValidate:
         """At 5 folds of n_fit = 1040 training rows (enough for the pool),
         the workers of the assembly each hold five (n_fit, 128) scratch
         arrays at d = 1 beside G, 1.23 Grams on 2 workers, and those of the
-        scoring pass seven, 1.72 Grams; both are more than a solve's work
-        array.  The pre-flight counts at least the traced peak (measured
-        2.02 of its 2.2 Grams on 1 worker, 2.28 of 2.92 on 2)."""
+        scoring pass seven, 1.72 Grams.  The pre-flight counts at least the
+        traced peak."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         counted = []
         real = evaluation._check_memory
@@ -559,13 +557,11 @@ class TestCrossValidate:
         """The held-out pieces live in the scoring pass's worker scratch:
         k_X * k_Y, the scaled differences and, for more than one lambda, the
         prefactors that every lambda reads, seven (n_fit, 128) arrays at
-        d = 1.  At 2 folds of n_fit = 150 they outweigh G with its slack and
-        the assembly's five arrays, so memory for all but 8 of the counted
-        bytes is a data error before any assembly, and the count itself is
-        enough."""
+        d = 1.  At 2 folds of n_fit = 150 they outweigh the assembly's five
+        arrays, so memory for all but 8 of G's bytes plus theirs is a data
+        error before any assembly, and the count itself is enough."""
         n_fit = 150
-        need = ((score_fit_mod._PEAK_OVER_GRAM - 1) * n_fit**2 * 8
-                + 7 * n_fit * 128 * 8)
+        need = n_fit**2 * 8 + 7 * n_fit * 128 * 8
         data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=300,
                                                                    seed=4)))
         config = CvConfig(folds=2, lambda_grid=(0.01, 0.1),

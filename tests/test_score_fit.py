@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kexpfam.score_fit as score_fit_mod
 from kexpfam.errors import DataError, NumericalError
@@ -372,11 +373,13 @@ class TestBuildGramSystem:
         np.testing.assert_allclose(whole.h, brute_h(X, Y, kx, ky, base),
                                    rtol=1e-12, atol=1e-14)
 
-    def test_preflight_constant_bounds_a_real_fit(self, rng, monkeypatch):
-        """_PEAK_OVER_GRAM bounds the traced peak of a fit for every worker
-        count a host may give the assembly, whatever CPUs run the test.  The
-        fit holds G and the solve's work array and nothing else of the
-        Gram's size (2.004-2.017 measured), so the peak stays within 2.05."""
+    def test_fit_peak_is_G_plus_the_assembly_scratch(self, rng, monkeypatch):
+        """The traced peak of a fit, for every worker count a host may give
+        the assembly, whatever CPUs run the test, is G and the workers'
+        scratch that the pre-flight counts (``_scratch_bytes``): the solve
+        factors G in its own memory and adds only vectors.  The 1 MiB covers
+        h, the pool's threads and small objects; the former work array was a
+        second Gram (2.004-2.017 Grams measured)."""
         for n, workers in itertools.product((1536, 2000), (1, 2, 4)):
             # the assembly runs on the pool, over more columns than the
             # _EVAL_CHUNK that its workers' scratch may span at once
@@ -392,8 +395,9 @@ class TestBuildGramSystem:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak <= score_fit_mod._PEAK_OVER_GRAM * n * n * 8, (n, workers)
-            assert peak <= 2.05 * n * n * 8, (n, workers)
+            gram = n * n * 8
+            scratch = score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
+            assert peak <= gram + scratch + 2**20, (n, workers, peak / gram)
 
     def test_d1_assembly_holds_no_idle_scratch(self, rng, monkeypatch):
         """At n = 1024 on 2 workers each (n, 128) scratch array is 0.125
@@ -418,38 +422,92 @@ class TestBuildGramSystem:
 class TestRidgeSolve:
     @pytest.fixture
     def solve_calls(self, monkeypatch):
-        """Record each cho_solve; ``corrupt(k, x)`` may replace the k-th result
+        """Record each dpotrs; ``corrupt(k, x)`` may replace the k-th result
         (0 is the first solve, 1.. are refinement steps)."""
-        real = score_fit_mod.scipy.linalg.cho_solve
+        real = score_fit_mod.scipy.linalg.lapack.dpotrs
         calls = []
 
         def install(corrupt):
-            def recorded(factor, b, **kwargs):
+            def recorded(c, b, **kwargs):
                 calls.append(b)
-                return corrupt(len(calls) - 1, real(factor, b, **kwargs))
-            monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_solve", recorded)
+                x, info = real(c, b, **kwargs)
+                return corrupt(len(calls) - 1, x), info
+            monkeypatch.setattr(score_fit_mod.scipy.linalg.lapack, "dpotrs", recorded)
             return calls
         return install
 
     @pytest.fixture
     def failing_factor(self, monkeypatch):
-        """Make the first ``fails`` cho_factor calls run the real
-        factorization, which overwrites the work array, and then raise
-        LinAlgError.  Returns a copy of each call's argument as received."""
-        real = score_fit_mod.scipy.linalg.cho_factor
+        """Make the first ``fails`` dpotrf calls run the real factorization,
+        which overwrites the triangle it factors, and then report a leading
+        minor that is not positive definite (info > 0).  Returns a copy of
+        each call's argument as received."""
+        real = score_fit_mod.scipy.linalg.lapack.dpotrf
         received = []
 
         def install(fails):
             def flaky(a, **kwargs):
                 received.append(a.copy())
-                factor = real(a, **kwargs)
+                factor, info = real(a, **kwargs)
                 if len(received) <= fails:
                     assert not np.array_equal(a, received[-1])  # destroyed
-                    raise score_fit_mod.scipy.linalg.LinAlgError("injected")
-                return factor
-            monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_factor", flaky)
+                    return factor, 1
+                return factor, info
+            monkeypatch.setattr(score_fit_mod.scipy.linalg.lapack, "dpotrf", flaky)
             return received
         return install
+
+    @staticmethod
+    def two_array_solve(G, h, lam, n):
+        """The former solve, the independent route: G + n*lam*I copied into
+        a Fortran-order work array and factored there through scipy's
+        wrappers.  Asserts that its first residual meets the bound, so that
+        no refinement step runs."""
+        rhs, ridge = h / lam, n * lam
+        A = np.empty_like(G, order="F")
+        np.copyto(A, G.T)
+        A[np.diag_indices_from(A)] += ridge
+        factor = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True,
+                                         check_finite=False)
+        beta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        resid = G @ beta + ridge * beta - rhs
+        assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
+        return beta
+
+    @pytest.mark.parametrize("n, d, lam", [(5, 1, 1.0), (130, 1, 1e-2), (300, 1, 1e-4),
+                                           (257, 1, 0.3), (70, 2, 1e-3)])
+    def test_beta_matches_the_two_array_solve_bit_for_bit(self, rng, n, d, lam):
+        X, Y, kx, ky, _ = random_instance(rng, n, d, 2)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        expect = self.two_array_solve(system.G, system.h, lam, n)
+        assert _ridge_solve(system.G, system.h, lam, n).tobytes() == expect.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["solve", "refinement", "jitter", "no factor",
+                                      "non-finite residual", "residual left",
+                                      "h overflows", "ridge overflows"])
+    def test_G_comes_back_bit_for_bit(self, rng, solve_calls, failing_factor, case):
+        """G (n*d = 300) spans three strips of 128 rows, so the restore
+        copies blocks above the diagonal and the upper part of partial and
+        whole diagonal blocks; after a solve, a refinement step, a jitter
+        retry and each NumericalError, G holds the bytes it held before."""
+        X, Y, kx, ky, lam = random_instance(rng, 150, 2, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        before = system.G.tobytes()
+        lam = {"h overflows": 1e-320, "ridge overflows": 1e308}.get(case, lam)
+        corrupt = {"refinement": lambda k, x: x * (1 + 1e-3) if k == 0 else x,
+                   "non-finite residual": lambda k, x: np.full_like(x, np.inf),
+                   "residual left": lambda k, x: x * (1 + 1e-3) if k == 0 else 0 * x}
+        calls = solve_calls(corrupt.get(case, lambda k, x: x))
+        received = failing_factor({"jitter": 1, "no factor": 4}.get(case, 0))
+        fails = case not in ("solve", "refinement", "jitter")
+        with pytest.raises(NumericalError) if fails else contextlib.nullcontext():
+            _ridge_solve(system.G, system.h, lam, 150)
+        assert system.G.tobytes() == before
+        assert len(received) == {"jitter": 2, "no factor": 4, "h overflows": 0,
+                                 "ridge overflows": 0}.get(case, 1)
+        assert len(calls) == {"refinement": 2, "residual left": 4, "no factor": 0,
+                              "h overflows": 0, "ridge overflows": 0}.get(case, 1)
 
     @staticmethod
     def shifted(G, *shifts):
@@ -459,7 +517,7 @@ class TestRidgeSolve:
             A[np.diag_indices_from(A)] += s
         return A
 
-    def test_jitter_attempt_refills_the_work_array_from_G(self, rng, failing_factor):
+    def test_jitter_attempt_refills_the_factored_triangle(self, rng, failing_factor):
         X, Y, kx, ky, lam = random_instance(rng, 8, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
         G, n = system.G, len(Y)
@@ -518,7 +576,7 @@ class TestRidgeSolve:
         X, Y, kx, ky, _ = random_instance(rng, 6, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
         factored = []
-        monkeypatch.setattr(score_fit_mod.scipy.linalg, "cho_factor",
+        monkeypatch.setattr(score_fit_mod.scipy.linalg.lapack, "dpotrf",
                             lambda *args, **kwargs: factored.append(args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -528,23 +586,36 @@ class TestRidgeSolve:
 
     def test_scipy_checks_nothing_again(self, rng, monkeypatch):
         """G and h are checked when the GramSystem is built, and h / lambda,
-        the ridge and each residual by _ridge_solve, so every factorization
-        and solve skips scipy's finiteness scan and its boolean array."""
+        the ridge and each residual by _ridge_solve, so the solve calls
+        LAPACK and BLAS directly, without scipy's finiteness scan and its
+        boolean array: one dpotrf, one dpotrs and one dsymv, each on G's
+        own memory, with no copy of it."""
         X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        linalg = score_fit_mod.scipy.linalg
         seen = []
 
-        def recording(real):
+        def recording(module, name):
+            real = getattr(module, name)
+
             def call(*args, **kwargs):
-                seen.append(kwargs.get("check_finite", True))
-                return real(*args, **kwargs)
-            return call
+                out = real(*args, **kwargs)
+                # f2py copies a matrix that is not F-ordered; dpotrf returns
+                # the array it factored
+                matrix = (out[0] if name == "dpotrf"
+                          else args[1] if name == "dsymv" else args[0])
+                seen.append((name, matrix.flags.f_contiguous
+                             and np.shares_memory(matrix, system.G)))
+                return out
+            monkeypatch.setattr(module, name, call)
 
         for name in ("cho_factor", "cho_solve"):
-            real = getattr(score_fit_mod.scipy.linalg, name)
-            monkeypatch.setattr(score_fit_mod.scipy.linalg, name, recording(real))
+            monkeypatch.setattr(linalg, name, None)
+        recording(linalg.lapack, "dpotrf")
+        recording(linalg.lapack, "dpotrs")
+        recording(linalg.blas, "dsymv")
         _ridge_solve(system.G, system.h, lam, len(Y))
-        assert seen == [False, False]
+        assert seen == [("dpotrf", True), ("dpotrs", True), ("dsymv", True)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf @ G is nan
     def test_non_finite_residual_raises(self, rng, solve_calls):
@@ -633,6 +704,27 @@ class TestFitFactor:
             with pytest.raises(NumericalError, match="h vector"):
                 GramSystem(G=system.G, h=h)
 
+    @pytest.mark.parametrize("entry", [(1, 3), (3, 1), (200, 5), (5, 200), (299, 290)])
+    def test_gram_one_ulp_from_symmetric_is_data_error(self, rng, entry):
+        """G spans three strips of 128 rows; one entry one ulp away from its
+        mirror, in a diagonal block or across strips, is a data error, where
+        the solve's restore would have overwritten it silently."""
+        X, Y, kx, ky, lam = random_instance(rng, 150, 2, 1)
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        G = system.G.copy()
+        G[entry] = np.nextafter(G[entry], np.inf)
+        with pytest.raises(DataError, match="not exactly symmetric"):
+            GramSystem(G=G, h=system.h)
+        with pytest.raises(DataError, match="square"):
+            GramSystem(G=G[:, :-1], h=system.h)
+        # a symmetric G handed in read-only is copied, and solves alike
+        G = system.G.copy()
+        G.flags.writeable = False
+        given = GramSystem(G=G, h=system.h)
+        assert not np.shares_memory(given.G, G)
+        assert (fit_factor(X, Y, kx, ky, lam, system=given).beta.tobytes()
+                == fit_factor(X, Y, kx, ky, lam, system=system).beta.tobytes())
+
     def test_given_system_of_another_size_is_data_error(self, rng):
         X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
         system = build_gram_system(X[:8], Y[:8], kx, ky, BaseDensity())
@@ -654,6 +746,26 @@ class TestFitFactor:
             fit_factor(X, Y, kx, ky, lam)
         with pytest.raises(DataError, match="n\\*d = 12"):
             build_gram(X, Y, kx, ky)
+
+    def test_fit_needs_G_plus_the_assembly_scratch(self, rng, monkeypatch):
+        """A fit holds G and then the assembly's scratch, so memory for 1.5
+        Grams plus that scratch holds it, where the former count of 2.2
+        Grams refused it; one byte less than G plus the scratch is refused
+        before assembly."""
+        n = 1024
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 1)
+        gram = n * n * 8
+        scratch = score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
+        assert scratch == 5 * n * 128 * 8 and 1.5 * gram + scratch < 2.2 * gram
+        X, Y, kx, ky, lam = random_instance(rng, n, 1, 1)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes",
+                            lambda: int(1.5 * gram) + scratch)
+        fit_factor(X, Y, kx, ky, lam)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes",
+                            lambda: gram + scratch - 1)
+        monkeypatch.setattr(score_fit_mod, "kernel_matrix", None)  # no assembly
+        with pytest.raises(DataError, match="n\\*d = 1024"):
+            fit_factor(X, Y, kx, ky, lam)
 
     def test_beta_length_validation(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 4, 2, 1)
@@ -833,7 +945,7 @@ class TestCrossWeights:
         # every block of each chunk once, in any order
         assert [size for size, _ in calls] == [chunk, S - chunk]
         for size, done in calls:
-            assert sorted(done) == score_fit_mod._blocks(size)
+            assert sorted(done) == score_fit_mod._blocks(size, 128)
         assert pools == {1: [], 2: [2, 2], 3: [3, 2], 8: [4, 2]}[workers]
 
     def test_pooling_follows_the_work_of_a_block(self, rng, monkeypatch):
@@ -895,29 +1007,74 @@ class TestWorkerCount:
     def small_blocks_may_pool(self, monkeypatch):
         monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
 
-    def test_blocks_join_a_one_column_remainder(self, monkeypatch):
-        assert score_fit_mod._blocks(0) == []
-        assert score_fit_mod._blocks(1) == [(0, 1)]
-        assert score_fit_mod._blocks(129) == [(0, 129)]
-        assert score_fit_mod._blocks(257) == [(0, 128), (128, 257)]
-        assert score_fit_mod._blocks(300) == [(0, 128), (128, 256), (256, 300)]
-        monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", 1)
-        assert score_fit_mod._blocks(3) == [(0, 1), (1, 2), (2, 3)]
+    def test_blocks_join_a_one_column_remainder(self):
+        assert score_fit_mod._blocks(0, 128) == []
+        assert score_fit_mod._blocks(1, 128) == [(0, 1)]
+        assert score_fit_mod._blocks(129, 128) == [(0, 129)]
+        assert score_fit_mod._blocks(257, 128) == [(0, 128), (128, 257)]
+        assert score_fit_mod._blocks(300, 128) == [(0, 128), (128, 256), (256, 300)]
+        assert score_fit_mod._blocks(3, 1) == [(0, 1), (1, 2), (2, 3)]
 
     def test_block_plan_counts_the_blocks_by_arithmetic(self, monkeypatch):
         """With a CPU for every block, ``_block_plan`` gives one worker per
-        block of ``_blocks`` and their widest block, from the sizes alone:
-        ``_blocks(131)`` is 2 blocks, so 2 workers."""
+        block of ``_blocks`` at ``_CROSS_BLOCK`` columns, from the sizes
+        alone: ``_blocks(131, 128)`` is 2 blocks, so 2 workers."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 10**6)
+        assert score_fit_mod._block_plan(0, 1, 1) == (1, 128)
+        # no list of blocks: a pre-flight may ask about any size
+        assert score_fit_mod._block_plan(10**18 + 1, 1, 1) == (10**6, 128)
+        assert score_fit_mod._scratch_bytes(10**18 + 1, 3, 2) == 10**6 * 2 * 3 * 129 * 8
         for block in (128, 3, 1):
             monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", block)
             for size in (1, 2, 3, 4, 7, 127, 128, 129, 130, 131, 256, 257, 300, 2177):
-                blocks = score_fit_mod._blocks(size)
-                plan = (len(blocks), max(hi - lo for lo, hi in blocks))
-                assert score_fit_mod._block_plan(size, 1, 1) == plan, (block, size)
+                blocks = score_fit_mod._blocks(size, block)
+                assert score_fit_mod._block_plan(size, 1, 1) == (len(blocks), block)
+                widest = max(hi - lo for lo, hi in blocks)
                 assert (score_fit_mod._scratch_bytes(size, 3, 2)
-                        == plan[0] * 2 * 3 * plan[1] * 8)
-        assert score_fit_mod._block_plan(0, 1, 1) == (1, 0)
+                        == len(blocks) * 2 * 3 * widest * 8), (block, size)
+        assert score_fit_mod._scratch_bytes(0, 1, 1) == 0
+
+    def test_block_width_halves_to_cap_the_scratch_of_a_worker(self):
+        """Without a GEMM the width halves while one worker's scratch would
+        exceed 8 MiB, down to 32 columns; at n = 2000 the assembly's five
+        arrays (d = 1) take 64 columns.  A GEMM keeps 128, which fixes its
+        bits."""
+        def width(rows, arrays, **plan):
+            return score_fit_mod._block_plan(1000, rows, arrays, **plan)[1]
+
+        assert score_fit_mod._WORKER_SCRATCH == 8 * 2**20
+        assert width(1638, 5) == 128  # 8.0 MiB
+        assert width(1639, 5) == 64
+        assert width(2000, 5) == 64
+        assert width(3277, 5) == 32  # past 8 MiB at 64 columns
+        assert width(10**6, 5) == 32
+        assert width(2000, 7) == 64  # CV's scoring pass: seven arrays
+        assert width(2731, 3) == 64  # the grid sampler's weights
+        assert width(10**6, 4, gemm_rows=500) == 128  # IS
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_narrowed_blocks_give_the_same_bits(self, rng, monkeypatch, d):
+        """With the cap at one byte, every call without a GEMM runs 32-column
+        blocks (and a 33-column one where a 1-column remainder joins): the
+        assembly, the paired sums of one and of two models and the grid
+        weights give the bits of 128-column blocks."""
+        n, R = 301, 289
+        X, Y, kx, ky, _ = random_instance(rng, n, d, 2)
+        models = [fit_factor(X, Y, kx, ky, lam) for lam in (0.05, 0.5)]
+        X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
+
+        def outputs():
+            system = build_gram_system(X, Y, kx, ky, BaseDensity())
+            return [system.G, system.h, *score_fit_mod._T_terms(models[0], X_eval, Y_eval,
+                                                                True, True, True),
+                    np.array(empirical_score(models, X_eval, Y_eval)),
+                    _cross_weights(models[1], Y_eval)]
+
+        wide = outputs()
+        monkeypatch.setattr(score_fit_mod, "_WORKER_SCRATCH", 1)
+        assert score_fit_mod._blocks(R, score_fit_mod._block_plan(R, n, 5)[1])[-1] == (256, 289)
+        for got, expect in zip(outputs(), wide, strict=True):
+            assert got.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("d", [1, 2])
@@ -1123,8 +1280,10 @@ class TestScoreList:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_each_model_alone(self, rng, monkeypatch, d, workers):
         """n = _POOL_ROWS training rows, so two blocks run on two workers;
-        R = 129 is one block with the 1-column remainder joined, R = 257 two.
-        The list builds each block's k_X and k_Y once for all models."""
+        at d = 1, R = 129 is one block with the 1-column remainder joined,
+        R = 257 two (at d = 2 eleven arrays exceed the cap on a worker's
+        scratch, so the blocks take 64 columns).  The list builds each
+        block's k_X and k_Y once for all models."""
         n = score_fit_mod._POOL_ROWS
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         models = self.models(rng, n, d, 2)
@@ -1140,7 +1299,8 @@ class TestScoreList:
             alone = [empirical_score(model, X_eval, Y_eval) for model in models]
             calls.clear()
             assert empirical_score(models, X_eval, Y_eval) == alone
-            assert len(calls) == 2 * len(score_fit_mod._blocks(R))
+            width = score_fit_mod._block_plan(R, n, score_fit_mod._block_arrays(d, 2))[1]
+            assert len(calls) == 2 * len(score_fit_mod._blocks(R, width))
             assert empirical_score(tuple(models[:1]), X_eval, Y_eval) == alone[:1]
             got = score_fit_mod._pair_sums(
                 models[0].x_train, models[0].y_train, models[0].kernel_x,
