@@ -1,5 +1,5 @@
 """Command-line front end: dataset generation, fitting, evaluation,
-sampling, scoring, and the score-degeneracy demo.
+learning curves, sampling, scoring, and the score-degeneracy demo.
 
 Every run writes a provenance JSON next to its primary output recording the
 tool version, the full argument list, the BLAS thread environment
@@ -204,13 +204,14 @@ def _cmd_gen_grid(args, argv) -> int:
 
 
 def _load_training(args):
+    """The raw rows and the column names of --data, after --prune-threshold."""
     values, names = load_csv(args.data)
     if args.prune_threshold is not None:
         values, names, dropped = prune_correlated(values, names,
                                                   args.prune_threshold)
         if dropped:
             print(f"pruned correlated columns: {', '.join(dropped)}")
-    return standardize(values, names)
+    return values, names
 
 
 def _fit_from_args(args, dataset):
@@ -227,15 +228,13 @@ def _fit_from_args(args, dataset):
         cv_result = cross_validate(dataset, dag, cv_config, base)
         hyper = cv_result.hyperparams()
     else:
-        if args.lam is None:
-            raise DataError("fit requires either --lambda or --cv")
         hyper = NodeHyperparams(lam=args.lam, scale=args.bandwidth_scale)
     model = fit_joint(dataset, dag, hyper, base)
     return model, cv_result
 
 
 def _cmd_fit(args, argv) -> int:
-    dataset = _load_training(args)
+    dataset = standardize(*_load_training(args))
     model, cv_result = _fit_from_args(args, dataset)
     archive_settings = {
         "dag": args.dag, "base_std": args.base_std,
@@ -287,15 +286,6 @@ def _stderr_of_mean(per_row: np.ndarray) -> float:
 
 
 def _cmd_eval(args, argv) -> int:
-    given = _fit_flags_in(argv)
-    if given and not args.curve:
-        raise DataError(f"{given[0]} sets up a fit, and eval fits only with --curve")
-    if args.is_samples < 1:  # before --curve's first fit
-        raise DataError("num_samples must be >= 1")
-    if args.curve:
-        return _cmd_eval_curve(args, argv)
-    if args.model is None:
-        raise DataError("eval requires --model (or --curve with --data)")
     model = load_model(args.model)
     rows, _ = load_csv(args.test)
     mean, per_row, stats = test_loglik(model, rows, is_samples=args.is_samples,
@@ -319,26 +309,27 @@ def _cmd_eval(args, argv) -> int:
     return 0
 
 
-def _cmd_eval_curve(args, argv) -> int:
-    if args.data is None:
-        raise DataError("--curve requires --data (training CSV)")
-    dataset = _load_training(args)
+def _cmd_curve(args, argv) -> int:
+    if args.is_samples < 1:  # before the first fit
+        raise DataError("num_samples must be >= 1")
+    values, names = _load_training(args)
+    if len(values) < CURVE_SIZES[0]:
+        raise DataError(f"curve needs at least {CURVE_SIZES[0]} training rows, "
+                        f"got {len(values)}")
     test_rows, _ = load_csv(args.test)
-    shuffled = np.random.default_rng(args.seed).permutation(dataset.n)
+    shuffled = np.random.default_rng(args.seed).permutation(len(values))
     records = []
     for size in CURVE_SIZES:
-        if size > dataset.n:
+        if size > len(values):
             break
-        subset = standardize(dataset.destandardize()[shuffled[:size]],
-                             dataset.column_names)
-        model, _ = _fit_from_args(args, subset)
+        model, _ = _fit_from_args(args, standardize(values[shuffled[:size]], names))
         mean, per_row = test_loglik(model, test_rows, is_samples=args.is_samples,
                                     seed=args.seed)
         stderr = _stderr_of_mean(per_row)
         records.append([size, mean, stderr])
         print(f"n={size}: mean test log-likelihood {mean:.4f}")
     save_csv(args.out, np.array(records), ["n_train", "mean_loglik", "stderr"])
-    _write_provenance(args.out, "eval", argv)
+    _write_provenance(args.out, "curve", argv)
     return 0
 
 
@@ -389,41 +380,27 @@ def _grid_text(values) -> str:
     return ",".join(f"{v:g}" for v in values)
 
 
-def _add_fit_options(parser: argparse.ArgumentParser,
-                     defaults: bool = True) -> dict[str, str]:
-    """The model-fitting options shared by ``fit`` and ``eval --curve``.
-    Returns the flag of each option but --seed by its dest; without
-    ``defaults`` those options are set only where the argv gives them."""
+def _add_fit_options(parser: argparse.ArgumentParser) -> None:
+    """The model-fitting options shared by ``fit`` and ``curve``; a fit
+    takes either --lambda or --cv."""
     cv_defaults = CvConfig()
-    flags = {}
-
-    def add(flag, default, **kwargs):
-        action = parser.add_argument(
-            flag, default=default if defaults else argparse.SUPPRESS, **kwargs)
-        flags[action.dest] = flag
-
-    add("--dag", "markov", help="full | markov | custom:<json parent lists>")
-    add("--lambda", None, dest="lam", type=float)
-    add("--bandwidth-scale", 1.0, type=float)
-    add("--cv", False, action="store_true", help="grid-search hyperparameters per node")
-    add("--folds", cv_defaults.folds, type=int)
-    add("--lambda-grid", _grid_text(cv_defaults.lambda_grid))
-    add("--scale-grid", _grid_text(cv_defaults.bandwidth_scale_grid))
+    parser.add_argument("--dag", default="markov",
+                        help="full | markov | custom:<json parent lists>")
+    how = parser.add_mutually_exclusive_group(required=True)
+    how.add_argument("--lambda", dest="lam", type=float)
+    how.add_argument("--cv", action="store_true",
+                     help="grid-search hyperparameters per node")
+    parser.add_argument("--bandwidth-scale", type=float, default=1.0)
+    parser.add_argument("--folds", type=int, default=cv_defaults.folds)
+    parser.add_argument("--lambda-grid", default=_grid_text(cv_defaults.lambda_grid))
+    parser.add_argument("--scale-grid",
+                        default=_grid_text(cv_defaults.bandwidth_scale_grid))
     parser.add_argument("--seed", type=int, default=cv_defaults.seed,
-                        help="seeds the CV fold split and, in eval, the IS draws "
-                             "and the --curve subsets")
-    add("--base-std", BaseDensity().std, type=float)
-    add("--prune-threshold", None, type=float,
-        help="drop one of each column pair correlated above this")
-    return flags
-
-
-def _fit_flags_in(argv) -> list[str]:
-    """The fit options but --seed that ``argv`` sets."""
-    probe = argparse.ArgumentParser(add_help=False)
-    flags = _add_fit_options(probe, defaults=False)
-    given, _ = probe.parse_known_args(argv)
-    return [flag for dest, flag in flags.items() if dest in vars(given)]
+                        help="seeds the CV fold split and, in curve, the IS "
+                             "draws and the subsets")
+    parser.add_argument("--base-std", type=float, default=BaseDensity().std)
+    parser.add_argument("--prune-threshold", type=float, default=None,
+                        help="drop one of each column pair correlated above this")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,15 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=_cmd_fit)
 
     e = sub.add_parser("eval", help="test log-likelihood of a fitted model")
-    e.add_argument("--model")
+    e.add_argument("--model", required=True)
     e.add_argument("--test", required=True)
     e.add_argument("--is-samples", type=int, default=10_000)
+    e.add_argument("--seed", type=int, default=0, help="seeds the IS draws")
     e.add_argument("--out", required=True)
-    e.add_argument("--curve", action="store_true",
-                   help="refit at n in {200,500,1000,2000} and emit a table")
-    e.add_argument("--data", default=None, help="training CSV (with --curve)")
-    _add_fit_options(e)
     e.set_defaults(func=_cmd_eval)
+
+    r = sub.add_parser("curve", help="test log-likelihood of refits at n in "
+                                     "{200,500,1000,2000}, as a table")
+    r.add_argument("--data", required=True)
+    r.add_argument("--test", required=True)
+    r.add_argument("--is-samples", type=int, default=10_000)
+    _add_fit_options(r)
+    r.add_argument("--out", required=True)
+    r.set_defaults(func=_cmd_curve)
 
     s = sub.add_parser("sample", help="draw joint samples from a fitted model")
     s.add_argument("--model", required=True)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, KexpfamError, NumericalError
-from .factorization import DagSpec, JointModel, NodeHyperparams, _node_kernels
-from .kernels import median_heuristic
+from .factorization import (DagSpec, JointModel, NodeHyperparams, _node_kernels,
+                            _node_medians)
 from .score_fit import (
     BaseDensity,
     FactorModel,
@@ -235,14 +235,8 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
     lambdas, scales = config.lambda_grid, config.bandwidth_scale_grid
 
     # one median heuristic per node; every scale rescales the same bandwidths
-    x_med = median_heuristic(x_all) if parents else None
-    y_med = median_heuristic(y_all)
-    kernels = [
-        _node_kernels(values, parents, node, NodeHyperparams(
-            x_bandwidths=None if x_med is None else scale * x_med,
-            y_bandwidths=scale * y_med))
-        for scale in scales
-    ]
+    medians = _node_medians(values, parents, node)
+    kernels = [_node_kernels(*medians, scale) for scale in scales]
 
     def score_fold(kx, ky, block) -> list[float]:
         """Held-out score of every lambda on one fold: the fold's system is

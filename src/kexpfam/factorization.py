@@ -91,16 +91,11 @@ def make_dag(kind: str, node_count: int,
 
 @dataclass(frozen=True, eq=False)
 class NodeHyperparams:
-    """Per-node fit settings.
-
-    Bandwidths default to the median heuristic of the node's own training
-    columns, times ``scale`` for both kernels; an explicit bandwidth vector
-    overrides the heuristic of its kernel entirely.
-    """
+    """Per-node fit settings: the ridge ``lam`` and the ``scale`` that
+    multiplies the median-heuristic bandwidths of both kernels, each taken
+    over the node's own training columns."""
 
     lam: float = 0.01
-    x_bandwidths: np.ndarray | None = None
-    y_bandwidths: np.ndarray | None = None
     scale: float = 1.0
 
     def __post_init__(self):
@@ -164,21 +159,20 @@ class JointModel:
         return -float(np.sum(np.log(self.column_stds)))
 
 
-def _node_kernels(values: np.ndarray, parents: tuple[int, ...], node: int,
-                  hp: NodeHyperparams):
-    y_cols = values[:, [node]]
-    if hp.y_bandwidths is not None:
-        ky = GaussianKernelSpec(np.asarray(hp.y_bandwidths, dtype=np.float64))
-    else:
-        ky = GaussianKernelSpec(hp.scale * median_heuristic(y_cols))
-    if not parents:
+def _node_medians(values: np.ndarray, parents: tuple[int, ...], node: int):
+    """Median-heuristic bandwidths of a node's parent columns (None without
+    parents) and of its own column."""
+    x_med = median_heuristic(values[:, list(parents)]) if parents else None
+    return x_med, median_heuristic(values[:, [node]])
+
+
+def _node_kernels(x_med, y_med, scale: float):
+    """The node's (k_X, k_Y): Gaussian kernels at ``scale`` times the
+    medians, and a constant k_X for a node without parents."""
+    ky = GaussianKernelSpec(scale * y_med)
+    if x_med is None:
         return ConstantKernel(1.0), ky
-    x_cols = values[:, list(parents)]
-    if hp.x_bandwidths is not None:
-        kx = GaussianKernelSpec(np.asarray(hp.x_bandwidths, dtype=np.float64))
-    else:
-        kx = GaussianKernelSpec(hp.scale * median_heuristic(x_cols))
-    return kx, ky
+    return GaussianKernelSpec(scale * x_med), ky
 
 
 def fit_joint(dataset, dag: DagSpec, hyper=None,
@@ -219,7 +213,7 @@ def fit_joint(dataset, dag: DagSpec, hyper=None,
         parents = dag.parents[node]
         hp = hyper[node]
         try:
-            kx, ky = _node_kernels(values, parents, node, hp)
+            kx, ky = _node_kernels(*_node_medians(values, parents, node), hp.scale)
             x = values[:, list(parents)]
             y = values[:, [node]]
             factors.append(fit_factor(x, y, kx, ky, hp.lam, base))

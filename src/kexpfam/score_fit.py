@@ -182,11 +182,6 @@ class GramSystem:
     changed.  The checks run in strips of 128 rows, so that no temporary of
     G's size appears.  G is kept as given when it is a writable C-ordered
     float64 array (as assembled), and copied into one otherwise.
-
-    Equal values may differ in the sign of a zero.  An assembled G at d = 1
-    has the same bits as its mirror; at d > 1, a zero mixed partial of two
-    rows tied in one coordinate may not, and a solve then leaves such an
-    entry above the diagonal with its mirror's sign.
     """
 
     G: np.ndarray
@@ -369,6 +364,8 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
             np.sum(W, axis=0, out=h[lo:hi, j])
 
     _in_blocks(block, n, n, _block_arrays(d), budget=G.nbytes)
+    if d > 1:  # a zero mixed partial may be -0 opposite a +0 mirror; -0 + 0 = +0
+        G += 0.0
     return GramSystem(G=G, h=h.reshape(-1))
 
 
@@ -426,10 +423,10 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
     triangle stays intact and its diagonal is kept in a vector: each
     residual is a symmetric product (``dsymv``) with that triangle, and
     before returning, or raising, G's upper triangle and diagonal are
-    written back from them.  So G comes back bit for bit as it went in (up
-    to the sign of a zero, see ``GramSystem``), and one assembled system
-    can be solved for several lambdas, one solve at a time.  These are the LAPACK routines that scipy's ``cho_factor``
-    and ``cho_solve`` call, on the same operands, so beta has their bits.
+    written back from them.  So G comes back bit for bit as it went in, and one
+    assembled system can be solved for several lambdas, one solve at a
+    time.  These are the LAPACK routines that scipy's ``cho_factor`` and
+    ``cho_solve`` call, on the same operands, so beta has their bits.
 
     The shifted matrix is PSD plus a positive ridge, so a Cholesky
     factorization is used; on breakdown a small jitter (1e-10 times the mean

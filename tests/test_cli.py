@@ -17,7 +17,7 @@ import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
 from kexpfam.data_io import load_csv, load_model, standardize
 from kexpfam.evaluation import CvConfig
-from kexpfam.factorization import make_dag
+from kexpfam.factorization import fit_joint, make_dag
 from kexpfam.sampling import GridSamplerConfig, HmcConfig, ancestral_sample
 
 
@@ -160,20 +160,22 @@ class TestFitEvalPipeline:
     @pytest.mark.parametrize("flag, value", [
         ("--lambda", "5"), ("--dag", "full"), ("--cv", None), ("--folds", "9"),
         ("--lambda-grid", "0.1,1"), ("--scale-grid", "1"), ("--bandwidth-scale", "3"),
-        ("--base-std", "7"), ("--prune-threshold", "0.9"),
+        ("--base-std", "7"), ("--prune-threshold", "0.9"), ("--data", "train.csv"),
+        ("--curve", None),
     ])
     def test_eval_without_curve_refuses_a_fit_option(self, workspace, capsys,
                                                      flag, value):
-        """Plain eval fits nothing, so a fit option would change no byte of
-        its outputs: a data error that names the flag, before any work.
-        --seed seeds the IS draws and stays valid."""
+        """eval fits nothing, so it takes no fit option, no training data
+        and no --curve (the learning curve is its own command): each is a
+        usage error that names the flag and writes nothing.  --seed seeds
+        the IS draws and stays valid."""
         tmp_path, _, test, model = workspace
         out = tmp_path / f"eval{flag}.json"
         argv = ["eval", "--model", model, "--test", test, "--is-samples", 300,
                 "--seed", 1, "--out", out]
-        assert run(argv + [flag] + ([value] if value else [])) == 2
-        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
-        assert error["type"] == "data" and flag in error["message"]
+        capsys.readouterr()
+        assert run(argv + [flag] + ([value] if value else [])) == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
         assert run(argv) == 0
 
@@ -329,7 +331,7 @@ class TestFitEvalPipeline:
     def test_fit_requires_lambda_or_cv(self, tmp_path):
         train = gen_grid(tmp_path, "nolam.csv", n=60, seed=3)
         assert run(["fit", "--data", train,
-                    "--out-model", tmp_path / "m.kcef"]) == 2
+                    "--out-model", tmp_path / "m.kcef"]) == 1
 
     def test_custom_dag(self, tmp_path):
         train = gen_grid(tmp_path, "dag3.csv", n=80, dim=3, seed=5)
@@ -344,7 +346,7 @@ class TestCurve:
         train = gen_grid(tmp_path, "curve_train.csv", n=600, dim=2, seed=0)
         test = gen_grid(tmp_path, "curve_test.csv", n=150, dim=2, seed=1)
         out = tmp_path / "curve.csv"
-        code = run(["eval", "--curve", "--data", train, "--test", test,
+        code = run(["curve", "--data", train, "--test", test,
                     "--dag", "markov", "--lambda", 0.003,
                     "--is-samples", 2000, "--seed", 0, "--out", out])
         assert code == 0
@@ -358,7 +360,7 @@ class TestCurve:
         test = tmp_path / "one_row.csv"
         test.write_text("x0,x1\n0.3,0.6\n")
         out = tmp_path / "curve.csv"
-        code = run(["eval", "--curve", "--data", train, "--test", test,
+        code = run(["curve", "--data", train, "--test", test,
                     "--dag", "markov", "--lambda", 0.01,
                     "--is-samples", 500, "--seed", 0, "--out", out])
         assert code == 0
@@ -367,8 +369,48 @@ class TestCurve:
 
     def test_curve_requires_training_data(self, tmp_path):
         test = gen_grid(tmp_path, "t.csv", n=50, seed=1)
-        assert run(["eval", "--curve", "--test", test, "--lambda", 0.01,
+        assert run(["curve", "--test", test, "--lambda", 0.01,
+                    "--out", tmp_path / "c.csv"]) == 1
+
+    def test_curve_fits_subsets_of_the_raw_rows(self, tmp_path, monkeypatch):
+        """Each refit gets its subset of the CSV's own rows, standardized,
+        bit for bit: no round trip through the whole set's standardization."""
+        train = gen_grid(tmp_path, "curve_train.csv", n=500, dim=2, seed=0)
+        test = gen_grid(tmp_path, "curve_test.csv", n=20, dim=2, seed=1)
+        received = []
+
+        def capture(dataset, *args):
+            received.append(dataset)
+            return fit_joint(dataset, *args)
+
+        monkeypatch.setattr(cli, "fit_joint", capture)
+        assert run(["curve", "--data", train, "--test", test, "--lambda", 0.01,
+                    "--is-samples", 50, "--seed", 3, "--out", tmp_path / "c.csv"]) == 0
+        raw, names = load_csv(train)
+        order = np.random.default_rng(3).permutation(len(raw))
+        assert [d.n for d in received] == [200, 500]
+        for dataset in received:
+            expect = standardize(raw[order[:dataset.n]], names)
+            for field in ("values", "column_means", "column_stds"):
+                assert getattr(dataset, field).tobytes() == \
+                    getattr(expect, field).tobytes()
+
+    def test_curve_needs_the_smallest_size_of_rows(self, tmp_path, capsys,
+                                                   monkeypatch):
+        train = gen_grid(tmp_path, "small.csv", n=120, seed=0)
+        test = gen_grid(tmp_path, "t.csv", n=20, seed=1)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran on too few rows")
+
+        monkeypatch.setattr(cli, "fit_joint", no_fit)
+        capsys.readouterr()
+        assert run(["curve", "--data", train, "--test", test, "--lambda", 0.01,
                     "--out", tmp_path / "c.csv"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "data", "message":
+                         "curve needs at least 200 training rows, got 120"}
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestFitOptions:
@@ -377,10 +419,12 @@ class TestFitOptions:
 
     def test_fit_and_eval_share_defaults_from_cv_config(self):
         parser = cli.build_parser()
-        fit = parser.parse_args(["fit", "--data", "d.csv", "--out-model", "m.kcef"])
-        ev = parser.parse_args(["eval", "--test", "t.csv", "--out", "e.json"])
+        fit = parser.parse_args(["fit", "--data", "d.csv", "--cv",
+                                 "--out-model", "m.kcef"])
+        curve = parser.parse_args(["curve", "--data", "d.csv", "--test", "t.csv", "--cv",
+                                   "--out", "c.csv"])
         defaults = {k: getattr(fit, k) for k in self.FIT_OPTIONS}
-        assert defaults == {k: getattr(ev, k) for k in self.FIT_OPTIONS}
+        assert defaults == {k: getattr(curve, k) for k in self.FIT_OPTIONS}
         config = CvConfig()
         assert cli._parse_float_list(fit.lambda_grid, "--lambda-grid") == \
             pytest.approx(config.lambda_grid, rel=1e-5)
@@ -408,13 +452,18 @@ class TestFitOptions:
         ["eval", "--model", "m.kcef", "--test", "t.csv", "--per-row", "x.csv",
          "--out", "e.json"],
         ["fit", "--data", "d.csv", "--cv", "--cv-seed", "1", "--out-model", "m.kcef"],
-        ["eval", "--curve", "--data", "d.csv", "--test", "t.csv", "--cv",
+        ["curve", "--data", "d.csv", "--test", "t.csv", "--cv",
          "--cv-seed", "1", "--out", "c.csv"],
-    ], ids=["sample-chains", "eval-per-row", "fit-cv-seed", "curve-cv-seed"])
+        ["fit", "--data", "d.csv", "--cv", "--lambda", "0.1", "--out-model", "m.kcef"],
+        ["eval", "--curve", "--data", "d.csv", "--test", "t.csv", "--lambda", "0.01",
+         "--out", "c.csv"],
+    ], ids=["sample-chains", "eval-per-row", "fit-cv-seed", "curve-cv-seed",
+            "fit-cv-lambda", "eval-curve"])
     def test_removed_flags_are_usage_errors(self, argv):
         """Ancestral HMC runs one chain per row, the per-row CSV is always
-        the summary's .rows.csv sidecar and --seed seeds the CV split, so
-        these flags are gone."""
+        the summary's .rows.csv sidecar, --seed seeds the CV split, --cv
+        picks the lambda that --lambda would fix and the learning curve is
+        the curve command, so these flags and combinations are gone."""
         assert run(argv) == 1
 
     def test_fit_seed_seeds_the_cv_split(self, tmp_path):
@@ -609,7 +658,7 @@ class TestExitCodes:
     def test_nonpositive_is_samples_is_data_error(self, workspace, capsys,
                                                   curve, samples):
         tmp_path, train, test, model = workspace
-        argv = (["eval", "--curve", "--data", train, "--lambda", 0.01] if curve
+        argv = (["curve", "--data", train, "--lambda", 0.01] if curve
                 else ["eval", "--model", model])
         capsys.readouterr()
         assert run(argv + ["--test", test, "--is-samples", samples,
@@ -625,7 +674,7 @@ class TestExitCodes:
             raise AssertionError("fit ran before --is-samples was checked")
 
         monkeypatch.setattr(cli, "fit_joint", no_fit)
-        assert run(["eval", "--curve", "--data", train, "--lambda", 0.01,
+        assert run(["curve", "--data", train, "--lambda", 0.01,
                     "--test", test, "--is-samples", 0,
                     "--out", tmp_path / "curve.csv"]) == 2
 

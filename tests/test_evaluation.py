@@ -28,7 +28,7 @@ from kexpfam.factorization import (
     fit_joint,
     make_dag,
 )
-from kexpfam.kernels import ConstantKernel, GaussianKernelSpec
+from kexpfam.kernels import ConstantKernel, GaussianKernelSpec, median_heuristic
 from kexpfam.sampling import GridDatasetConfig, _grid_pass, rejection_sample_grid
 from kexpfam.score_fit import (
     FactorModel,
@@ -419,8 +419,8 @@ class TestCrossValidate:
             assert [(c.lam, c.scale) for c in node_result.table] == list(
                 itertools.product(config.lambda_grid, config.bandwidth_scale_grid))
             for cell in node_result.table:
-                hp = NodeHyperparams(lam=cell.lam, scale=cell.scale)
-                kx, ky = _node_kernels(values, parents, node, hp)
+                kx, ky = _node_kernels(median_heuristic(x) if parents else None,
+                                       median_heuristic(y), cell.scale)
                 expect = []
                 for block in blocks:
                     train = np.setdiff1d(np.arange(values.shape[0]), block)

@@ -112,7 +112,7 @@ class TestFitJoint:
 
     def test_fit_error_names_node(self, grid_dataset):
         bad = [NodeHyperparams(lam=0.01), NodeHyperparams(lam=0.01),
-               NodeHyperparams(lam=0.01, y_bandwidths=np.array([-1.0]))]
+               NodeHyperparams(lam=0.01, scale=1e-12)]  # bandwidths below the floor
         with pytest.raises(DataError, match="node 2"):
             fit_joint(grid_dataset, make_dag("markov", 3), bad)
 

@@ -373,6 +373,21 @@ class TestBuildGramSystem:
         np.testing.assert_allclose(whole.h, brute_h(X, Y, kx, ky, base),
                                    rtol=1e-12, atol=1e-14)
 
+    def test_d2_G_is_symmetric_in_bits_and_survives_a_solve(self, rng):
+        """Rows tied in y's first coordinate give zero mixed partials,
+        which the blocks write as -0 on one side of the diagonal and +0 on
+        the other; the assembly makes every zero +0, so G's int64 view
+        equals its transpose and a solve restores every bit."""
+        X, Y, kx, ky, lam = random_instance(rng, 20, 2, 2)
+        Y[:, 0] = np.round(Y[:, 0])
+        system = build_gram_system(X, Y, kx, ky, BaseDensity())
+        assert np.any(system.G == 0)
+        bits = system.G.view(np.int64)
+        assert np.array_equal(bits, bits.T)
+        before = bits.copy()
+        fit_factor(X, Y, kx, ky, lam, system=system)
+        assert np.array_equal(system.G.view(np.int64), before)
+
     def test_fit_peak_is_G_plus_the_assembly_scratch(self, rng, monkeypatch):
         """The traced peak of a fit, for every worker count a host may give
         the assembly, whatever CPUs run the test, is G and the workers'
