@@ -67,6 +67,11 @@ _OPENBLAS_LIBS = (
 # chains, since ancestral HMC runs one chain per output row
 _HMC_OPTIONS = (("step_size", float), ("leapfrog_steps", int), ("burn_in", int),
                ("thin", int))
+# the fit flags that only --lambda or only --cv reads, by NodeHyperparams or
+# CvConfig field; each is unset unless given, so those classes hold the defaults
+_LAMBDA_FLAGS = {"scale": "--bandwidth-scale"}
+_CV_FLAGS = {"folds": "--folds", "lambda_grid": "--lambda-grid",
+             "bandwidth_scale_grid": "--scale-grid", "seed": "--seed"}
 
 
 def _write_json(path, payload: dict) -> None:
@@ -161,11 +166,23 @@ def _parse_dag(text: str, dim: int):
     )
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise DataError(f"{flag}: cannot parse {text!r}") from None
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _given(args, flags: dict) -> dict:
+    """The values of those ``flags`` that the argv gave."""
+    return {dest: value for dest, value in vars(args).items() if dest in flags}
+
+
+def _refuse_unread_fit_flags(parser, args) -> None:
+    """A fit flag that the chosen way of fitting does not read is a usage
+    error; curve's --seed also seeds the subsets and the IS draws, so it is
+    read either way."""
+    mode, unread = ("--cv", _LAMBDA_FLAGS) if args.cv else ("--lambda", _CV_FLAGS)
+    for dest in _given(args, unread):
+        if not (dest == "seed" and args.func is _cmd_curve):
+            parser.error(f"{unread[dest]} is not read with {mode}")
 
 
 def _sampler_config(args) -> GridSamplerConfig | HmcConfig:
@@ -219,16 +236,11 @@ def _fit_from_args(args, dataset):
     base = BaseDensity(std=args.base_std)
     cv_result = None
     if args.cv:
-        cv_config = CvConfig(
-            folds=args.folds,
-            lambda_grid=_parse_float_list(args.lambda_grid, "--lambda-grid"),
-            bandwidth_scale_grid=_parse_float_list(args.scale_grid, "--scale-grid"),
-            seed=args.seed,
-        )
-        cv_result = cross_validate(dataset, dag, cv_config, base)
+        config = CvConfig(**_given(args, _CV_FLAGS))
+        cv_result = cross_validate(dataset, dag, config, base)
         hyper = cv_result.hyperparams()
     else:
-        hyper = NodeHyperparams(lam=args.lam, scale=args.bandwidth_scale)
+        hyper = NodeHyperparams(lam=args.lam, **_given(args, _LAMBDA_FLAGS))
     model = fit_joint(dataset, dag, hyper, base)
     return model, cv_result
 
@@ -236,12 +248,7 @@ def _fit_from_args(args, dataset):
 def _cmd_fit(args, argv) -> int:
     dataset = standardize(*_load_training(args))
     model, cv_result = _fit_from_args(args, dataset)
-    archive_settings = {
-        "dag": args.dag, "base_std": args.base_std,
-        "cv": bool(args.cv), "lambda": args.lam,
-        "bandwidth_scale": args.bandwidth_scale, "seed": args.seed,
-    }
-    save_model(model, args.out_model, provenance=archive_settings)
+    save_model(model, args.out_model)
     if cv_result is not None:
         rows = [[r.node, c.lam, c.scale, c.mean_score]
                 for r in cv_result.nodes for c in r.table]
@@ -362,8 +369,6 @@ def _cmd_score(args, argv) -> int:
 
 
 def _cmd_diverge(args, argv) -> int:
-    if args.demo != "appendix-d":
-        raise DataError(f"unknown demo {args.demo!r}; available: appendix-d")
     result = disjoint_support_demo(n_samples=args.samples, seed=args.seed)
     print(f"score divergence estimate: {result['fisher_divergence']:.3e}")
     print(f"total variation distance: {result['tv_distance']:.4f}")
@@ -376,31 +381,27 @@ def _cmd_diverge(args, argv) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _grid_text(values) -> str:
-    return ",".join(f"{v:g}" for v in values)
-
-
-def _add_fit_options(parser: argparse.ArgumentParser) -> None:
+def _add_fit_options(parser: argparse.ArgumentParser):
     """The model-fitting options shared by ``fit`` and ``curve``; a fit
-    takes either --lambda or --cv."""
-    cv_defaults = CvConfig()
+    takes either --lambda or --cv, and a flag that only the other one reads
+    is a usage error.  Returns the group of --cv's flags."""
     parser.add_argument("--dag", default="markov",
                         help="full | markov | custom:<json parent lists>")
     how = parser.add_mutually_exclusive_group(required=True)
     how.add_argument("--lambda", dest="lam", type=float)
     how.add_argument("--cv", action="store_true",
                      help="grid-search hyperparameters per node")
-    parser.add_argument("--bandwidth-scale", type=float, default=1.0)
-    parser.add_argument("--folds", type=int, default=cv_defaults.folds)
-    parser.add_argument("--lambda-grid", default=_grid_text(cv_defaults.lambda_grid))
-    parser.add_argument("--scale-grid",
-                        default=_grid_text(cv_defaults.bandwidth_scale_grid))
-    parser.add_argument("--seed", type=int, default=cv_defaults.seed,
-                        help="seeds the CV fold split and, in curve, the IS "
-                             "draws and the subsets")
     parser.add_argument("--base-std", type=float, default=BaseDensity().std)
     parser.add_argument("--prune-threshold", type=float, default=None,
                         help="drop one of each column pair correlated above this")
+    by_lambda = parser.add_argument_group("with --lambda",
+                                          argument_default=argparse.SUPPRESS)
+    by_lambda.add_argument("--bandwidth-scale", dest="scale", type=float)
+    by_cv = parser.add_argument_group("with --cv", argument_default=argparse.SUPPRESS)
+    by_cv.add_argument("--folds", type=int)
+    by_cv.add_argument("--lambda-grid", type=_float_list)
+    by_cv.add_argument("--scale-grid", dest="bandwidth_scale_grid", type=_float_list)
+    return by_cv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fit", help="fit a factorized model to a CSV dataset")
     f.add_argument("--data", required=True)
-    _add_fit_options(f)
+    _add_fit_options(f).add_argument("--seed", type=int, help="seeds the fold split")
     f.add_argument("--out-model", required=True)
     f.set_defaults(func=_cmd_fit)
 
@@ -442,6 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--test", required=True)
     r.add_argument("--is-samples", type=int, default=10_000)
     _add_fit_options(r)
+    r.add_argument("--seed", type=int, default=0,
+                   help="seeds the subsets, the IS draws and, with --cv, the "
+                        "fold split")
     r.add_argument("--out", required=True)
     r.set_defaults(func=_cmd_curve)
 
@@ -465,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_score)
 
     d = sub.add_parser("diverge", help="score-divergence diagnostics")
-    d.add_argument("--demo", required=True)
+    d.add_argument("--demo", required=True, choices=("appendix-d",))
     d.add_argument("--samples", type=int, default=100_000)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default=None)
@@ -484,6 +488,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "cv" in vars(args):
+            _refuse_unread_fit_flags(parser, args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     # the BLAS thread count changes the summation order of GEMMs and

@@ -183,7 +183,10 @@ def split(dataset: StandardizedDataset, fraction: float,
 def prune_correlated(values: np.ndarray, column_names,
                      threshold: float = 0.98):
     """Drop one column from every pair with |Pearson correlation| above the
-    threshold (the later column goes).  Returns (values, names, dropped)."""
+    threshold (the later column goes).  Returns (values, names, dropped).
+    A threshold outside [0, 1], or not finite, is a DataError."""
+    if not 0.0 <= threshold <= 1.0:
+        raise DataError(f"prune threshold must lie in [0, 1], got {threshold}")
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     names = [str(c) for c in column_names]
     corr = np.corrcoef(values, rowvar=False)
@@ -223,12 +226,12 @@ def _kernel_meta(kernel, packer: _ArrayPacker) -> dict:
     return {"type": "gaussian", "bandwidths": packer.pack(kernel.bandwidths)}
 
 
-def save_model(model: JointModel, path, provenance: dict | None = None) -> None:
+def save_model(model: JointModel, path) -> None:
     """Write a JointModel archive.
 
-    The file is fully determined by the model and provenance dict: metadata
-    JSON is serialized with sorted keys and arrays are stored little-endian,
-    so identical models produce identical bytes.
+    The file is fully determined by the model: metadata JSON is serialized
+    with sorted keys and arrays are stored little-endian, so identical
+    models produce identical bytes.
     """
     packer = _ArrayPacker()
     factors = []
@@ -251,7 +254,6 @@ def save_model(model: JointModel, path, provenance: dict | None = None) -> None:
         "standardization": {"means": packer.pack(model.column_means),
                             "stds": packer.pack(model.column_stds)},
         "factors": factors,
-        "provenance": provenance or {},
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = (ARCHIVE_MAGIC + struct.pack("<I", ARCHIVE_VERSION)

@@ -16,6 +16,7 @@ import kexpfam.sampling as sampling
 import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
 from kexpfam.data_io import load_csv, load_model, standardize
+from kexpfam.errors import DataError
 from kexpfam.evaluation import CvConfig
 from kexpfam.factorization import fit_joint, make_dag
 from kexpfam.sampling import GridSamplerConfig, HmcConfig, ancestral_sample
@@ -333,6 +334,21 @@ class TestFitEvalPipeline:
         assert run(["fit", "--data", train,
                     "--out-model", tmp_path / "m.kcef"]) == 1
 
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_prune_threshold_outside_unit_interval_is_data_error(
+            self, tmp_path, capsys, threshold):
+        """-1 would drop every column but the first and nan none; both are
+        refused before anything is written."""
+        train = gen_grid(tmp_path, "prune.csv", n=60, seed=3)
+        capsys.readouterr()
+        assert run(["fit", "--data", train, "--lambda", 0.01,
+                    "--prune-threshold", threshold,
+                    "--out-model", tmp_path / "m.kcef"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data"
+        assert "prune threshold" in error["message"]
+        assert not list(tmp_path.glob("m.*"))
+
     def test_custom_dag(self, tmp_path):
         train = gen_grid(tmp_path, "dag3.csv", n=80, dim=3, seed=5)
         model = tmp_path / "dag3.kcef"
@@ -414,23 +430,79 @@ class TestCurve:
 
 
 class TestFitOptions:
-    FIT_OPTIONS = ("dag", "lam", "bandwidth_scale", "cv", "folds", "lambda_grid",
-                   "scale_grid", "seed", "base_std", "prune_threshold")
+    # (mode, flag, value) for each flag that the mode does not read
+    UNREAD = (("--lambda", "--folds", "3"), ("--lambda", "--lambda-grid", "0.1"),
+              ("--lambda", "--scale-grid", "1"), ("--lambda", "--seed", "5"),
+              ("--cv", "--bandwidth-scale", "2"))
 
-    def test_fit_and_eval_share_defaults_from_cv_config(self):
-        parser = cli.build_parser()
-        fit = parser.parse_args(["fit", "--data", "d.csv", "--cv",
-                                 "--out-model", "m.kcef"])
-        curve = parser.parse_args(["curve", "--data", "d.csv", "--test", "t.csv", "--cv",
-                                   "--out", "c.csv"])
-        defaults = {k: getattr(fit, k) for k in self.FIT_OPTIONS}
-        assert defaults == {k: getattr(curve, k) for k in self.FIT_OPTIONS}
-        config = CvConfig()
-        assert cli._parse_float_list(fit.lambda_grid, "--lambda-grid") == \
-            pytest.approx(config.lambda_grid, rel=1e-5)
-        assert cli._parse_float_list(fit.scale_grid, "--scale-grid") == \
-            config.bandwidth_scale_grid
-        assert (fit.folds, fit.seed) == (config.folds, config.seed)
+    def test_fit_and_eval_share_defaults_from_cv_config(self, tmp_path, monkeypatch):
+        """Default fit --cv and curve --cv search exactly CvConfig()'s grids,
+        folds and seed, as the library does."""
+        train = gen_grid(tmp_path, "d.csv", n=200, seed=0)
+        configs = []
+
+        def capture(dataset, dag, config, base):
+            configs.append(config)
+            raise DataError("stop after the config")
+
+        monkeypatch.setattr(cli, "cross_validate", capture)
+        assert run(["fit", "--data", train, "--cv",
+                    "--out-model", tmp_path / "m.kcef"]) == 2
+        assert run(["curve", "--data", train, "--test", train, "--cv",
+                    "--out", tmp_path / "c.csv"]) == 2
+        assert configs == [CvConfig(), CvConfig()]
+
+    @pytest.mark.parametrize("command, mode, flag, value", [
+        (command, *case) for case in UNREAD for command in ("fit", "curve")
+        if (command, case[1]) != ("curve", "--seed")])
+    def test_a_flag_the_mode_does_not_read_is_a_usage_error(
+            self, workspace, capsys, command, mode, flag, value):
+        """--lambda reads no CV flag and --cv no --bandwidth-scale.  (curve's
+        --seed also seeds the subsets and the IS draws, so it is read in
+        both modes; TestCurve passes it with --lambda.)"""
+        tmp_path, train, test, _ = workspace
+        out = tmp_path / f"unread{command}{mode}{flag}.out"
+        argv = ([command, "--data", train]
+                + (["--test", test, "--is-samples", 50, "--out", out]
+                   if command == "curve" else ["--out-model", out])
+                + ([mode, "0.01"] if mode == "--lambda" else [mode])
+                + [flag, value])
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert f"{flag} is not read with {mode}" in capsys.readouterr().err
+        assert list(tmp_path.glob(out.stem + "*")) == []
+
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("lambda", "--dag", "full"),
+        ("lambda", "--lambda", "0.1"),
+        ("lambda", "--bandwidth-scale", "2"),
+        ("lambda", "--base-std", "3"),
+        ("lambda", "--prune-threshold", "0"),
+        ("cv", "--dag", "full"),
+        ("cv", "--folds", "3"),
+        ("cv", "--lambda-grid", "0.01,0.2"),
+        ("cv", "--scale-grid", "2"),
+        ("cv", "--seed", "4"),
+        ("cv", "--base-std", "3"),
+        ("cv", "--prune-threshold", "0"),
+    ])
+    def test_every_fit_flag_changes_a_result(self, tmp_path, mode, flag, value):
+        """Each flag that a way of fitting takes moves the archive or the
+        .cv.csv away from the outputs of the same argv without it."""
+        train = gen_grid(tmp_path, "d.csv", n=80, dim=3, seed=2)
+        how = {"lambda": ["--lambda", "0.01"],
+               "cv": ["--cv", "--folds", "2", "--lambda-grid", "0.01,0.1",
+                      "--scale-grid", "1"]}[mode]
+
+        def outputs(extra, name):
+            model = tmp_path / f"{name}.kcef"
+            assert run(["fit", "--data", train] + how + extra
+                       + ["--out-model", model]) == 0
+            table = tmp_path / f"{name}.cv.csv"
+            return model.read_bytes(), table.exists() and table.read_bytes()
+
+        # the flag's later occurrence wins over the base argv's
+        assert outputs([flag, value], "flagged") != outputs([], "base")
 
     @pytest.mark.parametrize("flag, value, field, expect", [
         ("--step-size", "0.05", "step_size", 0.05),
@@ -498,8 +570,9 @@ class TestDiverge:
         assert payload["fisher_divergence"] < 1e-12
         assert payload["tv_distance"] > 0.4
 
-    def test_unknown_demo_is_data_error(self):
-        assert run(["diverge", "--demo", "unknown"]) == 2
+    def test_unknown_demo_is_usage_error(self, capsys):
+        assert run(["diverge", "--demo", "unknown"]) == 1
+        assert "--demo" in capsys.readouterr().err
 
 
 class TestExitCodes:

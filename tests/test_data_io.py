@@ -1,3 +1,5 @@
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -164,6 +166,13 @@ class TestPruneCorrelated:
         assert dropped == []
         assert out.shape == (200, 3)
 
+    @pytest.mark.parametrize("threshold", [-1.0, 1.5, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_is_data_error(self, rng, threshold):
+        """|correlation| lies in [0, 1], so no other bound means anything:
+        -1 would drop every column but the first, and nan none."""
+        with pytest.raises(DataError, match="prune threshold"):
+            prune_correlated(rng.normal(size=(50, 3)), ["a", "b", "c"], threshold)
+
 
 @pytest.fixture(scope="module")
 def fitted_model():
@@ -175,7 +184,7 @@ def fitted_model():
 class TestModelArchive:
     def test_roundtrip_preserves_arrays_bitwise(self, tmp_path, fitted_model):
         path = tmp_path / "model.kcef"
-        save_model(fitted_model, path, provenance={"seed": 3})
+        save_model(fitted_model, path)
         loaded = load_model(path)
         assert loaded.dag.parents == fitted_model.dag.parents
         assert loaded.column_names == fitted_model.column_names
@@ -202,9 +211,32 @@ class TestModelArchive:
 
     def test_save_is_deterministic(self, tmp_path, fitted_model):
         p1, p2 = tmp_path / "m1.kcef", tmp_path / "m2.kcef"
-        save_model(fitted_model, p1, provenance={"seed": 1})
-        save_model(fitted_model, p2, provenance={"seed": 1})
+        save_model(fitted_model, p1)
+        save_model(fitted_model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_archive_with_a_provenance_key_still_loads(self, tmp_path, fitted_model):
+        """Earlier archives carried a copy of the fit settings under
+        "provenance"; the loader never read it, and such an archive loads to
+        the same model."""
+        path = tmp_path / "model.kcef"
+        save_model(fitted_model, path)
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack("<Q", blob[8:16])
+        meta = json.loads(blob[16:16 + meta_len])
+        assert "provenance" not in meta
+        meta["provenance"] = {"dag": "markov", "lambda": 0.02, "seed": 0}
+        meta_bytes = json.dumps(meta, sort_keys=True,
+                                separators=(",", ":")).encode("utf-8")
+        body = (blob[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+                + blob[16 + meta_len:-32])
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        loaded = load_model(path)
+        assert loaded.dag.parents == fitted_model.dag.parents
+        for f1, f2 in zip(fitted_model.factors, loaded.factors):
+            assert f1.beta.tobytes() == f2.beta.tobytes()
+            assert f1.x_train.tobytes() == f2.x_train.tobytes()
+            assert (f1.lam, f1.xi_coeff) == (f2.lam, f2.xi_coeff)
 
     def test_version_bump_rejected(self, tmp_path, fitted_model):
         path = tmp_path / "model.kcef"
