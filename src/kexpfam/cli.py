@@ -4,8 +4,8 @@ learning curves, sampling, scoring, and the score-degeneracy demo.
 Every run writes a provenance JSON next to its primary output recording the
 tool version, the full argument list, the BLAS thread environment
 variables and the thread count of each loaded OpenBLAS, so the run can be
-replayed.  ``main`` sets every OpenBLAS that numpy and scipy loaded to one
-thread, so that outputs do not depend on the CPU count; importing the
+replayed.  ``main`` sets the OpenBLAS of numpy's and of scipy's wheel to
+one thread, so that outputs do not depend on the CPU count; importing the
 package changes no thread setting.
 Output files themselves contain no timestamps or absolute paths; replaying
 a provenance file byte-reproduces them.
@@ -17,9 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import datetime
-import glob
 import json
 import os
 import sys
@@ -27,6 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._openblas import openblas_threads
 from .errors import DataError, NumericalError
 from .evaluation import (
     CvConfig,
@@ -56,13 +55,6 @@ CURVE_SIZES = (200, 500, 1000, 2000)
 # BLAS thread settings can change the last bits of a GEMM, so every
 # provenance records them (null when unset)
 _BLAS_THREAD_VARS = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
-# The OpenBLAS builds that the numpy and scipy wheels ship: (package, file
-# pattern in the package's ``.libs`` directory, thread symbol with "set" or
-# "get" in place of {})
-_OPENBLAS_LIBS = (
-    ("numpy", "libscipy_openblas64_-*", "scipy_openblas_{}_num_threads64_"),
-    ("scipy", "libscipy_openblas-*", "scipy_openblas_{}_num_threads"),
-)
 # the HmcConfig fields that ``sample`` takes as flags (--step-size, ...); not
 # chains, since ancestral HMC runs one chain per output row
 _HMC_OPTIONS = (("step_size", float), ("leapfrog_steps", int), ("burn_in", int),
@@ -80,34 +72,6 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _openblas_threads(set_to: int | None = None) -> dict[str, int | str]:
-    """Thread count of the OpenBLAS that numpy and that scipy loaded, after
-    setting it to ``set_to`` when given, or a note where that library is not
-    loaded or lacks the symbol."""
-    counts = {}
-    for package, pattern, symbol in _OPENBLAS_LIBS:
-        counts[package] = f"not pinned: {symbol.format('set')} not found"
-        module = sys.modules.get(package)
-        if module is None:
-            continue
-        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)),
-                            package + ".libs")
-        for path in glob.glob(os.path.join(libs, pattern)):
-            try:  # RTLD_NOLOAD opens only a library that is already loaded
-                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-                set_threads = getattr(lib, symbol.format("set"))
-                get_threads = getattr(lib, symbol.format("get"))
-            except (OSError, AttributeError):
-                continue
-            # void set(int) and int get(void), also in the 64-bit-index build
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            if set_to is not None:
-                set_threads(set_to)
-            counts[package] = get_threads()
-    return counts
-
-
 def _write_provenance(out_path: str, subcommand: str, argv: list[str]) -> None:
     payload = {
         "tool": "kexpfam",
@@ -115,7 +79,7 @@ def _write_provenance(out_path: str, subcommand: str, argv: list[str]) -> None:
         "subcommand": subcommand,
         "argv": list(argv),
         "environment": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
-        "openblas_threads": _openblas_threads(),
+        "openblas_threads": openblas_threads(),
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write_json(str(out_path) + ".provenance.json", payload)
@@ -494,7 +458,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     # the BLAS thread count changes the summation order of GEMMs and
     # Choleskys, so commands run with one BLAS thread on any host
-    _openblas_threads(set_to=1)
+    openblas_threads(set_to=1)
     try:
         return args.func(args, argv)
     except DataError as exc:

@@ -400,6 +400,8 @@ def disjoint_support_demo(n_samples: int = 100_000, seed: int = 0) -> dict:
     even though the distributions differ grossly (total variation computed
     by quadrature is returned alongside).
     """
+    if n_samples < 1:
+        raise DataError(f"the demo needs at least 1 sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=n_samples)
     use_a = x > 0

@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from . import _openblas
 from .errors import DataError, NumericalError
 from .kernels import (
     ConstantKernel,
@@ -425,8 +425,9 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
     before returning, or raising, G's upper triangle and diagonal are
     written back from them.  So G comes back bit for bit as it went in, and one
     assembled system can be solved for several lambdas, one solve at a
-    time.  These are the LAPACK routines that scipy's ``cho_factor`` and
-    ``cho_solve`` call, on the same operands, so beta has their bits.
+    time.  These are the LAPACK routines (``_openblas``: ``dpotrf``,
+    ``dpotrs``) that scipy's ``cho_factor`` and ``cho_solve`` call, on the
+    same operands, so beta has their bits.
 
     The shifted matrix is PSD plus a positive ridge, so a Cholesky
     factorization is used; on breakdown a small jitter (1e-10 times the mean
@@ -450,7 +451,6 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
         raise NumericalError(f"the ridge n * lambda overflows at lambda = {lam:g}; "
                              "use a smaller lambda")
 
-    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     A = G.T  # F-ordered: LAPACK's lower triangle is G's upper one
     on_diag = G.reshape(-1)[::len(G) + 1]  # a writable view of G's diagonal
     diag = on_diag.copy()
@@ -463,8 +463,7 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
             np.add(diag, ridge, out=on_diag)
             if jitter:
                 on_diag += jitter
-            _, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
-            if info == 0:
+            if _openblas.dpotrf(A) == 0:
                 break
             jitter = 1e-10 * max(scale, 1.0) if jitter == 0.0 else jitter * 10.0
         else:
@@ -473,19 +472,19 @@ def _ridge_solve(G: np.ndarray, h: np.ndarray, lam: float, n: int) -> np.ndarray
                 "the system is severely ill-conditioned"
             )
         factor_diag = on_diag.copy()
-        beta = lapack.dpotrs(A, rhs, lower=1)[0]
+        beta = _openblas.dpotrs(A, rhs)
 
         bound = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(rhs)))
         for step in range(4):
             on_diag[:] = diag  # dsymv reads G's diagonal and intact lower triangle
-            resid = blas.dsymv(1.0, A, beta) + ridge * beta - rhs
+            resid = _openblas.dsymv(A, beta) + ridge * beta - rhs
             if not np.all(np.isfinite(resid)):
                 raise NumericalError(f"solve residual is not finite at lambda = {lam:g}")
             if np.linalg.norm(resid) <= bound:
                 return beta
             if step < 3:  # at most three refinement steps
                 on_diag[:] = factor_diag
-                beta = beta - lapack.dpotrs(A, resid, lower=1)[0]
+                beta = beta - _openblas.dpotrs(A, resid)
         raise NumericalError(
             f"solve residual {np.linalg.norm(resid):.3e} exceeds bound {bound:.3e}"
         )

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import kexpfam._openblas as openblas
 import kexpfam.cli as cli
 import kexpfam.evaluation as evaluation
 import kexpfam.sampling as sampling
@@ -63,9 +64,9 @@ class TestGenGrid:
         code = (
             "import json, sys\n"
             "import kexpfam.cli as cli\n"
-            "before = cli._openblas_threads()\n"
+            "before = cli.openblas_threads()\n"
             "code = cli.main(['gen-grid', '--dim', '2', '--n', '50', '--out', sys.argv[1]])\n"
-            "print(json.dumps([code, before, cli._openblas_threads()]))\n"
+            "print(json.dumps([code, before, cli.openblas_threads()]))\n"
         )
         env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -87,12 +88,43 @@ class TestGenGrid:
         assert prov["openblas_threads"] == after
 
     def test_missing_openblas_symbol_skips_the_pin(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_OPENBLAS_LIBS",
+        monkeypatch.setattr(openblas, "LIBS",
                             (("numpy", "libscipy_openblas64_-*", "no_such_{}_threads"),))
         gen_grid(tmp_path)
         prov = json.loads((tmp_path / "data.csv.provenance.json").read_text())
         assert prov["openblas_threads"] == {
             "numpy": "not pinned: no_such_set_threads not found"}
+
+    @pytest.mark.skipif(not openblas._lib_paths(*openblas.LIBS[1][:2]),
+                        reason="scipy ships no libscipy_openblas: the solve "
+                               "runs through scipy.linalg")
+    def test_no_command_imports_scipy_linalg(self, tmp_path):
+        """With the wheel's OpenBLAS, the solve calls it directly, so no
+        command, fits included, loads scipy.linalg."""
+        code = (
+            "import sys\n"
+            "import kexpfam.cli as cli\n"
+            "d = sys.argv[1] + '/'\n"
+            "fit = ['fit', '--data', d + 'train.csv', '--dag', 'markov']\n"
+            "runs = [['gen-grid', '--dim', '2', '--n', '200', '--out', d + 'train.csv'],\n"
+            "        ['gen-grid', '--dim', '2', '--n', '200', '--seed', '1',\n"
+            "         '--out', d + 'test.csv'],\n"
+            "        fit + ['--lambda', '0.01', '--out-model', d + 'm.kcef'],\n"
+            "        fit + ['--cv', '--folds', '2', '--lambda-grid', '0.01,0.1',\n"
+            "               '--scale-grid', '1', '--out-model', d + 'cv.kcef'],\n"
+            "        ['eval', '--model', d + 'm.kcef', '--test', d + 'test.csv',\n"
+            "         '--is-samples', '500', '--out', d + 'eval.json'],\n"
+            "        ['score', '--model', d + 'm.kcef', '--data', d + 'test.csv',\n"
+            "         '--out', d + 'score.json'],\n"
+            "        ['sample', '--model', d + 'm.kcef', '--n', '20', '--out', d + 's.csv']]\n"
+            "print([cli.main(argv) for argv in runs], 'scipy.linalg' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] False"
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a = gen_grid(tmp_path, "a.csv", seed=5)
@@ -569,6 +601,19 @@ class TestDiverge:
         payload = json.loads(out.read_text())
         assert payload["fisher_divergence"] < 1e-12
         assert payload["tv_distance"] > 0.4
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_sample_is_data_error(self, tmp_path, capsys, samples):
+        """No NaN divergence (not strict JSON) and no numpy traceback: a
+        typed error, and no file."""
+        out = tmp_path / "div.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["diverge", "--demo", "appendix-d", "--samples", samples,
+                        "--out", out]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data" and "at least 1 sample" in error["message"]
+        assert not out.exists()
 
     def test_unknown_demo_is_usage_error(self, capsys):
         assert run(["diverge", "--demo", "unknown"]) == 1

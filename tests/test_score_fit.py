@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kexpfam._openblas as openblas
 import kexpfam.score_fit as score_fit_mod
 from kexpfam.errors import DataError, NumericalError
 from kexpfam.kernels import (
@@ -439,15 +440,14 @@ class TestRidgeSolve:
     def solve_calls(self, monkeypatch):
         """Record each dpotrs; ``corrupt(k, x)`` may replace the k-th result
         (0 is the first solve, 1.. are refinement steps)."""
-        real = score_fit_mod.scipy.linalg.lapack.dpotrs
+        real = openblas.dpotrs
         calls = []
 
         def install(corrupt):
-            def recorded(c, b, **kwargs):
+            def recorded(A, b):
                 calls.append(b)
-                x, info = real(c, b, **kwargs)
-                return corrupt(len(calls) - 1, x), info
-            monkeypatch.setattr(score_fit_mod.scipy.linalg.lapack, "dpotrs", recorded)
+                return corrupt(len(calls) - 1, real(A, b))
+            monkeypatch.setattr(openblas, "dpotrs", recorded)
             return calls
         return install
 
@@ -457,18 +457,18 @@ class TestRidgeSolve:
         which overwrites the triangle it factors, and then report a leading
         minor that is not positive definite (info > 0).  Returns a copy of
         each call's argument as received."""
-        real = score_fit_mod.scipy.linalg.lapack.dpotrf
+        real = openblas.dpotrf
         received = []
 
         def install(fails):
-            def flaky(a, **kwargs):
-                received.append(a.copy())
-                factor, info = real(a, **kwargs)
+            def flaky(A):
+                received.append(A.copy())
+                info = real(A)
                 if len(received) <= fails:
-                    assert not np.array_equal(a, received[-1])  # destroyed
-                    return factor, 1
-                return factor, info
-            monkeypatch.setattr(score_fit_mod.scipy.linalg.lapack, "dpotrf", flaky)
+                    assert not np.array_equal(A, received[-1])  # destroyed
+                    return 1
+                return info
+            monkeypatch.setattr(openblas, "dpotrf", flaky)
             return received
         return install
 
@@ -591,8 +591,7 @@ class TestRidgeSolve:
         X, Y, kx, ky, _ = random_instance(rng, 6, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
         factored = []
-        monkeypatch.setattr(score_fit_mod.scipy.linalg.lapack, "dpotrf",
-                            lambda *args, **kwargs: factored.append(args))
+        monkeypatch.setattr(openblas, "dpotrf", lambda *args: factored.append(args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="n \\* lambda overflows"):
@@ -607,30 +606,37 @@ class TestRidgeSolve:
         own memory, with no copy of it."""
         X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
         system = build_gram_system(X, Y, kx, ky, BaseDensity())
-        linalg = score_fit_mod.scipy.linalg
         seen = []
 
-        def recording(module, name):
-            real = getattr(module, name)
+        def recording(name):
+            real = getattr(openblas, name)
 
-            def call(*args, **kwargs):
-                out = real(*args, **kwargs)
-                # f2py copies a matrix that is not F-ordered; dpotrf returns
-                # the array it factored
-                matrix = (out[0] if name == "dpotrf"
-                          else args[1] if name == "dsymv" else args[0])
-                seen.append((name, matrix.flags.f_contiguous
-                             and np.shares_memory(matrix, system.G)))
-                return out
-            monkeypatch.setattr(module, name, call)
+            def call(A, *args):
+                seen.append((name, A.flags.f_contiguous
+                             and np.shares_memory(A, system.G)))
+                return real(A, *args)
+            monkeypatch.setattr(openblas, name, call)
 
         for name in ("cho_factor", "cho_solve"):
-            monkeypatch.setattr(linalg, name, None)
-        recording(linalg.lapack, "dpotrf")
-        recording(linalg.lapack, "dpotrs")
-        recording(linalg.blas, "dsymv")
+            monkeypatch.setattr(scipy.linalg, name, None)
+        for name in ("dpotrf", "dpotrs", "dsymv"):
+            recording(name)
         _ridge_solve(system.G, system.h, lam, len(Y))
         assert seen == [("dpotrf", True), ("dpotrs", True), ("dsymv", True)]
+
+    def test_indefinite_G_escalates_the_jitter_and_raises(self, rng, monkeypatch):
+        """A G that is not positive semi-definite (a Gram negated): each of
+        the four factorizations reports a leading minor that is not positive
+        definite, and then a NumericalError, with G restored."""
+        X, Y, kx, ky, _ = random_instance(rng, 40, 1, 1)
+        G = -build_gram_system(X, Y, kx, ky, BaseDensity()).G
+        before = G.tobytes()
+        real, infos = openblas.dpotrf, []
+        monkeypatch.setattr(openblas, "dpotrf", lambda A: infos.append(real(A)) or infos[-1])
+        with pytest.raises(NumericalError, match="jitter escalation"):
+            _ridge_solve(G, np.ones(40), 1e-6, 40)
+        assert len(infos) == 4 and all(info > 0 for info in infos)
+        assert G.tobytes() == before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf @ G is nan
     def test_non_finite_residual_raises(self, rng, solve_calls):
@@ -648,6 +654,48 @@ class TestRidgeSolve:
         with pytest.raises(NumericalError, match="exceeds bound"):
             _ridge_solve(system.G, system.h, lam, len(Y))
         assert len(calls) == 4  # the solve and three refinement steps
+
+
+class TestRidgeSolveThroughScipyLinalg(TestRidgeSolve):
+    """Every solve test again on the routes that serve a scipy without its
+    wheel's OpenBLAS: scipy.linalg's wrappers, chosen by a library file
+    pattern that matches nothing."""
+
+    @pytest.fixture(autouse=True)
+    def fallback(self, monkeypatch):
+        routines = openblas._bind("no-such-library-*")
+        for name, routine in zip(("dpotrf", "dpotrs", "dsymv"), routines):
+            monkeypatch.setattr(openblas, name, routine)
+
+    def test_the_routes_are_scipy_linalg_wrappers(self, monkeypatch):
+        called = []
+        for module, name in ((scipy.linalg.lapack, "dpotrf"),
+                             (scipy.linalg.lapack, "dpotrs"),
+                             (scipy.linalg.blas, "dsymv")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kw:
+                                called.append(name) or real(*args, **kw))
+        A = np.asfortranarray(np.diag([4.0, 9.0]))
+        assert openblas.dpotrf(A) == 0
+        np.testing.assert_array_equal(openblas.dpotrs(A, np.array([4.0, 3.0])), [1.0, 1.0 / 3.0])
+        np.testing.assert_array_equal(openblas.dsymv(A, np.ones(2)), [2.0, 3.0])
+        assert called == ["dpotrf", "dpotrs", "dsymv"]
+
+
+@pytest.mark.skipif(not openblas._lib_paths(*openblas.LIBS[1][:2]),
+                    reason="scipy ships no libscipy_openblas: no ctypes routines")
+def test_wheel_routines_refuse_what_they_would_misread():
+    """The ctypes routines pass raw pointers, so a matrix that is not a
+    square F-ordered float64 array, or a vector of another length, is a
+    ValueError, never a silent copy or a read out of bounds."""
+    A = np.asfortranarray(np.diag([4.0, 9.0]))
+    for bad in (np.ascontiguousarray(A[:, :1].repeat(2, 1)), A.astype(np.float32),
+                np.asfortranarray(np.ones((2, 3)))):
+        with pytest.raises(ValueError, match="square Fortran-ordered float64"):
+            openblas.dpotrf(bad)
+    for routine in (openblas.dpotrs, openblas.dsymv):
+        with pytest.raises(ValueError, match="length 2"):
+            routine(A, np.ones(3))
 
 
 class TestFitFactor:
