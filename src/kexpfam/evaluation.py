@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataError, KexpfamError, NumericalError
 from .factorization import (DagSpec, JointModel, NodeHyperparams, _node_kernels,
                             _node_medians)
+from .kernels import _MEDIAN_ROWS
 from .score_fit import (
     BaseDensity,
     FactorModel,
@@ -313,12 +314,18 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     fold_blocks = np.array_split(perm, config.folds)
     # A fold holds G and, in turn, the workers' scratch of its assembly and
     # the scratch of the scoring pass (d = 1 per factor), where G's bytes
-    # are slack; a solve adds only vectors of n_fit.
+    # are slack; a solve adds only vectors of n_fit.  Before the folds, a
+    # node's median heuristic holds the differences of its pairs of rows.
+    # Beside them live the node's and the fold's copies of the data and
+    # the assembly's vectors: two columns per node and eight more, counted
+    # in vectors of n.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
     gram = n_fit * n_fit * 8
+    pairs = 4 * min(n, _MEDIAN_ROWS) * (min(n, _MEDIAN_ROWS) - 1)
+    rows = 8 * n * (2 * values.shape[1] + 8)
     assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1), budget=gram)
     scoring = _scratch_bytes(R, n_fit, _block_arrays(1, len(config.lambda_grid)))
-    _check_memory(gram + max(assembly, scoring),
+    _check_memory(rows + max(pairs, gram + max(assembly, scoring)),
                   f"cross-validation with folds of {n_fit} training rows",
                   "use fewer rows")
     nodes = tuple(

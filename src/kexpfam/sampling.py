@@ -34,9 +34,9 @@ _GRID_ROW_CHUNK = 256
 # before the next chunk.  With 1000 distinct rows, tracemalloc reads 0.77-
 # 0.83 on one worker and 0.89 on 2 or 4 at n = 1024 (G = 131, 257), 0.82-
 # 0.89 at n = 2000, 0.63 at n = 300 and 0.88-0.90 at n = 64 (G = 257, 1025).
-# It bounds _cross_weights alone over its result and scratch: 1.02-1.03 at
-# n = 1024 and 1.09 at n = 300, where NumPy's ufunc buffers (about 130 KB)
-# weigh most.
+# It bounds _cross_weights alone over its result and scratch, which counts
+# NumPy's ufunc buffers: 0.93-0.99 from n = 300 to 2000 and 0.87-0.89 at
+# n = 64 (G = 131, 257), on 1 and 2 workers.
 _GRID_PEAK_OVER_WEIGHTS = 1.15
 
 

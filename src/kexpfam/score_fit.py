@@ -39,13 +39,15 @@ _WEIGHT_ARRAYS = 3  # scratch arrays per worker of _weights_block
 # took 125 ms against 180 ms at n = 2000, while the second CPU was free.
 _POOL_ROWS = 1024
 
-# One worker's scratch for a block without a GEMM: the width halves while
-# the scratch would exceed _WORKER_SCRATCH, down to _MIN_BLOCK columns.
-# Those blocks are elementwise operations and axis-0 sums, whose bits do not
-# depend on the width.  At n = 2000 and d = 1 the assembly's five (n, 64)
-# arrays hold 4.9 MiB per worker, not 9.8, and took the same time.
-_WORKER_SCRATCH = 8 * 2**20
-_MIN_BLOCK = 32
+# One worker's scratch: each block runs in tiles of training rows, as many
+# as keep its tile arrays within _WORKER_SCRATCH, so that the scratch does not
+# grow with n.  The tiles give the bits of one: their arrays hold elementwise
+# results, and each axis-0 sum carries from tile to tile (_sum_rows).
+_WORKER_SCRATCH = 2**20
+# Besides its scratch a worker holds, during a ufunc, the two buffers of
+# np.getbufsize() doubles that numpy takes for broadcast operands, and its
+# thread's own objects: 150-170 KB per worker measured, counted as 192 KiB.
+_WORKER_BUFFERS = 2 * 8 * np.getbufsize() + 2**16
 # The strict upper triangle of a diagonal block that _mirror_lower refills
 _STRICT_UPPER = np.triu(np.ones((_CROSS_BLOCK, _CROSS_BLOCK), dtype=bool), 1)
 _STRICT_UPPER.flags.writeable = False
@@ -251,11 +253,12 @@ def _pair_sums(x_train, y_train, kernel_x, kernel_y, coeffs, X_eval, Y_eval,
     one (value (R,), grad (R, d), second (R, d)) per pair, None where not
     wanted.
 
-    The rows go through ``_in_blocks``: each block of rows builds k_X * k_Y,
-    the scaled differences and the prefactors of each sum once in reused
-    scratch, then takes every pair's weights from them.  Each sum comes from
-    the same operations as the whole call for one pair at once, so no value
-    depends on the block split, the worker count or the other pairs.
+    The rows go through ``_in_blocks``: each tile of training rows of a
+    block of rows builds k_X * k_Y, the scaled differences and the
+    prefactors of each sum once in reused scratch, then takes every pair's
+    weights from them.  Each sum comes from the same operations as the whole
+    call for one pair at once, so no value depends on the blocks, the tiles,
+    the worker count or the other pairs.
     """
     n, d = y_train.shape
     s2 = kernel_y.variances
@@ -269,24 +272,25 @@ def _pair_sums(x_train, y_train, kernel_x, kernel_y, coeffs, X_eval, Y_eval,
         sums += [(j, 2)] if want_second else []
     shared = len(coeffs) > 1
 
-    def block(lo, hi, scratch):
-        K, Y, W, X, *V = scratch
-        P = [(V.pop(), V.pop()) for _ in range(d)] if shared else None
-        T = V.pop() if d > 1 else None
-        pairs = P or [(W, X)] + [(T, X)] * (d - 1)  # one model: _weight's arrays
-        if kx_pair is None:
-            kernel_matrix(kernel_x, x_train, X_eval[lo:hi], K, W)
-        kernel_matrix(kernel_y, y_train, Y_eval[lo:hi], Y, W)
-        np.multiply(K if kx_pair is None else kx_pair[:, lo:hi], Y, out=K)
-        for m in range(d):
-            np.subtract(y_train[:, m, None], Y_eval[None, lo:hi, m], out=V[m])
-            np.divide(V[m], s2[m], out=V[m])
-        for j, q in sums:
-            F = _prefactors(V, s2, j, q, pairs, Y)
-            F = list(F) if shared else F  # every pair's weights read the list
-            for (a, e), res in zip(coeffs, results):
-                np.multiply(K, _weight(F, a, e, W, T, X), out=W)
-                np.sum(W, axis=0, out=(res[0] if q == 0 else res[q][:, j])[lo:hi])
+    def block(lo, hi, tiles):
+        for rows, (K, Y, W, X, *V) in tiles:
+            P = [(V.pop(), V.pop()) for _ in range(d)] if shared else None
+            T = V.pop() if d > 1 else None
+            pairs = P or [(W, X)] + [(T, X)] * (d - 1)  # one model: _weight's arrays
+            y_rows = y_train[rows]
+            if kx_pair is None:
+                kernel_matrix(kernel_x, x_train[rows], X_eval[lo:hi], K, W)
+            kernel_matrix(kernel_y, y_rows, Y_eval[lo:hi], Y, W)
+            np.multiply(K if kx_pair is None else kx_pair[rows, lo:hi], Y, out=K)
+            for m in range(d):
+                np.subtract(y_rows[:, m, None], Y_eval[None, lo:hi, m], out=V[m])
+                np.divide(V[m], s2[m], out=V[m])
+            for j, q in sums:
+                F = _prefactors(V, s2, j, q, pairs, Y)
+                F = list(F) if shared else F  # every pair's weights read the list
+                for (a, e), res in zip(coeffs, results):
+                    np.multiply(K, _weight(F, a[rows], e, W, T, X), out=W)
+                    _sum_rows(W, (res[0] if q == 0 else res[q][:, j])[lo:hi], rows.start > 0)
 
     _in_blocks(block, R, n, _block_arrays(d, len(coeffs)))
     return results
@@ -314,10 +318,12 @@ def _check_memory(need: float, what: str, remedy: str) -> None:
 
 def _check_fit_size(n: int, d: int) -> None:
     """Raise DataError before assembly when a fit of n rows of d dimensions
-    cannot fit in physical memory.  A fit holds G and, while it assembles
-    G, the workers' scratch; the solve adds only vectors of length n*d."""
+    cannot fit in physical memory.  A fit holds G, h, the coefficients of
+    the averaged feature and, while it assembles G, the workers' scratch,
+    whose tiles of training rows keep it within ``_WORKER_SCRATCH`` per
+    worker at any n; the solve adds only vectors of length n*d."""
     gram = (n * d) ** 2 * 8
-    _check_memory(gram + _scratch_bytes(n, n, _block_arrays(d), budget=gram),
+    _check_memory(gram + 16 * n * d + _scratch_bytes(n, n, _block_arrays(d), budget=gram),
                   f"a fit with n*d = {n * d}", "use fewer rows")
 
 
@@ -332,9 +338,9 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
     the exact transpose, Y_a - Y_b = -(Y_b - Y_a), the prefactors follow
     fixed sign rules and products commute).  Entry (b,i) of h is the
     i-th y-partial of the averaged feature function at the training pair
-    (X_b, Y_b).  Both are sums over the same kernel values, so each block
-    builds k_X, k_Y and the differences Y_a - Y_b once for both, in the
-    reused scratch of ``_in_blocks``.
+    (X_b, Y_b).  Both are sums over the same kernel values, so each tile of
+    rows a of a block of columns b builds k_X, k_Y and the differences
+    Y_a - Y_b once for both, in the reused scratch of ``_in_blocks``.
     """
     x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
     n, d = y_train.shape
@@ -344,24 +350,26 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
     G = np.empty((n * d, n * d))
     h = np.empty((n, d))
 
-    def block(lo, hi, scratch):
-        K, Y, W, X, *V = scratch
-        T = V.pop() if d > 1 else None
-        kernel_matrix(kernel_x, x_train, x_train[lo:hi], K, W)
-        kernel_matrix(kernel_y, y_train, y_train[lo:hi], Y, W)
-        for m in range(d):
-            np.subtract(y_train[:, m, None], y_train[None, lo:hi, m], out=V[m])
-            np.divide(V[m], s2[m], out=V[m])
-        for i in range(d):
+    def block(lo, hi, tiles):
+        for rows, (K, Y, W, X, *V) in tiles:
+            T = V.pop() if d > 1 else None
+            y_rows = y_train[rows]
+            kernel_matrix(kernel_x, x_train[rows], x_train[lo:hi], K, W)
+            kernel_matrix(kernel_y, y_rows, y_train[lo:hi], Y, W)
+            for m in range(d):
+                np.subtract(y_rows[:, m, None], y_train[None, lo:hi, m], out=V[m])
+                np.divide(V[m], s2[m], out=V[m])
+            for i in range(d):
+                for j in range(d):
+                    _mixed_factor(V[i], s2[i], 1, V[j], s2[j], 1, i == j, W, X)
+                    np.multiply(W, Y, out=W)
+                    np.multiply(K, W, out=G[rows.start * d + i:rows.stop * d:d,
+                                            lo * d + j:hi * d:d])
+            np.multiply(K, Y, out=K)  # now k_X * k_Y
             for j in range(d):
-                _mixed_factor(V[i], s2[i], 1, V[j], s2[j], 1, i == j, W, X)
-                np.multiply(W, Y, out=W)
-                np.multiply(K, W, out=G[i::d, lo * d + j:hi * d:d])
-        np.multiply(K, Y, out=K)  # now k_X * k_Y
-        for j in range(d):
-            F = _prefactors(V, s2, j, 1, [(W, X)] + [(T, X)] * (d - 1), Y)
-            np.multiply(K, _weight(F, a, e, W, T, X), out=W)
-            np.sum(W, axis=0, out=h[lo:hi, j])
+                F = _prefactors(V, s2, j, 1, [(W, X)] + [(T, X)] * (d - 1), Y)
+                np.multiply(K, _weight(F, a[rows], e, W, T, X), out=W)
+                _sum_rows(W, h[lo:hi, j], rows.start > 0)
 
     _in_blocks(block, n, n, _block_arrays(d), budget=G.nbytes)
     if d > 1:  # a zero mixed partial may be -0 opposite a +0 mirror; -0 + 0 = +0
@@ -616,12 +624,14 @@ def empirical_score(model, x_eval, y_eval):
     return scores if many else scores[0]
 
 
-def _weights_block(model: FactorModel, a, e, Y_block: np.ndarray, out, kb, vb, tb):
-    """One block of ``_cross_weights`` into ``out``, with scratch ``kb``,
-    ``vb`` and ``tb`` of out's shape.  Each entry comes from the operations
-    of ``kernel_matrix(...) * _weight(V, ..., 0, 0)`` in the same order, bit
-    for bit; the only rewrite is an exact one: -(u/s2) is u/(-s2)."""
-    Y, s2 = model.y_train, model.kernel_y.variances
+def _weights_block(model: FactorModel, a, e, rows: slice, Y_block: np.ndarray,
+                   out, kb, vb, tb):
+    """Training ``rows`` of one block of ``_cross_weights`` into ``out``,
+    with scratch ``kb``, ``vb`` and ``tb`` of out's shape.  Each entry comes
+    from the operations of ``kernel_matrix(...) * _weight(V, ..., 0, 0)`` in
+    the same order, bit for bit; the only rewrite is an exact one: -(u/s2)
+    is u/(-s2)."""
+    Y, a, s2 = model.y_train[rows], a[rows], model.kernel_y.variances
     kernel_matrix(model.kernel_y, Y, Y_block, kb, tb)
     # weight = sum_l a_l * (-u_l/s2_l) + e * ((u_l/s2_l)^2 - 1/s2_l)
     for l in range(model.d):
@@ -643,15 +653,16 @@ def _cross_weights(model: FactorModel, Y_set: np.ndarray) -> np.ndarray:
     y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s].
 
     Fills the result through ``_in_blocks``, with its bytes as the budget,
-    so the memory beyond it does not grow with S, and no entry depends on
-    the blocks or the worker count.
+    so the memory beyond it does not grow with S or n, and no entry depends
+    on the blocks, the tiles or the worker count.
     """
     a, e = _model_coeffs(model)
     n, S = model.n, Y_set.shape[0]
     out = np.empty((n, S))
 
-    def block(lo, hi, scratch):
-        _weights_block(model, a, e, Y_set[lo:hi], out[:, lo:hi], *scratch)
+    def block(lo, hi, tiles):
+        for rows, scratch in tiles:
+            _weights_block(model, a, e, rows, Y_set[lo:hi], out[rows, lo:hi], *scratch)
 
     _in_blocks(block, S, n, _WEIGHT_ARRAYS, budget=out.nbytes)
     return out
@@ -695,35 +706,43 @@ def _block_arrays(d: int, models: int = 1) -> int:
     return d + 4 + (d > 1) + 2 * d * (models > 1)
 
 
+def _sum_rows(W: np.ndarray, out: np.ndarray, carry: bool) -> None:
+    """np.sum(W, axis=0) into ``out``, continued from the sum in ``out``
+    when ``carry``.  numpy sums the rows of an array of two or more columns
+    one after another, so a sum carried into the first row of each tile
+    gives the bits of the sum over all rows at once."""
+    if carry:
+        np.add(out, W[0], out=W[0])
+    np.sum(W, axis=0, out=out)
+
+
 def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
                 gemm_rows: int = 0) -> tuple[int, int]:
-    """(workers, width) for ``_in_blocks``: the blocks are
-    ``_blocks(size, width)``, and each of ``workers`` threads holds
-    ``arrays`` (rows, ``_widest(size, width)``) scratch arrays.  It is
-    arithmetic on the sizes alone, so that a pre-flight may ask about any
-    size.
+    """(workers, tile) for ``_in_blocks``: the blocks are ``_blocks(size,
+    _CROSS_BLOCK)``, and each of ``workers`` threads holds ``arrays``
+    (tile, ``_widest``) scratch arrays and, with a GEMM (``gemm_rows``
+    above 0), its full-height (rows, ``_widest``) operand.  It is arithmetic
+    on the sizes alone, so that a pre-flight may ask about any size.
 
-    Blocks are ``_CROSS_BLOCK`` columns wide.  Without a GEMM
-    (``gemm_rows`` 0) the width halves while one worker's scratch would
-    exceed ``_WORKER_SCRATCH``, down to ``_MIN_BLOCK``; a GEMM keeps its
-    width, which fixes its bits.  A pool of up to one thread per CPU of
-    ``_worker_count`` starts only for two blocks or more whose work, rows
-    times (1 + ``gemm_rows``), reaches ``_POOL_ROWS``.  With a ``budget``
-    in bytes, the scratch of all workers together spans at most
+    A tile takes as many of the ``rows`` as keep the arrays within
+    ``_WORKER_SCRATCH``, at least one.  A 1-column block is one tile, since
+    numpy sums a single column pairwise.  A pool of up to one thread per
+    CPU of ``_worker_count`` starts only for two blocks or more whose work,
+    rows times (1 + ``gemm_rows``), reaches ``_POOL_ROWS``.  With a
+    ``budget`` in bytes, the scratch of all workers together spans at most
     ``_EVAL_CHUNK`` columns, or more only while it stays within the budget.
     """
-    width = _CROSS_BLOCK
-    while not gemm_rows and width > _MIN_BLOCK and arrays * rows * width * 8 > _WORKER_SCRATCH:
-        width //= 2
+    widest = _widest(size, _CROSS_BLOCK)
+    tile = rows if widest <= 1 else min(rows, max(1, _WORKER_SCRATCH // (arrays * widest * 8)))
     if size == 0:
-        return 1, width
-    joined = _widest(size, width) > width  # a 1-column remainder joins a block
+        return 1, tile
+    joined = widest > _CROSS_BLOCK  # a 1-column remainder joins a block
     workers = 1 if rows * (1 + gemm_rows) < _POOL_ROWS else min(
-        _worker_count(), -(-size // width) - joined)
+        _worker_count(), -(-size // _CROSS_BLOCK) - joined)
     if budget is not None:
-        per_worker = arrays * rows * _widest(size, width) * 8
-        workers = min(workers, max(_EVAL_CHUNK // width, budget // per_worker))
-    return workers, width
+        per_worker = (arrays * tile + rows * (gemm_rows > 0)) * widest * 8
+        workers = min(workers, max(_EVAL_CHUNK // _CROSS_BLOCK, budget // per_worker))
+    return workers, tile
 
 
 def _widest(size: int, width: int) -> int:
@@ -732,41 +751,55 @@ def _widest(size: int, width: int) -> int:
 
 
 def _scratch_bytes(size: int, rows: int, arrays: int, **plan) -> int:
-    """Bytes of the scratch that ``_in_blocks`` holds for these arguments."""
-    workers, width = _block_plan(size, rows, arrays, **plan)
-    return workers * arrays * rows * _widest(size, width) * 8
+    """Bytes of the scratch that ``_in_blocks`` holds for these arguments,
+    with each worker's ``_WORKER_BUFFERS``."""
+    workers, tile = _block_plan(size, rows, arrays, **plan)
+    gemm = rows * (plan.get("gemm_rows", 0) > 0)
+    return workers * ((arrays * tile + gemm) * _widest(size, _CROSS_BLOCK) * 8
+                      + _WORKER_BUFFERS)
 
 
 def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
-    """Call ``work(lo, hi, scratch)`` once for every block of
-    ``_blocks(size, width)``, where scratch is a list of ``arrays`` (rows,
-    hi - lo) arrays.
+    """Call ``work(lo, hi, tiles)`` once for every block of ``_blocks(size,
+    _CROSS_BLOCK)``.  ``tiles`` yields, in order, (slice, scratch) for tiles
+    of range(rows) that cover it, where scratch is a list of ``arrays``
+    (tile rows, hi - lo) arrays, after, with a GEMM, the block's (rows,
+    hi - lo) operand, the same array for every tile.
 
-    The blocks run on the threads, and take the width, that ``_block_plan``
-    gives for ``plan`` (a budget, GEMM rows).  Each worker takes the next
-    block in order when it is free, so a CPU that the host slows down takes
-    fewer blocks.  Before the pool starts, the calling thread allocates one
-    scratch per worker, which a worker holds for one block at a time, so
-    workers allocate nothing large.
+    The blocks run on the threads, and take the tile height, that
+    ``_block_plan`` gives for ``plan`` (a budget, GEMM rows).  Each worker
+    takes the next block in order when it is free, so a CPU that the host
+    slows down takes fewer blocks, and runs its tiles one after another.
+    Before the pool starts, the calling thread allocates one scratch per
+    worker, which a worker holds for one block at a time, so workers
+    allocate nothing large.
     """
-    workers, width = _block_plan(size, rows, arrays, **plan)
-    widest = _widest(size, width)
+    workers, tile = _block_plan(size, rows, arrays, **plan)
+    widest = _widest(size, _CROSS_BLOCK)
+    gemm = rows * (plan.get("gemm_rows", 0) > 0)
     free = queue.SimpleQueue()  # one scratch per worker, taken for a block
     for _ in range(workers):
-        free.put(np.empty((arrays, rows * widest)))
+        free.put((np.empty((arrays, tile * widest)), np.empty(gemm * widest)))
+
+    def tiles(width, buf, operand):
+        head = [operand[:gemm * width].reshape(gemm, width)] if gemm else []
+        for start in range(0, rows, tile):
+            height = min(tile, rows - start)
+            # C-contiguous (height, width) views, also for a partial tile or
+            # block, so that every ufunc runs the loop it runs on a fresh array
+            yield slice(start, start + height), head + list(
+                buf[:, :height * width].reshape(arrays, height, width))
 
     def run_block(block):
         lo, hi = block
-        buf = free.get()
+        buf, operand = free.get()
         try:
-            # C-contiguous (rows, width) views, also for a partial block, so
-            # that every ufunc runs the loop it runs on a fresh array
-            work(lo, hi, list(buf[:, :rows * (hi - lo)].reshape(arrays, rows, hi - lo)))
+            work(lo, hi, tiles(hi - lo, buf, operand))
         finally:
-            free.put(buf)
+            free.put((buf, operand))
 
     with _pool(workers) as run:
-        list(run(run_block, _blocks(size, width)))
+        list(run(run_block, _blocks(size, _CROSS_BLOCK)))
 
 
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
@@ -775,25 +808,35 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     X_rows is (R, p) and Y_set is (S, d); each block is a fresh (R, width)
     array for a chunk of at most ``_IS_CHUNK`` draws, and column s of the
     full matrix corresponds to draw Y_set[s].  Each chunk is one
-    ``_in_blocks`` call: a block of draws computes its weights into worker
-    scratch and takes one GEMM with k_X into its columns, bit for bit the
-    same on any worker count.  The scratch stays within the bytes of one
-    (n, ``_IS_CHUNK``) array, so memory is O(n * R) plus that, whatever S.
+    ``_in_blocks`` call: a block of draws computes its weights, tile by tile
+    of training rows, into its full-height operand and takes one GEMM with
+    k_X into its columns, bit for bit the same on any worker count.  The
+    scratch stays within the bytes of one (n, ``_IS_CHUNK``) array, so
+    memory is O(n * R) plus that, whatever S.  Before k_X is built, those
+    bytes are compared with physical memory, and a DataError names the
+    rows when they do not fit.
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
     a, e = _model_coeffs(model)
-    n, S = model.n, Y_set.shape[0]
+    (R, _), n, S = X_rows.shape, model.n, Y_set.shape[0]
+    budget = n * _IS_CHUNK * 8
+    chunk = min(S, _IS_CHUNK)
+    kx_bytes = R * n * 8  # k_X, and kernel_matrix's scratch while it is built
+    scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, budget=budget, gemm_rows=R)
+    _check_memory(kx_bytes + max(kx_bytes, R * chunk * 8 + scratch),
+                  f"importance sampling for {R} distinct rows with n = {n}",
+                  "evaluate fewer distinct rows")
     kxT = kernel_matrix(model.kernel_x, X_rows, model.x_train)  # exact k_X.T, C order
     for lo in range(0, S, _IS_CHUNK):
         hi = min(lo + _IS_CHUNK, S)
-        block = np.empty((kxT.shape[0], hi - lo))
+        block = np.empty((R, hi - lo))
 
-        def gemm_block(b_lo, b_hi, scratch):  # weights into scratch[0], then a GEMM
-            _weights_block(model, a, e, Y_set[lo + b_lo:lo + b_hi], *scratch)
-            np.matmul(kxT, scratch[0], out=block[:, b_lo:b_hi])
+        def gemm_block(b_lo, b_hi, tiles):  # weights into the operand W, then a GEMM
+            for rows, (W, *scratch) in tiles:
+                _weights_block(model, a, e, rows, Y_set[lo + b_lo:lo + b_hi], W[rows], *scratch)
+            np.matmul(kxT, W, out=block[:, b_lo:b_hi])
 
-        _in_blocks(gemm_block, hi - lo, n, 1 + _WEIGHT_ARRAYS, budget=n * _IS_CHUNK * 8,
-                   gemm_rows=kxT.shape[0])
+        _in_blocks(gemm_block, hi - lo, n, _WEIGHT_ARRAYS, budget=budget, gemm_rows=R)
         yield slice(lo, hi), block
         del block  # the caller drops its reference too: one block at a time

@@ -315,6 +315,22 @@ class TestFitEvalPipeline:
         assert run(["sample", "--model", model, "--n", 5, "--burn-in", 5,
                     "--out", tmp_path / "big.csv"]) == 0
 
+    def test_is_too_large_for_memory_is_data_error(self, workspace, capsys,
+                                                   monkeypatch):
+        """IS's pre-flight names its distinct rows and the GiB they need,
+        where the allocation itself would end in the generic out-of-memory
+        branch."""
+        tmp_path, _, test, model = workspace
+        monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 1024)
+        capsys.readouterr()
+        assert run(["eval", "--model", model, "--test", test, "--is-samples", 200,
+                    "--out", tmp_path / "big.json"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data"
+        assert "importance sampling for" in error["message"]
+        assert "distinct rows" in error["message"] and "GiB" in error["message"]
+        assert not (tmp_path / "big.json").exists()
+
     def test_score_subcommand(self, workspace):
         tmp_path, _, test, model = workspace
         out = tmp_path / "score.json"

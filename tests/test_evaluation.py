@@ -147,11 +147,11 @@ class TestLogPartition:
 
     def test_memory_does_not_grow_with_draw_count(self, monkeypatch):
         """IS holds k_X (n, R), one (R, chunk) block at a time, updated in
-        place, and each worker's four (n, 128) scratch arrays.  The traced
-        peak reads 1.02 times their bytes on 1 and 2 workers; a second
-        block allocated beside the first read 1.38 and 1.27, and one (n,
-        chunk) weight buffer for the whole call 2.3 and 1.6 times the
-        bound."""
+        place, and per worker the (n, 128) operand of its GEMM and three
+        (tile, 128) scratch arrays.  A second block allocated beside the
+        first read 1.38 and 1.27 times their bytes on 1 and 2 workers, with
+        four (n, 128) arrays per worker, and one (n, chunk) weight buffer
+        for the whole call 2.3 and 1.6 times the bound."""
         rng = np.random.default_rng(4)
         n, R, S = 1024, 200, 5000
         chunk = score_fit_mod._IS_CHUNK
@@ -163,9 +163,11 @@ class TestLogPartition:
         X_rows = rng.normal(size=(R, 1))
         for workers in (1, 2):
             monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
-            scratch = score_fit_mod._scratch_bytes(chunk, n, 4, budget=n * chunk * 8,
+            scratch = score_fit_mod._scratch_bytes(chunk, n, 3, budget=n * chunk * 8,
                                                    gemm_rows=R)
-            assert scratch == workers * 4 * n * score_fit_mod._CROSS_BLOCK * 8
+            tile = score_fit_mod._WORKER_SCRATCH // (3 * 128 * 8)
+            assert scratch == workers * ((n + 3 * tile) * 128 * 8
+                                         + score_fit_mod._WORKER_BUFFERS)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -175,6 +177,29 @@ class TestLogPartition:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.2 * ((n * R + R * chunk) * 8 + scratch), workers
+
+    def test_preflight_names_the_rows_that_do_not_fit(self, monkeypatch):
+        """Before k_X is built, IS compares k_X (R, n) beside, in turn,
+        kernel_matrix's scratch of its size, or one (R, chunk) block and
+        the workers' scratch, with physical memory: one byte less is a
+        DataError that names the distinct rows, and the count itself runs."""
+        rng = np.random.default_rng(6)
+        n, R, S = 300, 40, 3000
+        factor = FactorModel(x_train=rng.normal(size=(n, 1)),
+                             y_train=rng.normal(size=(n, 1)),
+                             kernel_x=GaussianKernelSpec([1.0]),
+                             kernel_y=GaussianKernelSpec([1.0]),
+                             lam=1e-2, beta=1e-3 * rng.normal(size=n))
+        X_rows = rng.normal(size=(R, 1))
+        chunk = score_fit_mod._IS_CHUNK
+        scratch = score_fit_mod._scratch_bytes(chunk, n, 3, budget=n * chunk * 8,
+                                               gemm_rows=R)
+        need = R * n * 8 + max(R * n * 8, R * chunk * 8 + scratch)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(DataError, match="importance sampling for 40 distinct rows"):
+            evaluation._partition_for_rows(factor, X_rows, S, seed=0)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need)
+        evaluation._partition_for_rows(factor, X_rows, S, seed=0)
 
     def test_nonfinite_block_raises(self, fitted_1d, monkeypatch):
         factor = fitted_1d[0].factors[0]
@@ -492,11 +517,12 @@ class TestCrossValidate:
         """tracemalloc's peak over CV against the fold's Gram, at 5 folds of
         n_fit = 800 training rows and at 2 folds of 500 (one worker: below
         _POOL_ROWS).  Each (scale, fold) holds G and, in turn, the assembly's
-        five (n_fit, 128) scratch arrays and, after G is dropped, the
-        scoring pass's seven (1.12 and 1.79 Grams); each solve factors G in
-        its own memory.  The bound is the pre-flight's count, G plus the
-        larger scratch: 2.12 and 2.79 Grams, where the former count, with a
-        solve's work array and 0.2 Grams of slack, was 2.32 and 2.99."""
+        five (tile, 128) scratch arrays and, after G is dropped, the
+        scoring pass's seven; each solve factors G in its own memory.  The
+        bound is the pre-flight's count: G and the larger scratch with
+        numpy's buffers, or the median heuristic's differences of 1000 rows'
+        pairs where they weigh more (at 2 folds), and beside them the data's
+        copies and the assembly's vectors, 12 vectors of n for 2 nodes."""
         counted = []
         real = evaluation._check_memory
         monkeypatch.setattr(evaluation, "_check_memory",
@@ -508,9 +534,12 @@ class TestCrossValidate:
             config = CvConfig(folds=folds, lambda_grid=(0.01, 0.1, 1.0),
                               bandwidth_scale_grid=(1.0,), seed=1)
             gram = n_fit * n_fit * 8
-            scoring = 7 * n_fit * 128 * 8  # R = 200 and 500: 128-column blocks
-            # the assembly's five arrays weigh less than the scoring pass's seven
-            count = gram + scoring
+            # R = 200 and 500: 128-column blocks; n_fit rows in tiles of 146
+            scoring = 7 * 146 * 128 * 8 + score_fit_mod._WORKER_BUFFERS
+            # the assembly's five arrays in tiles of 204 weigh less than the
+            # scoring pass's seven in tiles of 146
+            assert 5 * 204 < 7 * 146
+            count = 8 * 1000 * 12 + max(4 * 1000 * 999, gram + scoring)
             counted.clear()
             tracemalloc.start()
             try:
@@ -556,12 +585,15 @@ class TestCrossValidate:
     def test_preflight_counts_the_held_out_pieces(self, monkeypatch):
         """The held-out pieces live in the scoring pass's worker scratch:
         k_X * k_Y, the scaled differences and, for more than one lambda, the
-        prefactors that every lambda reads, seven (n_fit, 128) arrays at
+        prefactors that every lambda reads, seven (146, 128) arrays at
         d = 1.  At 2 folds of n_fit = 150 they outweigh the assembly's five
-        arrays, so memory for all but 8 of G's bytes plus theirs is a data
-        error before any assembly, and the count itself is enough."""
+        (150, 128) arrays, so memory for all but 8 of the bytes of G, theirs
+        with numpy's buffers and 12 vectors of the 300 rows is a data error
+        before any assembly, and the count itself is enough."""
         n_fit = 150
-        need = n_fit**2 * 8 + 7 * n_fit * 128 * 8
+        assert 7 * 146 > 5 * n_fit
+        need = (n_fit**2 * 8 + 7 * 146 * 128 * 8 + score_fit_mod._WORKER_BUFFERS
+                + 8 * 300 * 12)
         data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=300,
                                                                    seed=4)))
         config = CvConfig(folds=2, lambda_grid=(0.01, 0.1),

@@ -473,8 +473,9 @@ class TestGridSampler:
         """_GRID_PEAK_OVER_WEIGHTS bounds the traced peak of the grid's
         weights on a typical grid and on the smallest grid that
         ``_grid_nodes`` builds, where the scratch blocks weigh most.  At n =
-        1024 the fill pools: on 1 worker it holds three scratch blocks, on
-        2 the scratch that ``_scratch_bytes`` counts for both workers."""
+        1024 the fill pools, and on 1 and 2 workers it holds the scratch
+        that ``_scratch_bytes`` counts: three (341, 128) tile arrays per
+        worker and numpy's buffers."""
         rng = np.random.default_rng(5)
         n = 1024
         model = FactorModel(x_train=rng.normal(size=(n, 1)),
@@ -496,11 +497,8 @@ class TestGridSampler:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            if workers == 1:
-                need = n * (G + 3 * _CROSS_BLOCK) * 8
-            else:
-                need = n * G * 8 + score_fit._scratch_bytes(
-                    G, n, score_fit._WEIGHT_ARRAYS, budget=n * G * 8)
+            need = n * G * 8 + score_fit._scratch_bytes(
+                G, n, score_fit._WEIGHT_ARRAYS, budget=n * G * 8)
             assert peak <= sampling_mod._GRID_PEAK_OVER_WEIGHTS * need, workers
 
     @pytest.mark.parametrize("sigma_y", [1.0, 50.0])

@@ -415,14 +415,37 @@ class TestBuildGramSystem:
             scratch = score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
             assert peak <= gram + scratch + 2**20, (n, workers, peak / gram)
 
+    def test_scratch_does_not_grow_with_n(self, rng, monkeypatch):
+        """The assembly's scratch is the same at n = 2000 and n = 200 000,
+        by arithmetic alone (200 000 rows would need a 298 GiB G), and a
+        fit's traced peak at n = 2000 on 2 workers stays under 1.1 Grams
+        (1.076 measured; 1.33 with full-height scratch)."""
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 2)
+        arrays = score_fit_mod._block_arrays(1)
+        assert len({score_fit_mod._scratch_bytes(n, n, arrays, budget=n * n * 8)
+                    for n in (2000, 200_000)}) == 1
+        n = 2000
+        X, Y, kx, ky, lam = random_instance(rng, n, 1, 1, lam=1e-3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit_factor(X, Y, kx, ky, lam)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * n * n * 8
+
     def test_d1_assembly_holds_no_idle_scratch(self, rng, monkeypatch):
-        """At n = 1024 on 2 workers each (n, 128) scratch array is 0.125
-        Grams, so the assembly's peak counts them: G and five arrays per
-        worker at d = 1 (2.29 measured), where a sixth, idle array read
-        2.54."""
+        """At n = 1024 on 2 workers the assembly's peak is G and, per
+        worker, five (tile, 128) arrays at d = 1 and numpy's buffers, which
+        ``_scratch_bytes`` counts with 42 KB of slack per worker; a sixth,
+        idle array would add 0.2 MiB per worker."""
         n = 1024
         assert n >= score_fit_mod._POOL_ROWS
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 2)
+        tile = score_fit_mod._block_plan(n, n, 5)[1]
+        assert 5 * tile * 128 * 8 <= score_fit_mod._WORKER_SCRATCH < 6 * tile * 128 * 8
         X, Y, kx, ky, _ = random_instance(rng, n, 1, 1)
         tracemalloc.start()
         try:
@@ -432,7 +455,8 @@ class TestBuildGramSystem:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 2.4 * n * n * 8
+        gram = n * n * 8
+        assert peak <= gram + score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
 
 
 class TestRidgeSolve:
@@ -811,21 +835,28 @@ class TestFitFactor:
             build_gram(X, Y, kx, ky)
 
     def test_fit_needs_G_plus_the_assembly_scratch(self, rng, monkeypatch):
-        """A fit holds G and then the assembly's scratch, so memory for 1.5
-        Grams plus that scratch holds it, where the former count of 2.2
-        Grams refused it; one byte less than G plus the scratch is refused
-        before assembly."""
+        """A fit holds G, h and the averaged feature's coefficients (two
+        vectors of n*d) and then the assembly's scratch: five (tile, 128)
+        arrays at d = 1 and numpy's buffers.  So memory for 1.5 Grams plus
+        that holds it, where the former count of 2.2 Grams refused it; one
+        byte less than G, the vectors and the scratch is refused before
+        assembly."""
         n = 1024
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 1)
         gram = n * n * 8
         scratch = score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
-        assert scratch == 5 * n * 128 * 8 and 1.5 * gram + scratch < 2.2 * gram
+        tile = score_fit_mod._WORKER_SCRATCH // (5 * 128 * 8)
+        assert scratch == 5 * tile * 128 * 8 + score_fit_mod._WORKER_BUFFERS
+        need = gram + 16 * n + scratch
+        assert 1.5 * gram + scratch < 2.2 * gram
         X, Y, kx, ky, lam = random_instance(rng, n, 1, 1)
         monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes",
                             lambda: int(1.5 * gram) + scratch)
         fit_factor(X, Y, kx, ky, lam)
+        monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need)
+        fit_factor(X, Y, kx, ky, lam)
         monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes",
-                            lambda: gram + scratch - 1)
+                            lambda: need - 1)
         monkeypatch.setattr(score_fit_mod, "kernel_matrix", None)  # no assembly
         with pytest.raises(DataError, match="n\\*d = 1024"):
             fit_factor(X, Y, kx, ky, lam)
@@ -1081,63 +1112,83 @@ class TestWorkerCount:
     def test_block_plan_counts_the_blocks_by_arithmetic(self, monkeypatch):
         """With a CPU for every block, ``_block_plan`` gives one worker per
         block of ``_blocks`` at ``_CROSS_BLOCK`` columns, from the sizes
-        alone: ``_blocks(131, 128)`` is 2 blocks, so 2 workers."""
+        alone: ``_blocks(131, 128)`` is 2 blocks, so 2 workers.  Rows this
+        few are one tile."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 10**6)
-        assert score_fit_mod._block_plan(0, 1, 1) == (1, 128)
+        buffers = score_fit_mod._WORKER_BUFFERS
+        assert score_fit_mod._block_plan(0, 1, 1) == (1, 1)
         # no list of blocks: a pre-flight may ask about any size
-        assert score_fit_mod._block_plan(10**18 + 1, 1, 1) == (10**6, 128)
-        assert score_fit_mod._scratch_bytes(10**18 + 1, 3, 2) == 10**6 * 2 * 3 * 129 * 8
+        assert score_fit_mod._block_plan(10**18 + 1, 1, 1) == (10**6, 1)
+        assert (score_fit_mod._scratch_bytes(10**18 + 1, 3, 2)
+                == 10**6 * (2 * 3 * 129 * 8 + buffers))
         for block in (128, 3, 1):
             monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", block)
             for size in (1, 2, 3, 4, 7, 127, 128, 129, 130, 131, 256, 257, 300, 2177):
                 blocks = score_fit_mod._blocks(size, block)
-                assert score_fit_mod._block_plan(size, 1, 1) == (len(blocks), block)
+                assert score_fit_mod._block_plan(size, 1, 1) == (len(blocks), 1)
                 widest = max(hi - lo for lo, hi in blocks)
                 assert (score_fit_mod._scratch_bytes(size, 3, 2)
-                        == len(blocks) * 2 * 3 * widest * 8), (block, size)
-        assert score_fit_mod._scratch_bytes(0, 1, 1) == 0
+                        == len(blocks) * (2 * 3 * widest * 8 + buffers)), (block, size)
+        assert score_fit_mod._scratch_bytes(0, 1, 1) == buffers
 
-    def test_block_width_halves_to_cap_the_scratch_of_a_worker(self):
-        """Without a GEMM the width halves while one worker's scratch would
-        exceed 8 MiB, down to 32 columns; at n = 2000 the assembly's five
-        arrays (d = 1) take 64 columns.  A GEMM keeps 128, which fixes its
-        bits."""
-        def width(rows, arrays, **plan):
-            return score_fit_mod._block_plan(1000, rows, arrays, **plan)[1]
+    def test_tiles_cap_the_scratch_of_a_worker(self):
+        """A tile takes as many training rows as keep a worker's arrays
+        within ``_WORKER_SCRATCH`` (1 MiB): 204 rows for the assembly's five
+        arrays at d = 1 and 146 for CV's scoring pass's seven, at any n.  A
+        GEMM adds its full-height operand, and a 1-column block, which numpy
+        sums pairwise, is one tile."""
+        def tile(rows, arrays, size=1000, **plan):
+            return score_fit_mod._block_plan(size, rows, arrays, **plan)[1]
 
-        assert score_fit_mod._WORKER_SCRATCH == 8 * 2**20
-        assert width(1638, 5) == 128  # 8.0 MiB
-        assert width(1639, 5) == 64
-        assert width(2000, 5) == 64
-        assert width(3277, 5) == 32  # past 8 MiB at 64 columns
-        assert width(10**6, 5) == 32
-        assert width(2000, 7) == 64  # CV's scoring pass: seven arrays
-        assert width(2731, 3) == 64  # the grid sampler's weights
-        assert width(10**6, 4, gemm_rows=500) == 128  # IS
+        assert score_fit_mod._WORKER_SCRATCH == 2**20
+        assert tile(100, 5) == 100
+        assert tile(2000, 5) == tile(10**6, 5) == 204
+        assert tile(2000, 7) == 146
+        assert tile(2000, 3) == tile(2000, 3, gemm_rows=500) == 341  # grid weights, IS
+        assert tile(2000, 5, size=129) == 203  # the joined block of 129 columns
+        assert tile(10**6, 5, size=1) == 10**6
+        assert (score_fit_mod._scratch_bytes(1000, 2000, 3, gemm_rows=500)
+                - score_fit_mod._scratch_bytes(1000, 2000, 3)
+                == score_fit_mod._block_plan(1000, 2000, 3)[0] * 2000 * 128 * 8)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_narrowed_blocks_give_the_same_bits(self, rng, monkeypatch, d):
-        """With the cap at one byte, every call without a GEMM runs 32-column
-        blocks (and a 33-column one where a 1-column remainder joins): the
-        assembly, the paired sums of one and of two models and the grid
-        weights give the bits of 128-column blocks."""
-        n, R = 301, 289
+    def test_the_tile_height_changes_no_bit(self, rng, monkeypatch, d):
+        """Tiles of 1 row, of 7 rows (the assembly's and one model's sums;
+        other calls take the tiles that the same cap gives their arrays)
+        and tiles of all n rows give the same bytes: G, h and beta, T's
+        value, grad and second (also at one row, a 1-column block that stays
+        one tile), the score of 1 and of 8 models, the grid weights and
+        every IS block.  n = 19 * 7 + 1, so the assembly's last
+        7-row tile has one row next to the carried sum, as every tile of 1
+        row does; the tiled runs take 2 workers."""
+        n, R = 134, 300
         X, Y, kx, ky, _ = random_instance(rng, n, d, 2)
-        models = [fit_factor(X, Y, kx, ky, lam) for lam in (0.05, 0.5)]
+        lams = np.geomspace(1e-3, 1.0, 8)
         X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
 
         def outputs():
             system = build_gram_system(X, Y, kx, ky, BaseDensity())
-            return [system.G, system.h, *score_fit_mod._T_terms(models[0], X_eval, Y_eval,
-                                                                True, True, True),
+            models = [fit_factor(X, Y, kx, ky, lam, system=system) for lam in lams]
+            return [system.G, system.h, models[0].beta,
+                    *score_fit_mod._T_terms(models[0], X_eval, Y_eval, True, True, True),
+                    *score_fit_mod._T_terms(models[0], X_eval[:1], Y_eval[:1], True, True, True),
+                    np.array([empirical_score(models[0], X_eval, Y_eval)]),
                     np.array(empirical_score(models, X_eval, Y_eval)),
-                    _cross_weights(models[1], Y_eval)]
+                    _cross_weights(models[0], Y_eval),
+                    *(block for _, block in cross_T_blocks(models[0], X_eval, Y_eval))]
 
-        wide = outputs()
-        monkeypatch.setattr(score_fit_mod, "_WORKER_SCRATCH", 1)
-        assert score_fit_mod._blocks(R, score_fit_mod._block_plan(R, n, 5)[1])[-1] == (256, 289)
-        for got, expect in zip(outputs(), wide, strict=True):
-            assert got.tobytes() == expect.tobytes()
+        monkeypatch.setattr(score_fit_mod, "_WORKER_SCRATCH", 2**40)
+        assert score_fit_mod._block_plan(R, n, score_fit_mod._block_arrays(d, 8))[1] == n
+        whole = outputs()
+        monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 2)
+        seven = 7 * score_fit_mod._block_arrays(d) * 128 * 8
+        for cap, tile in ((1, 1), (seven, 7)):
+            monkeypatch.setattr(score_fit_mod, "_WORKER_SCRATCH", cap)
+            assert score_fit_mod._block_plan(n, n, score_fit_mod._block_arrays(d))[1] == tile
+            assert n % tile == 1 % tile
+            for got, expect in zip(outputs(), whole, strict=True):
+                assert got.tobytes() == expect.tobytes(), (cap, d)
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("d", [1, 2])
@@ -1250,8 +1301,9 @@ class TestWorkerCount:
                 build_gram_system(X, Y, kx, ky, BaseDensity())
         finally:
             tracemalloc.stop()
-        # five (n, 128) arrays at d = 1
-        scratch = score_fit_mod._block_arrays(1) * n * score_fit_mod._CROSS_BLOCK * 8
+        # five (tile, 128) arrays at d = 1
+        tile = score_fit_mod._block_plan(n, n, 5)[1]
+        scratch = score_fit_mod._block_arrays(1) * tile * score_fit_mod._CROSS_BLOCK * 8
         assert sorted(peaks) == [1, 2]
         assert peaks[2] <= peaks[1] + scratch + 256 * 1024
 
@@ -1343,10 +1395,9 @@ class TestScoreList:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_each_model_alone(self, rng, monkeypatch, d, workers):
         """n = _POOL_ROWS training rows, so two blocks run on two workers;
-        at d = 1, R = 129 is one block with the 1-column remainder joined,
-        R = 257 two (at d = 2 eleven arrays exceed the cap on a worker's
-        scratch, so the blocks take 64 columns).  The list builds each
-        block's k_X and k_Y once for all models."""
+        R = 129 is one block with the 1-column remainder joined, R = 257
+        two, each in tiles of training rows.  The list builds each tile's
+        k_X and k_Y once for all models."""
         n = score_fit_mod._POOL_ROWS
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         models = self.models(rng, n, d, 2)
@@ -1362,8 +1413,8 @@ class TestScoreList:
             alone = [empirical_score(model, X_eval, Y_eval) for model in models]
             calls.clear()
             assert empirical_score(models, X_eval, Y_eval) == alone
-            width = score_fit_mod._block_plan(R, n, score_fit_mod._block_arrays(d, 2))[1]
-            assert len(calls) == 2 * len(score_fit_mod._blocks(R, width))
+            tile = score_fit_mod._block_plan(R, n, score_fit_mod._block_arrays(d, 2))[1]
+            assert len(calls) == 2 * len(score_fit_mod._blocks(R, 128)) * -(-n // tile)
             assert empirical_score(tuple(models[:1]), X_eval, Y_eval) == alone[:1]
             got = score_fit_mod._pair_sums(
                 models[0].x_train, models[0].y_train, models[0].kernel_x,
