@@ -10,18 +10,21 @@ deterministic; no state outlives a call.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import score_fit
 from .errors import DataError, KexpfamError, NumericalError
 from .factorization import (DagSpec, JointModel, NodeHyperparams, _node_kernels,
                             _node_medians)
-from .kernels import _MEDIAN_ROWS
 from .score_fit import (
+    _WORKER_BUFFERS,
     BaseDensity,
     FactorModel,
     _as_matrix,
@@ -228,6 +231,45 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
     return float(np.mean(total)), total
 
 
+def _fold_pipeline(tasks, assemble, solve, score) -> list:
+    """``[score(solve(assemble(task)), task) for task in tasks]``, with
+    every ``solve`` on the calling thread.
+
+    On one CPU the steps run inline in that order, holding one assembled
+    system at a time.  Otherwise one helper thread assembles the next task
+    while this task's solves run, and then scores the task solved before
+    it: the next assembly is queued ahead of that scoring, so the solves
+    never wait on scoring.  The helper makes no BLAS or LAPACK call, its
+    pools leave one CPU to the solves (``_leave_cpu``), and it runs each
+    step in a copy of the caller's context, so with the caller's numpy
+    error state.  An error in any step reaches the caller unchanged, queued
+    helper work is cancelled, and the helper ends before the call returns.
+    """
+    if score_fit._worker_count() == 1:
+        return [score(solve(assemble(task)), task) for task in tasks]
+
+    def in_helper(step, *args):
+        with score_fit._leave_cpu():
+            return step(*args)
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def submit(step, *args):
+            return helper.submit(contextvars.copy_context().run, in_helper, step, *args)
+
+        try:
+            scored, pending = [], submit(assemble, tasks[0])
+            for task, after in zip(tasks, [*tasks[1:], None]):
+                built = pending.result()
+                pending = None if after is None else submit(assemble, after)
+                fits = solve(built)
+                del built  # this fold's G goes before its scoring runs beside the next G
+                scored.append(submit(score, fits, task))
+            return [future.result() for future in scored]
+        except BaseException:
+            helper.shutdown(cancel_futures=True)
+            raise
+
+
 def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
              base: BaseDensity, fold_blocks) -> NodeCvResult:
     parents = dag.parents[node]
@@ -239,32 +281,41 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
     medians = _node_medians(values, parents, node)
     kernels = [_node_kernels(*medians, scale) for scale in scales]
 
-    def score_fold(kx, ky, block) -> list[float]:
-        """Held-out score of every lambda on one fold: the fold's system is
-        assembled once and fitted once per lambda, and then every fit is
-        scored on the held-out rows in one pass."""
+    # Each (scale, fold) is assembled once, fitted once per lambda and then
+    # every fit is scored on the held-out rows in one pass.
+    def assemble(task):
+        """The fold's training rows and system (None if it fails numerically)."""
+        kx, ky, block = task
         mask = np.ones(values.shape[0], dtype=bool)
         mask[block] = False
         x_fit, y_fit = x_all[mask], y_all[mask]
         try:
             system = build_gram_system(x_fit, y_fit, kx, ky, base)
         except (NumericalError, FloatingPointError):
-            return [math.inf] * len(lambdas)
-        scores, fits = [math.inf] * len(lambdas), {}  # a failed fit scores +inf
-        for i, lam in enumerate(lambdas):
+            system = None
+        return x_fit, y_fit, kx, ky, system
+
+    def solve(built) -> dict:
+        x_fit, y_fit, kx, ky, system = built
+        fits = {}  # by lambda index; a failed fit scores +inf
+        for i, lam in enumerate(lambdas if system is not None else ()):
             with suppress(KexpfamError, FloatingPointError):
                 fits[i] = fit_factor(x_fit, y_fit, kx, ky, lam, base, system=system)
-        del system  # G is dropped before the scoring scratch is allocated
+        return fits
+
+    def score(fits, task) -> list[float]:
+        block = task[2]
+        scores = [math.inf] * len(lambdas)
         with np.errstate(all="ignore"):  # an overflow in one fit's score is nan
             held_out = (empirical_score(list(fits.values()), x_all[block], y_all[block])
                         if fits else [])
-        for i, score in zip(fits, held_out):  # nan would make the pick order-bound
-            scores[i] = score if math.isfinite(score) else math.inf
+        for i, value in zip(fits, held_out):  # nan would make the pick order-bound
+            scores[i] = value if math.isfinite(value) else math.inf
         return scores
 
     # one entry per (scale, fold), in that order
-    results = [score_fold(kx, ky, block)
-               for kx, ky in kernels for block in fold_blocks]
+    results = _fold_pipeline([(kx, ky, block) for kx, ky in kernels for block in fold_blocks],
+                             assemble, solve, score)
 
     folds = len(fold_blocks)
     table = []
@@ -297,7 +348,10 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     is assembled once per (node, bandwidth scale) and solved for every
     lambda, which gives the same bits as one fit per grid cell; then one
     pass over the held-out rows scores every lambda's fit, with the same
-    bits as scoring each fit on its own.
+    bits as scoring each fit on its own.  A node's (scale, fold) steps run
+    through ``_fold_pipeline``: one after another on one CPU; on more, a
+    helper thread assembles the next fold and scores the last one while
+    this fold's Choleskys run, with the same bits.
     """
     config = config if config is not None else CvConfig()
     base = base if base is not None else BaseDensity()
@@ -314,20 +368,25 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     fold_blocks = np.array_split(perm, config.folds)
     # A fold holds G and, in turn, the workers' scratch of its assembly and
     # the scratch of the scoring pass (d = 1 per factor), where G's bytes
-    # are slack; a solve adds only vectors of n_fit.  Before the folds, a
-    # node's median heuristic holds the differences of its pairs of rows.
-    # Beside them live the node's and the fold's copies of the data and
-    # the assembly's vectors: two columns per node and eight more, counted
-    # in vectors of n.
+    # are slack; a solve adds only vectors of n_fit and numpy's buffers.
+    # With _fold_pipeline's helper, the next fold's G and its assembly's
+    # scratch, or the last fold's scoring, live beside this fold's G, its
+    # solve's buffers and its fits.  Beside them live the node's copies of
+    # the data (two columns per node) and eight vectors of each fold in
+    # flight, and each fit holds three (its x, y and beta), all counted in
+    # vectors of n.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
+    lambdas = len(config.lambda_grid)
+    pipelined = score_fit._worker_count() > 1
     gram = n_fit * n_fit * 8
-    pairs = 4 * min(n, _MEDIAN_ROWS) * (min(n, _MEDIAN_ROWS) - 1)
-    rows = 8 * n * (2 * values.shape[1] + 8)
-    assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1), budget=gram)
-    scoring = _scratch_bytes(R, n_fit, _block_arrays(1, len(config.lambda_grid)))
-    _check_memory(rows + max(pairs, gram + max(assembly, scoring)),
-                  f"cross-validation with folds of {n_fit} training rows",
-                  "use fewer rows")
+    vectors = 2 * values.shape[1] + 8 + pipelined * (8 + 3 * lambdas)
+    with score_fit._leave_cpu():  # as the pipeline's helper runs them
+        assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1), budget=gram)
+        scoring = _scratch_bytes(R, n_fit, _block_arrays(1, lambdas))
+    folds = gram + (_WORKER_BUFFERS + max(gram + assembly, scoring) if pipelined
+                    else max(assembly, scoring))
+    _check_memory(8 * n * vectors + folds,
+                  f"cross-validation with folds of {n_fit} training rows", "use fewer rows")
     nodes = tuple(
         _node_cv(values, dag, node, config, base, fold_blocks)
         for node in range(dag.node_count)

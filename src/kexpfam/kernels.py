@@ -252,10 +252,11 @@ def partial_matrix(spec: GaussianKernelSpec, A: np.ndarray, B: np.ndarray,
 def median_heuristic(data: np.ndarray) -> np.ndarray:
     """Per-dimension median of pairwise absolute coordinate differences.
 
-    Rows are subsampled (deterministically) down to 1000 before forming
-    pairs.  A zero median in some dimension is replaced by the
-    smallest positive median across dimensions, or by 1.0 if every median is
-    zero.
+    Rows are subsampled (deterministically) down to 1000, and the median
+    is selected among their pairs without building them.  A zero median in
+    some dimension is replaced by the smallest positive median across
+    dimensions, or by 1.0 if every median is zero.  Data that is not finite,
+    or whose range overflows, is a DataError.
 
     Parameters
     ----------
@@ -275,19 +276,76 @@ def median_heuristic(data: np.ndarray) -> np.ndarray:
         idx = rng.choice(n, size=_MEDIAN_ROWS, replace=False)
         data = data[np.sort(idx)]
         n = _MEDIAN_ROWS
-    # Over a sorted column, s[i+1:] - s[i] for every i are the pairwise
-    # absolute differences: the same multiset, so the same median, bit for
-    # bit, without gathering the pairs through index arrays.
-    diffs = np.empty(n * (n - 1) // 2)
+    # Over a sorted column, s[j] - s[i] for i < j are the pairwise absolute
+    # differences: the same multiset, so the same median, bit for bit.  Its
+    # one or two middle values are selected without building the m(m-1)/2
+    # differences, and combined as np.median combines them.
+    pairs = n * (n - 1) // 2
     out = np.empty(data.shape[1])
     for m in range(data.shape[1]):
         s = np.sort(data[:, m])
-        pos = 0
-        for i in range(n - 1):
-            np.subtract(s[i + 1:], s[i], out=diffs[pos:pos + n - 1 - i])
-            pos += n - 1 - i
-        out[m] = np.median(diffs, overwrite_input=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = s[-1] - s[0]
+        if not np.isfinite(spread):
+            raise DataError("median heuristic needs finite data of finite range")
+        middle = [_kth_difference(s, k) for k in sorted({(pairs - 1) // 2, pairs // 2})]
+        out[m] = np.mean(middle)
     positive = out[out > 0]
     fallback = positive.min() if positive.size else 1.0
     out[out == 0] = fallback
     return out
+
+
+def _row_ends(s: np.ndarray, t: float) -> np.ndarray:
+    """For each i, the first j > i with s[j] - s[i] > t (len(s) if none),
+    on a sorted s.  The rounded difference grows with j, so searchsorted at
+    s[i] + t misses the end only where that sum rounds; the two loops put
+    it right with the same subtraction, moving one run of equal values per
+    step."""
+    i = np.arange(len(s))
+    j = np.maximum(np.searchsorted(s, s + t, side="right"), i + 1)
+    while True:  # past a run whose difference is still <= t
+        move = j < len(s)
+        move[move] = s[j[move]] - s[i[move]] <= t
+        if not move.any():
+            break
+        j[move] = np.searchsorted(s, s[j[move]], side="right")
+    while True:  # back over a run whose difference is > t
+        move = j > i + 1
+        move[move] = s[j[move] - 1] - s[i[move]] > t
+        if not move.any():
+            return j
+        j[move] = np.maximum(np.searchsorted(s, s[j[move] - 1], side="left"), i[move] + 1)
+
+
+def _kth_difference(s: np.ndarray, k: int) -> float:
+    """The k-th smallest (from 0) of s[j] - s[i] over the pairs i < j of a
+    sorted, finite s, bit for bit as in the sorted array of all of them.
+
+    Bisects a value bracket (lo, hi] that holds the k-th difference, with
+    ``_row_ends`` counting the differences at or below each probe, until
+    at most len(s) differences lie inside; those are then gathered and
+    partitioned.  Where no double lies between lo and hi, hi is the k-th.
+    """
+    m = len(s)
+    below = m * (m + 1) // 2  # the sum of i + 1: ends.sum() - below counts the pairs
+    lo_t, hi_t = 0.0, s[-1] - s[0]
+    lo, hi = _row_ends(s, lo_t), np.full(m, m)
+    if lo.sum() - below > k:
+        return 0.0
+    while (hi - lo).sum() > m:
+        t = lo_t + 0.5 * (hi_t - lo_t)
+        if not lo_t < t < hi_t:
+            t = np.nextafter(lo_t, hi_t)
+            if t == hi_t:
+                return hi_t
+        ends = _row_ends(s, t)
+        if ends.sum() - below > k:
+            hi_t, hi = t, ends
+        else:
+            lo_t, lo = t, ends
+    width = hi - lo  # row i's differences in the bracket: j in [lo[i], hi[i])
+    i = np.repeat(np.arange(m), width)
+    j = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
+    rank = k - (lo.sum() - below)
+    return float(np.partition(s[j] - s[i], rank)[rank])

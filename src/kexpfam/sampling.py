@@ -192,11 +192,13 @@ def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
         p0 = np.vstack([rng.normal(size=d) for rng in rngs])
         log_u = np.log(np.array([rng.uniform() for rng in rngs]))
         h_old = U + 0.5 * np.sum(p0 * p0, axis=1)
-        y_prop, p_prop = leapfrog(y, p0, grad_potential,
-                                  config.step_size, config.leapfrog_steps)
-        U_prop = potential(y_prop)
-        h_new = U_prop + 0.5 * np.sum(p_prop * p_prop, axis=1)
-        log_ratio = np.where(np.isfinite(h_new), h_old - h_new, -np.inf)
+        # a proposal that overflows has a non-finite energy and is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_prop, p_prop = leapfrog(y, p0, grad_potential,
+                                      config.step_size, config.leapfrog_steps)
+            U_prop = potential(y_prop)
+            h_new = U_prop + 0.5 * np.sum(p_prop * p_prop, axis=1)
+            log_ratio = np.where(np.isfinite(h_new), h_old - h_new, -np.inf)
         accept = log_u < log_ratio
         y[accept] = y_prop[accept]
         U[accept] = U_prop[accept]
@@ -376,7 +378,9 @@ def ancestral_sample(model: JointModel, count: int,
     r-th uniform, so the first k rows do not depend on ``count``.  With an
     ``HmcConfig`` each output row runs its own HMC chain per node instead,
     for ``burn_in + thin`` iterations, and keeps the chain's last state; so
-    only that sum matters, and ``config.chains`` is not used.
+    only that sum matters, and ``config.chains`` is not used.  A node whose
+    chains accept no proposal at all raises NumericalError, since each of
+    its rows would be the chain's first base-density draw.
     Model math happens in standardized coordinates; results are mapped back
     to original units at the end.
 
@@ -401,6 +405,10 @@ def ancestral_sample(model: JointModel, count: int,
                 chains, rate = _run_chains(factor, x_rows, 1, config, node_index=node)
             except NumericalError as exc:
                 raise NumericalError(f"HMC failed at node {node}: {exc}") from exc
+            if rate == 0.0:  # every row would be its chain's first base draw
+                raise NumericalError(
+                    f"HMC accepted no proposal at node {node} with step size "
+                    f"{config.step_size:g}; use a smaller step size")
             out[:, node] = chains[:, 0, 0]
             per_node.append({"node": node, "accept_rate": float(rate)})
         else:

@@ -9,6 +9,7 @@ Everything here is deterministic: identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import queue
@@ -676,6 +677,23 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+# CPUs that an _in_blocks pool may take in this context, where a caller has
+# left some of _worker_count's to another thread (see _leave_cpu)
+_POOL_CPUS = contextvars.ContextVar("pool_cpus", default=None)
+
+
+@contextmanager
+def _leave_cpu():
+    """Within the block, and in this context only, an ``_in_blocks`` pool
+    leaves one of the process's CPUs to another thread, such as the
+    solves of the CV pipeline; it keeps at least one."""
+    token = _POOL_CPUS.set(max(1, _worker_count() - 1))
+    try:
+        yield
+    finally:
+        _POOL_CPUS.reset(token)
+
+
 @contextmanager
 def _pool(workers: int):
     """A ``map`` that runs inline for one worker and on a pool of
@@ -727,10 +745,11 @@ def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
     A tile takes as many of the ``rows`` as keep the arrays within
     ``_WORKER_SCRATCH``, at least one.  A 1-column block is one tile, since
     numpy sums a single column pairwise.  A pool of up to one thread per
-    CPU of ``_worker_count`` starts only for two blocks or more whose work,
-    rows times (1 + ``gemm_rows``), reaches ``_POOL_ROWS``.  With a
-    ``budget`` in bytes, the scratch of all workers together spans at most
-    ``_EVAL_CHUNK`` columns, or more only while it stays within the budget.
+    CPU of ``_worker_count`` (one fewer within ``_leave_cpu``) starts only
+    for two blocks or more whose work, rows times (1 + ``gemm_rows``),
+    reaches ``_POOL_ROWS``.  With a ``budget`` in bytes, the scratch of all
+    workers together spans at most ``_EVAL_CHUNK`` columns, or more only
+    while it stays within the budget.
     """
     widest = _widest(size, _CROSS_BLOCK)
     tile = rows if widest <= 1 else min(rows, max(1, _WORKER_SCRATCH // (arrays * widest * 8)))
@@ -738,7 +757,7 @@ def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
         return 1, tile
     joined = widest > _CROSS_BLOCK  # a 1-column remainder joins a block
     workers = 1 if rows * (1 + gemm_rows) < _POOL_ROWS else min(
-        _worker_count(), -(-size // _CROSS_BLOCK) - joined)
+        _POOL_CPUS.get() or _worker_count(), -(-size // _CROSS_BLOCK) - joined)
     if budget is not None:
         per_worker = (arrays * tile + rows * (gemm_rows > 0)) * widest * 8
         workers = min(workers, max(_EVAL_CHUNK // _CROSS_BLOCK, budget // per_worker))

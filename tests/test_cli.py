@@ -315,6 +315,29 @@ class TestFitEvalPipeline:
         assert run(["sample", "--model", model, "--n", 5, "--burn-in", 5,
                     "--out", tmp_path / "big.csv"]) == 0
 
+    def test_hmc_that_accepts_nothing_is_numerical_error(self, workspace):
+        """At --step-size 1e300 every leapfrog trajectory overflows and every
+        proposal is rejected, so each row would be its chain's first
+        base-density draw.  In a fresh process the command exits 3 with one
+        typed error line that names the step size, writes no sample file,
+        and lets no traceback or numpy RuntimeWarning reach stderr."""
+        tmp_path, _, _, model = workspace
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "rejected.csv"
+        code = "import sys; from kexpfam.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "sample", "--model", str(model), "--n", "5",
+             "--burn-in", "2", "--step-size", "1e300", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        [line] = done.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "numerical"
+        assert "step size 1e+300" in error["message"]
+        assert not out.exists()
+
     def test_is_too_large_for_memory_is_data_error(self, workspace, capsys,
                                                    monkeypatch):
         """IS's pre-flight names its distinct rows and the GiB they need,

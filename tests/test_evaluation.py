@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -488,6 +490,77 @@ class TestCrossValidate:
         assert all(math.isfinite(c.mean_score)
                    for r in result.nodes for c in r.table)
 
+    def test_pipeline_changes_no_bit_and_leaves_no_thread(self, small_grid,
+                                                          monkeypatch):
+        """On two CPUs a helper thread assembles the next fold and scores the
+        last one while this fold's solves run.  The tables, with a failing
+        lambda's +inf cells, and the models fitted at the picks are those of
+        one CPU bit for bit, also when the helper is slowed so that the
+        calling thread waits on every assembly; and no thread outlives the
+        call."""
+        config = CvConfig(folds=3, lambda_grid=(1e-320, 0.01, 0.1),
+                          bandwidth_scale_grid=(0.5, 2.0), seed=7)
+        dag = make_dag("markov", 2)
+        real_build = evaluation.build_gram_system
+
+        def slow_build(*args):
+            time.sleep(0.02)
+            return real_build(*args)
+
+        results, models = [], []
+        for workers, build in ((1, real_build), (2, real_build), (2, slow_build)):
+            monkeypatch.setattr(score_fit_mod, "_worker_count", lambda w=workers: w)
+            monkeypatch.setattr(evaluation, "build_gram_system", build)
+            threads = threading.active_count()
+            results.append(cross_validate(small_grid, dag, config))
+            assert threading.active_count() == threads
+            models.append(fit_joint(small_grid, dag, results[-1].hyperparams()))
+        assert repr(results[0]) == repr(results[1]) == repr(results[2])
+        assert all(math.isinf(c.mean_score) for r in results[0].nodes
+                   for c in r.table if c.lam == 1e-320)
+        for model in models[1:]:
+            for got, expect in zip(model.factors, models[0].factors):
+                assert got.beta.tobytes() == expect.beta.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pipeline_errors_reach_the_caller(self, small_grid, monkeypatch,
+                                              workers):
+        """A DataError in the third fold's assembly (on two workers, in the
+        helper thread) reaches the caller, and no assembly runs after it.
+        So do a NumericalError in a scoring pass and an error that escapes a
+        solve on the calling thread; a NumericalError inside a solve is a
+        failed fit and scores +inf (test_failed_fit_scores_infinity).  No
+        thread outlives the call."""
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1),
+                          bandwidth_scale_grid=(0.5, 2.0), seed=7)
+        dag = make_dag("markov", 2)
+        real_build = evaluation.build_gram_system
+        builds = []
+
+        def failing_build(*args):
+            builds.append(args)
+            if len(builds) == 3:
+                raise DataError("forced assembly failure")
+            return real_build(*args)
+
+        def failing_fit(*args, **kwargs):
+            raise MemoryError("forced solve failure")
+
+        def failing_score(*args):
+            raise NumericalError("forced scoring failure")
+
+        for name, step, error in (("build_gram_system", failing_build, DataError),
+                                  ("fit_factor", failing_fit, MemoryError),
+                                  ("empirical_score", failing_score, NumericalError)):
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluation, name, step)
+                threads = threading.active_count()
+                with pytest.raises(error, match="forced"):
+                    cross_validate(small_grid, dag, config)
+                assert threading.active_count() == threads
+        assert len(builds) == 3
+
     def test_held_out_kernels_do_not_grow_with_the_lambda_grid(self, small_grid,
                                                                 monkeypatch):
         """Each (node, scale, fold) builds its held-out k_X and k_Y once and
@@ -513,16 +586,22 @@ class TestCrossValidate:
         # k_X and k_Y per (node, scale, fold), for the block and the assembly
         assert counts == [(nodes * scales * folds * 2, nodes * scales * folds * 4)] * 2
 
-    def test_lambda_loop_peak_stays_within_the_preflight(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lambda_loop_peak_stays_within_the_preflight(self, monkeypatch, workers):
         """tracemalloc's peak over CV against the fold's Gram, at 5 folds of
-        n_fit = 800 training rows and at 2 folds of 500 (one worker: below
-        _POOL_ROWS).  Each (scale, fold) holds G and, in turn, the assembly's
-        five (tile, 128) scratch arrays and, after G is dropped, the
-        scoring pass's seven; each solve factors G in its own memory.  The
-        bound is the pre-flight's count: G and the larger scratch with
-        numpy's buffers, or the median heuristic's differences of 1000 rows'
-        pairs where they weigh more (at 2 folds), and beside them the data's
-        copies and the assembly's vectors, 12 vectors of n for 2 nodes."""
+        n_fit = 800 training rows and at 2 folds of 500 (below _POOL_ROWS,
+        so each assembly and scoring pass runs on its own thread).  On one
+        worker each (scale, fold) holds G and, in turn, the assembly's five
+        (tile, 128) scratch arrays and, after G is dropped, the scoring
+        pass's seven; each solve factors G in its own memory.  On two the
+        pipeline's helper assembles the next fold beside this fold's G and
+        its solve's numpy buffers.  The bound is the pre-flight's count: G
+        and the larger scratch with numpy's buffers (with the helper, the
+        next G and the assembly's scratch, which weigh more than the
+        scoring's), and beside them the data's copies and the assembly's
+        vectors, 12 vectors of n for 2 nodes, with the helper 8 more and
+        each of the 3 fits' copies of x, y and beta."""
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         counted = []
         real = evaluation._check_memory
         monkeypatch.setattr(evaluation, "_check_memory",
@@ -530,16 +609,21 @@ class TestCrossValidate:
                                                  real(need, *args)))
         data = standardize(rejection_sample_grid(GridDatasetConfig(dim=2, n=1000,
                                                                    seed=4)))
+        buffers = score_fit_mod._WORKER_BUFFERS
         for folds, n_fit in ((5, 800), (2, 500)):
             config = CvConfig(folds=folds, lambda_grid=(0.01, 0.1, 1.0),
                               bandwidth_scale_grid=(1.0,), seed=1)
             gram = n_fit * n_fit * 8
             # R = 200 and 500: 128-column blocks; n_fit rows in tiles of 146
-            scoring = 7 * 146 * 128 * 8 + score_fit_mod._WORKER_BUFFERS
+            scoring = 7 * 146 * 128 * 8 + buffers
             # the assembly's five arrays in tiles of 204 weigh less than the
             # scoring pass's seven in tiles of 146
-            assert 5 * 204 < 7 * 146
-            count = 8 * 1000 * 12 + max(4 * 1000 * 999, gram + scoring)
+            assembly = 5 * 204 * 128 * 8 + buffers
+            assert assembly < scoring
+            if workers == 1:
+                count = 8 * 1000 * 12 + gram + scoring
+            else:
+                count = 8 * 1000 * (12 + 8 + 3 * 3) + gram + buffers + gram + assembly
             counted.clear()
             tracemalloc.start()
             try:
@@ -552,14 +636,17 @@ class TestCrossValidate:
             assert counted == [count]
             assert peak <= count, (folds, peak / gram)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_preflight_counts_the_scratch_of_every_worker(self, monkeypatch,
                                                           workers):
-        """At 5 folds of n_fit = 1040 training rows (enough for the pool),
-        the workers of the assembly each hold five (n_fit, 128) scratch
-        arrays at d = 1 beside G, 1.23 Grams on 2 workers, and those of the
-        scoring pass seven, 1.72 Grams.  The pre-flight counts at least the
-        traced peak."""
+        """At 5 folds of n_fit = 1040 training rows (enough for a pool),
+        each worker of the assembly holds five (204, 128) scratch arrays at
+        d = 1 beside G, and each of the scoring pass seven (146, 128).  On
+        one CPU the scoring pass weighs more, 1.15 Grams traced.  On more,
+        the pipeline's helper assembles the next fold beside this fold's G
+        and its solve's buffers, and its pools leave one CPU to the solves:
+        one worker on 2 CPUs (2.19 Grams), two on 3 (2.32).  The pre-flight
+        counts at least the traced peak."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         counted = []
         real = evaluation._check_memory
@@ -571,6 +658,12 @@ class TestCrossValidate:
         config = CvConfig(folds=5, lambda_grid=(0.01, 0.1, 1.0),
                           bandwidth_scale_grid=(1.0,), seed=1)
         assert 1300 - 260 >= score_fit_mod._POOL_ROWS
+        gram, buffers = 1040 * 1040 * 8, score_fit_mod._WORKER_BUFFERS
+        if workers == 1:
+            count = 8 * 1300 * 12 + gram + 7 * 146 * 128 * 8 + buffers
+        else:
+            assembly = (workers - 1) * (5 * 204 * 128 * 8 + buffers)
+            count = 8 * 1300 * (12 + 8 + 3 * 3) + gram + buffers + gram + assembly
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -579,17 +672,19 @@ class TestCrossValidate:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert len(counted) == 1
+        assert counted == [count]
         assert peak <= counted[0]
 
     def test_preflight_counts_the_held_out_pieces(self, monkeypatch):
         """The held-out pieces live in the scoring pass's worker scratch:
         k_X * k_Y, the scaled differences and, for more than one lambda, the
         prefactors that every lambda reads, seven (146, 128) arrays at
-        d = 1.  At 2 folds of n_fit = 150 they outweigh the assembly's five
-        (150, 128) arrays, so memory for all but 8 of the bytes of G, theirs
-        with numpy's buffers and 12 vectors of the 300 rows is a data error
-        before any assembly, and the count itself is enough."""
+        d = 1.  On one worker, with no pipeline helper, at 2 folds of
+        n_fit = 150 they outweigh the assembly's five (150, 128) arrays, so
+        memory for all but 8 of the bytes of G, theirs with numpy's buffers
+        and 12 vectors of the 300 rows is a data error before any assembly,
+        and the count itself is enough."""
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 1)
         n_fit = 150
         assert 7 * 146 > 5 * n_fit
         need = (n_fit**2 * 8 + 7 * 146 * 128 * 8 + score_fit_mod._WORKER_BUFFERS

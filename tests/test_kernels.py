@@ -281,6 +281,48 @@ class TestMedianHeuristic:
         assert expect[0] == 0 < expect[1]
         np.testing.assert_array_equal(median_heuristic(data), [expect[1]] * 2)
 
+    @staticmethod
+    def all_pairs_reference(data):
+        """The routine that built every difference s[i+1:] - s[i] of a
+        sorted column (m(m-1)/2 of them) and took np.median, with the
+        zero-median fallback."""
+        out = np.empty(data.shape[1])
+        for m in range(data.shape[1]):
+            s = np.sort(data[:, m])
+            out[m] = np.median(np.concatenate([s[i + 1:] - s[i]
+                                               for i in range(len(s) - 1)]))
+        positive = out[out > 0]
+        out[out == 0] = positive.min() if positive.size else 1.0
+        return out
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 1000])
+    def test_selection_matches_the_median_of_all_pairs_bit_for_bit(self, rng, m):
+        """The two middle differences are selected without the pair array:
+        on ties, zero columns, a zero median, mixed signed zeros, values
+        whose differences round, and heavy tails, at odd and even pair
+        counts, every bandwidth keeps the bits of the median of all pairs."""
+        columns = [
+            rng.normal(size=m),
+            np.round(rng.normal(size=m), 1),  # ties and zero differences
+            rng.integers(0, 3, size=m).astype(float),  # runs of equal values
+            np.zeros(m),
+            np.where(rng.uniform(size=m) < 0.9, 2.0, 3.0),  # zero median
+            np.where(rng.uniform(size=m) < 0.5, -0.0, 0.0),
+            rng.normal(size=m) * 1e-3 + 5.0,  # differences that round
+            rng.standard_cauchy(size=m),
+            np.exp(rng.normal(size=m) * 20.0),
+        ]
+        for column in columns:
+            data = np.column_stack([column, rng.normal(size=m)])
+            got, expect = median_heuristic(data), self.all_pairs_reference(data)
+            assert got.tobytes() == expect.tobytes()
+
+    def test_non_finite_data_is_data_error(self):
+        with pytest.raises(DataError, match="finite"):
+            median_heuristic(np.array([[0.0], [np.inf], [1.0]]))
+        with pytest.raises(DataError, match="finite"):
+            median_heuristic(np.array([[-1e308], [1e308]]))
+
     def test_subsample_deterministic(self, rng):
         data = rng.normal(size=(1500, 2))
         np.testing.assert_array_equal(median_heuristic(data), median_heuristic(data))
