@@ -17,7 +17,6 @@ from .kernels import (
     kernel_matrix,
     kernel_partial,
     median_heuristic,
-    partial_matrix,
 )
 from .score_fit import (
     BaseDensity,
@@ -29,18 +28,13 @@ from .score_fit import (
     empirical_score,
     eval_T,
     fit_factor,
-    grad_y_T,
-    laplacian_terms_T,
-    unnorm_logpdf,
     unnorm_logpdf_rows,
-    xi_hat,
 )
 from .factorization import (
     DagSpec,
     JointModel,
     NodeHyperparams,
     fit_joint,
-    joint_unnorm_logpdf_terms,
     make_dag,
 )
 from .sampling import (
@@ -59,7 +53,6 @@ from .evaluation import (
     cross_validate,
     disjoint_support_demo,
     fisher_divergence,
-    log_partition_from_draws,
     log_partition_is,
     test_loglik,
 )
@@ -79,19 +72,17 @@ __all__ = [
     "ArchiveError", "DataError", "KexpfamError", "NumericalError",
     "ConstantKernel", "DerivRequest", "GaussianKernelSpec",
     "eval_kernel", "kernel_matrix", "kernel_partial", "median_heuristic",
-    "partial_matrix",
     "BaseDensity", "FactorModel", "GramSystem",
     "build_gram", "build_gram_system", "build_h", "empirical_score",
-    "eval_T", "fit_factor", "grad_y_T", "laplacian_terms_T",
-    "unnorm_logpdf", "unnorm_logpdf_rows", "xi_hat",
+    "eval_T", "fit_factor", "unnorm_logpdf_rows",
     "DagSpec", "JointModel", "NodeHyperparams",
-    "fit_joint", "joint_unnorm_logpdf_terms", "make_dag",
+    "fit_joint", "make_dag",
     "GridDatasetConfig", "GridSamplerConfig", "HmcConfig",
     "ancestral_sample", "hmc_sample_conditional", "leapfrog",
     "rejection_sample_grid",
     "CvConfig", "CvResult", "LogPartitionEstimate",
     "cross_validate", "disjoint_support_demo", "fisher_divergence",
-    "log_partition_from_draws", "log_partition_is", "test_loglik",
+    "log_partition_is", "test_loglik",
     "StandardizedDataset", "load_csv", "load_model", "prune_correlated",
     "save_csv", "save_model", "split", "standardize",
 ]

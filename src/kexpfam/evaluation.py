@@ -178,19 +178,6 @@ def log_partition_is(model: FactorModel, x, num_samples: int,
                                 sample_count=num_samples)
 
 
-def log_partition_from_draws(model: FactorModel, x, draws) -> LogPartitionEstimate:
-    """Same estimator evaluated on caller-provided base-density draws
-    (useful for pooling or reordering streams)."""
-    draws = _as_matrix(draws, "draws")
-    if draws.shape[1] != model.d:
-        raise DataError("draws must match the factor's target dimension")
-    if draws.shape[0] < 1:
-        raise DataError("the normalizer needs at least one draw")
-    log_z, se = _log_z_from_draws(model, _as_x_row(x, model.p), draws)
-    return LogPartitionEstimate(log_z=float(log_z[0]), std_err=float(se[0]),
-                                sample_count=draws.shape[0])
-
-
 def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
                 seed: int = 0, return_stats: bool = False):
     """Normalized joint log-likelihood of test rows, in original data units.
@@ -289,6 +276,7 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
         mask = np.ones(values.shape[0], dtype=bool)
         mask[block] = False
         x_fit, y_fit = x_all[mask], y_all[mask]
+        x_fit.flags.writeable = y_fit.flags.writeable = False  # so every fit keeps them uncopied
         try:
             system = build_gram_system(x_fit, y_fit, kx, ky, base)
         except (NumericalError, FloatingPointError):
@@ -373,13 +361,14 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     # scratch, or the last fold's scoring, live beside this fold's G, its
     # solve's buffers and its fits.  Beside them live the node's copies of
     # the data (two columns per node) and eight vectors of each fold in
-    # flight, and each fit holds three (its x, y and beta), all counted in
-    # vectors of n.
+    # flight, among them the fold's one read-only copy of x and y that all
+    # its fits share, and each fit holds its beta, all counted in vectors
+    # of n.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
     lambdas = len(config.lambda_grid)
     pipelined = score_fit._worker_count() > 1
     gram = n_fit * n_fit * 8
-    vectors = 2 * values.shape[1] + 8 + pipelined * (8 + 3 * lambdas)
+    vectors = 2 * values.shape[1] + 8 + pipelined * (8 + lambdas)
     with score_fit._leave_cpu():  # as the pipeline's helper runs them
         assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1), budget=gram)
         scoring = _scratch_bytes(R, n_fit, _block_arrays(1, lambdas))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, KexpfamError
 from .kernels import ConstantKernel, GaussianKernelSpec, median_heuristic
-from .score_fit import BaseDensity, FactorModel, fit_factor, unnorm_logpdf
+from .score_fit import BaseDensity, FactorModel, fit_factor
 
 DAG_KINDS = ("full", "markov", "custom")
 
@@ -224,21 +224,3 @@ def fit_joint(dataset, dag: DagSpec, hyper=None,
         column_stds=stds, column_names=names,
     )
 
-
-def joint_unnorm_logpdf_terms(model: JointModel, row) -> np.ndarray:
-    """Per-node unnormalized conditional log-densities at one standardized row.
-
-    Term i is the unnormalized log-density of factor i at (parent values,
-    own value).  Summing the terms and subtracting each factor's log
-    normalizer gives the standardized-scale joint log-density; the evaluation
-    module adds the Jacobian shift for original units.
-    """
-    row = np.asarray(row, dtype=np.float64).reshape(-1)
-    if row.size != model.dim:
-        raise DataError(f"row has dimension {row.size}, model expects {model.dim}")
-    terms = np.empty(model.dim)
-    for node in range(model.dim):
-        parents = model.dag.parents[node]
-        x = row[list(parents)]
-        terms[node] = unnorm_logpdf(model.factors[node], x, row[[node]])
-    return terms

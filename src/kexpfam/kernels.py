@@ -230,25 +230,6 @@ def kernel_matrix(spec, A: np.ndarray, B: np.ndarray, out=None,
     return np.exp(out, out=out)
 
 
-def partial_matrix(spec: GaussianKernelSpec, A: np.ndarray, B: np.ndarray,
-                   i: int, p: int, j: int, q: int,
-                   base: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized mixed partials between all rows of A and B.
-
-    Entry (a, b) equals kernel_partial(A[a], B[b]) for the request
-    (i, p, j, q).  ``base`` may carry a precomputed kernel_matrix(spec, A, B)
-    to avoid recomputing it across many requests.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    if base is None:
-        base = kernel_matrix(spec, A, B)
-    s2 = spec.variances
-    v_i = (A[:, i, None] - B[None, :, i]) / s2[i]
-    v_j = v_i if i == j else (A[:, j, None] - B[None, :, j]) / s2[j]
-    return _mixed_factor(v_i, s2[i], p, v_j, s2[j], q, same_dim=i == j) * base
-
-
 def median_heuristic(data: np.ndarray) -> np.ndarray:
     """Per-dimension median of pairwise absolute coordinate differences.
 

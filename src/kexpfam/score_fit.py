@@ -125,7 +125,12 @@ class FactorModel:
     (sample, dimension); this convention is shared by every module).
     ``xi_coeff`` is the coefficient on the averaged-feature term of the
     natural parameter; fitting always sets it to -1/lambda, and a model with
-    ``xi_coeff == 0`` and zero beta has T identically zero.
+    ``xi_coeff == 0`` and zero beta has T identically zero.  ``x_train``,
+    ``y_train`` and ``beta`` are kept as given when they are read-only
+    arrays that own their memory, which only their owner could make
+    writable again, and copied into such arrays otherwise.  So fits that
+    share one such copy of their rows, as the fits of one CV fold do, hold
+    it once.
     """
 
     x_train: np.ndarray
@@ -151,8 +156,9 @@ class FactorModel:
             raise DataError("beta contains non-finite values")
         xi_coeff = -1.0 / self.lam if self.xi_coeff is None else float(self.xi_coeff)
         for name, arr in (("x_train", x_train), ("y_train", y_train), ("beta", beta)):
-            arr = arr.copy()
-            arr.flags.writeable = False
+            if arr.flags.writeable or not arr.flags.owndata:  # others could write it
+                arr = arr.copy()
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "xi_coeff", xi_coeff)
 
@@ -233,9 +239,10 @@ def _prefactors(V, s2, j: int, q: int, pairs, tmp):
 
 def _weight(F, a, e, out, term, extra):
     """sum_l a[b,l] * f1_l + e * f2_l over the prefactor pairs (f1_l, f2_l) of
-    F, elementwise over (train, eval), into ``out``.  T, its y-partials,
-    xi_hat and h are all sums sum_b k_X(X_b, x) * k_Y(Y_b, y) * weight that
-    differ only in the per-sample coefficients a (n, d) and the scalar e.
+    F, elementwise over (train, eval), into ``out``.  T, its y-partials, the
+    averaged feature function and h are all sums sum_b k_X(X_b, x) *
+    k_Y(Y_b, y) * weight that differ only in the per-sample coefficients
+    a (n, d) and the scalar e.
     ``term`` (only used when d > 1) and ``extra`` are scratch of out's shape."""
     for l, (f1, f2) in enumerate(F):
         t = out if l == 0 else term
@@ -388,28 +395,6 @@ def build_h(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -> np.ndarr
     return build_gram_system(x_train, y_train, kernel_x, kernel_y, base).h
 
 
-def xi_hat(x_train, y_train, kernel_x, kernel_y, base: BaseDensity,
-           x, y, deriv: tuple[int, int] | None = None) -> float:
-    """Monte Carlo average of the score features over the training set.
-
-    With ``deriv=None`` returns the plain average; ``deriv=(j, q)`` returns
-    its order-q partial along dimension j of y (q in {0, 1, 2}), obtained by
-    raising the second-argument derivative orders of the kernel.
-    """
-    x_train, y_train = _check_training(x_train, y_train, kernel_x, kernel_y)
-    j, q = (0, 0) if deriv is None else deriv
-    if q not in (0, 1, 2):
-        raise DataError(f"derivative order on y must be in (0, 1, 2), got {q}")
-    if not 0 <= j < y_train.shape[1]:
-        raise DataError(f"derivative dimension {j} out of range")
-    X_eval = _as_x_row(x, x_train.shape[1])
-    Y_eval = _as_x_row(y, y_train.shape[1])
-    [sums] = _pair_sums(x_train, y_train, kernel_x, kernel_y,
-                        [_xi_coeffs(y_train, base)], X_eval, Y_eval,
-                        want_value=q == 0, want_grad=q == 1, want_second=q == 2)
-    return float(sums[0][0] if q == 0 else sums[q][0, j])
-
-
 def _mirror_lower(G: np.ndarray) -> None:
     """Copy G's strict lower triangle onto its strict upper triangle, in
     place: each block above the diagonal from its transposed mirror, and
@@ -554,26 +539,6 @@ def eval_T(model: FactorModel, x, y) -> float:
     if not np.isfinite(v):
         raise NumericalError("natural parameter evaluated to a non-finite value")
     return v
-
-
-def grad_y_T(model: FactorModel, x, y) -> np.ndarray:
-    """All first-order y-partials of T at (x, y), shape (d,)."""
-    X_eval, Y_eval = _as_x_row(x, model.p), _as_x_row(y, model.d)
-    _, grad, _ = _T_terms(model, X_eval, Y_eval, want_value=False, want_grad=True)
-    return grad[0].copy()
-
-
-def laplacian_terms_T(model: FactorModel, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """First and pure-second y-partials of T at (x, y): (grad (d,), second (d,))."""
-    X_eval, Y_eval = _as_x_row(x, model.p), _as_x_row(y, model.d)
-    _, grad, second = _T_terms(model, X_eval, Y_eval,
-                               want_value=False, want_grad=True, want_second=True)
-    return grad[0].copy(), second[0].copy()
-
-
-def unnorm_logpdf(model: FactorModel, x, y) -> float:
-    """log q0(y) + T(x, y); the conditional normalizer is omitted."""
-    return model.base.log_pdf(y) + eval_T(model, x, y)
 
 
 def unnorm_logpdf_rows(model: FactorModel, X_eval, Y_eval) -> np.ndarray:
@@ -791,7 +756,9 @@ def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
     slows down takes fewer blocks, and runs its tiles one after another.
     Before the pool starts, the calling thread allocates one scratch per
     worker, which a worker holds for one block at a time, so workers
-    allocate nothing large.
+    allocate nothing large.  It also takes one copy of its context per
+    block, in which the block runs, so every block sees the caller's numpy
+    error state on any worker count.
     """
     workers, tile = _block_plan(size, rows, arrays, **plan)
     widest = _widest(size, _CROSS_BLOCK)
@@ -809,16 +776,17 @@ def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
             yield slice(start, start + height), head + list(
                 buf[:, :height * width].reshape(arrays, height, width))
 
-    def run_block(block):
+    def run_block(context, block):
         lo, hi = block
         buf, operand = free.get()
         try:
-            work(lo, hi, tiles(hi - lo, buf, operand))
+            context.run(work, lo, hi, tiles(hi - lo, buf, operand))
         finally:
             free.put((buf, operand))
 
+    blocks = _blocks(size, _CROSS_BLOCK)
     with _pool(workers) as run:
-        list(run(run_block, _blocks(size, _CROSS_BLOCK)))
+        list(run(run_block, [contextvars.copy_context() for _ in blocks], blocks))
 
 
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):

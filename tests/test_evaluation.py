@@ -20,7 +20,6 @@ from kexpfam.evaluation import (
     cross_validate,
     disjoint_support_demo,
     fisher_divergence,
-    log_partition_from_draws,
     log_partition_is,
 )
 from kexpfam.factorization import (
@@ -114,25 +113,20 @@ class TestLogPartition:
             rng_b = np.random.default_rng((rep, 2))
             d_a = factor.base.sample(rng_a, 4000, 1)
             d_b = factor.base.sample(rng_b, 4000, 1)
-            single = log_partition_from_draws(factor, None, d_a)
-            pooled = log_partition_from_draws(factor, None,
-                                              np.vstack([d_a, d_b]))
-            ratios.append(single.std_err / pooled.std_err)
+            _, single = evaluation._log_z_from_draws(factor, np.empty((1, 0)), d_a)
+            _, pooled = evaluation._log_z_from_draws(factor, np.empty((1, 0)),
+                                                     np.vstack([d_a, d_b]))
+            ratios.append(single[0] / pooled[0])
         assert 1.2 <= np.mean(ratios) <= 1.7
-
-    def test_no_draws_is_data_error(self, fitted_1d):
-        factor = fitted_1d[0].factors[0]
-        with pytest.raises(DataError, match="at least one draw"):
-            log_partition_from_draws(factor, None, np.empty((0, 1)))
 
     def test_reordering_draws_is_invariant(self, fitted_1d, rng):
         model, _ = fitted_1d
         factor = model.factors[0]
         draws = factor.base.sample(np.random.default_rng(5), 3000, 1)
-        before = log_partition_from_draws(factor, None, draws)
-        after = log_partition_from_draws(factor, None,
-                                         draws[rng.permutation(3000)])
-        assert abs(before.log_z - after.log_z) <= 1e-12
+        before, _ = evaluation._log_z_from_draws(factor, np.empty((1, 0)), draws)
+        after, _ = evaluation._log_z_from_draws(factor, np.empty((1, 0)),
+                                                draws[rng.permutation(3000)])
+        assert abs(before[0] - after[0]) <= 1e-12
 
     def test_streaming_matches_direct_logsumexp(self, fitted_1d, monkeypatch):
         model, _ = fitted_1d
@@ -140,8 +134,8 @@ class TestLogPartition:
         draws = factor.base.sample(np.random.default_rng(9), 300, 1)
         t_vals = np.array([eval_T(factor, None, y) for y in draws])
         expect = float(scipy.special.logsumexp(t_vals) - math.log(300))
-        est = log_partition_from_draws(factor, None, draws)
-        assert est.log_z == pytest.approx(expect, abs=1e-12)
+        log_z, _ = evaluation._log_z_from_draws(factor, np.empty((1, 0)), draws)
+        assert log_z[0] == pytest.approx(expect, abs=1e-12)
         # stream 64-draw chunks; 300 draws end on a partial chunk
         monkeypatch.setattr(score_fit_mod, "_IS_CHUNK", 64)
         log_z, _ = evaluation._log_z_from_draws(factor, np.empty((1, 0)), draws)
@@ -600,7 +594,7 @@ class TestCrossValidate:
         next G and the assembly's scratch, which weigh more than the
         scoring's), and beside them the data's copies and the assembly's
         vectors, 12 vectors of n for 2 nodes, with the helper 8 more and
-        each of the 3 fits' copies of x, y and beta."""
+        each of the 3 fits' beta (the fits of a fold share its x and y)."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         counted = []
         real = evaluation._check_memory
@@ -623,7 +617,7 @@ class TestCrossValidate:
             if workers == 1:
                 count = 8 * 1000 * 12 + gram + scoring
             else:
-                count = 8 * 1000 * (12 + 8 + 3 * 3) + gram + buffers + gram + assembly
+                count = 8 * 1000 * (12 + 8 + 3) + gram + buffers + gram + assembly
             counted.clear()
             tracemalloc.start()
             try:
@@ -635,6 +629,30 @@ class TestCrossValidate:
                 tracemalloc.stop()
             assert counted == [count]
             assert peak <= count, (folds, peak / gram)
+
+    def test_fits_of_a_fold_share_its_rows(self, small_grid, monkeypatch):
+        """Every lambda's fit of one (node, scale, fold) keeps the fold's one
+        read-only copy of its training rows, and no two folds share one."""
+        scored = []
+        real = evaluation.empirical_score
+
+        def recording(models, *args):
+            scored.append(models)
+            return real(models, *args)
+
+        monkeypatch.setattr(evaluation, "empirical_score", recording)
+        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1, 1.0),
+                          bandwidth_scale_grid=(0.5, 2.0), seed=7)
+        cross_validate(small_grid, make_dag("markov", 2), config)
+        assert [len(fits) for fits in scored] == [3] * 2 * 2 * 3
+        for fits in scored:
+            first = fits[0]
+            assert not first.y_train.flags.writeable
+            for fit in fits[1:]:
+                assert np.shares_memory(fit.y_train, first.y_train)
+                assert fit.x_train is first.x_train and fit.y_train is first.y_train
+        assert not any(np.shares_memory(a[0].y_train, b[0].y_train)
+                       for a, b in itertools.combinations(scored, 2))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_preflight_counts_the_scratch_of_every_worker(self, monkeypatch,
@@ -663,7 +681,7 @@ class TestCrossValidate:
             count = 8 * 1300 * 12 + gram + 7 * 146 * 128 * 8 + buffers
         else:
             assembly = (workers - 1) * (5 * 204 * 128 * 8 + buffers)
-            count = 8 * 1300 * (12 + 8 + 3 * 3) + gram + buffers + gram + assembly
+            count = 8 * 1300 * (12 + 8 + 3) + gram + buffers + gram + assembly
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

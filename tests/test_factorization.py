@@ -1,19 +1,30 @@
 import numpy as np
 import pytest
 
+from kexpfam import evaluation
 from kexpfam.errors import DataError
 from kexpfam.factorization import (
     DagSpec,
     JointModel,
     NodeHyperparams,
     fit_joint,
-    joint_unnorm_logpdf_terms,
     make_dag,
 )
 from kexpfam.kernels import ConstantKernel, GaussianKernelSpec, median_heuristic
 from kexpfam.sampling import GridDatasetConfig, rejection_sample_grid
-from kexpfam.score_fit import eval_T, fit_factor, unnorm_logpdf
+from kexpfam.score_fit import eval_T, fit_factor, unnorm_logpdf_rows
 from kexpfam.data_io import standardize
+
+
+def joint_terms(model, row):
+    """Each node's unnormalized conditional log-density at one standardized
+    row, (parent values, own value) through its factor, as test_loglik
+    takes them."""
+    return np.array([
+        unnorm_logpdf_rows(factor, row[None, list(model.dag.parents[node])],
+                           row[None, [node]])[0]
+        for node, factor in enumerate(model.factors)
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +108,8 @@ class TestFitJoint:
             # beta rides along with its sample row
             np.testing.assert_allclose(fp.beta, f.beta[perm], atol=1e-8)
         row = grid_dataset.values[0]
-        t1 = joint_unnorm_logpdf_terms(model, row)
-        t2 = joint_unnorm_logpdf_terms(model_p, row)
+        t1 = joint_terms(model, row)
+        t2 = joint_terms(model_p, row)
         np.testing.assert_allclose(t1, t2, atol=1e-8)
 
     def test_single_column_reduces_to_unconditional_fit(self, rng):
@@ -154,18 +165,21 @@ class TestJointTerms:
         ds = standardize(rng.normal(size=(30, 1)))
         model = fit_joint(ds, make_dag("full", 1), NodeHyperparams(lam=0.1))
         row = ds.values[4]
-        terms = joint_unnorm_logpdf_terms(model, row)
+        terms = joint_terms(model, row)
         assert terms.shape == (1,)
-        assert terms[0] == unnorm_logpdf(model.factors[0], None, row)
+        factor = model.factors[0]
+        assert terms[0] == factor.base.log_pdf(row) + eval_T(factor, None, row)
 
     def test_terms_match_per_factor_recomputation(self, grid_dataset):
         model = fit_joint(grid_dataset, make_dag("full", 3),
                           NodeHyperparams(lam=0.02))
         row = grid_dataset.values[11]
-        terms = joint_unnorm_logpdf_terms(model, row)
+        terms = joint_terms(model, row)
         for node in range(3):
             parents = list(model.dag.parents[node])
-            expect = unnorm_logpdf(model.factors[node], row[parents], row[[node]])
+            factor = model.factors[node]
+            expect = factor.base.log_pdf(row[[node]]) + eval_T(factor, row[parents],
+                                                               row[[node]])
             assert abs(terms[node] - expect) < 1e-12
 
     def test_jacobian_shift_matches_stats(self, grid_dataset):
@@ -178,7 +192,7 @@ class TestJointTerms:
         model = fit_joint(grid_dataset, make_dag("markov", 3),
                           NodeHyperparams(lam=0.05))
         with pytest.raises(DataError):
-            joint_unnorm_logpdf_terms(model, np.zeros(2))
+            evaluation.test_loglik(model, np.zeros((1, 2)))
 
 
 class TestJointModelValidation:

@@ -8,11 +8,11 @@ from kexpfam.kernels import (
     ConstantKernel,
     DerivRequest,
     GaussianKernelSpec,
+    _mixed_factor,
     eval_kernel,
     kernel_matrix,
     kernel_partial,
     median_heuristic,
-    partial_matrix,
 )
 
 from conftest import fd_kernel_partial
@@ -211,10 +211,15 @@ class TestVectorizedPaths:
         np.testing.assert_array_equal(K, K.T)
 
     def test_partial_matrix_matches_scalar(self, rng):
+        """The prefactor of a request times the kernel matrix, as the
+        assembly and the paired sums build their mixed partials."""
         spec = random_spec(rng, 2)
         A, B = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+        s2 = spec.variances
+        V = [(A[:, m, None] - B[None, :, m]) / s2[m] for m in range(2)]
         for i, p, j, q in [(0, 1, 1, 1), (1, 2, 1, 2), (0, 2, 1, 1), (1, 0, 0, 2)]:
-            M = partial_matrix(spec, A, B, i, p, j, q)
+            M = (_mixed_factor(V[i], s2[i], p, V[j], s2[j], q, i == j)
+                 * kernel_matrix(spec, A, B))
             for a in range(4):
                 for b in range(6):
                     expect = kernel_partial(spec, A[a], B[b],

@@ -26,7 +26,10 @@ from kexpfam.score_fit import (
     FactorModel,
     GramSystem,
     _cross_weights,
+    _pair_sums,
     _ridge_solve,
+    _T_terms,
+    _xi_coeffs,
     build_gram,
     build_gram_system,
     build_h,
@@ -34,11 +37,7 @@ from kexpfam.score_fit import (
     empirical_score,
     eval_T,
     fit_factor,
-    grad_y_T,
-    laplacian_terms_T,
-    unnorm_logpdf,
     unnorm_logpdf_rows,
-    xi_hat,
 )
 
 from conftest import fd_gradient, fd_second
@@ -64,6 +63,28 @@ def kx_value(kernel_x, xa, xb):
     if isinstance(kernel_x, ConstantKernel):
         return kernel_x.value
     return eval_kernel(kernel_x, xa, xb)
+
+
+def point(v):
+    """One point as a (1, k) row; None is the empty conditioning point."""
+    return np.asarray([] if v is None else v, dtype=np.float64).reshape(1, -1)
+
+
+def xi_terms(x_train, y_train, kernel_x, kernel_y, base, x, y):
+    """The averaged feature function and its first and second y-partials at
+    (x, y), (value, grad (d,), second (d,)), from the paired sums with the
+    coefficients that h's assembly uses."""
+    [sums] = _pair_sums(x_train, y_train, kernel_x, kernel_y,
+                        [_xi_coeffs(y_train, base)], point(x), point(y),
+                        want_grad=True, want_second=True)
+    return tuple(out[0] for out in sums)
+
+
+def T_terms(model, x, y):
+    """T and its first and second y-partials at (x, y): (value, grad (d,),
+    second (d,))."""
+    sums = _T_terms(model, point(x), point(y), want_grad=True, want_second=True)
+    return tuple(out[0] for out in sums)
 
 
 def brute_xi_hat(x_train, y_train, kernel_x, kernel_y, base, x, y):
@@ -255,9 +276,9 @@ class TestBuildGram:
 
 class TestXiHat:
     def test_closed_form_single_point(self):
-        value = xi_hat(np.array([[0.5]]), np.array([[0.0]]),
-                       GaussianKernelSpec([1.0]), GaussianKernelSpec([1.0]),
-                       BaseDensity(2.0), [0.5], [0.0])
+        value, _, _ = xi_terms(np.array([[0.5]]), np.array([[0.0]]),
+                               GaussianKernelSpec([1.0]), GaussianKernelSpec([1.0]),
+                               BaseDensity(2.0), [0.5], [0.0])
         assert value == pytest.approx(-1.0, abs=1e-14)
 
     def test_linear_in_conditioning_kernel(self, rng):
@@ -267,15 +288,15 @@ class TestXiHat:
         ky = GaussianKernelSpec([1.0, 1.3])
         base = BaseDensity()
         y0 = rng.normal(size=d)
-        v1 = xi_hat(X, Y, ConstantKernel(1.0), ky, base, None, y0)
-        v2 = xi_hat(X, Y, ConstantKernel(2.0), ky, base, None, y0)
+        v1, _, _ = xi_terms(X, Y, ConstantKernel(1.0), ky, base, None, y0)
+        v2, _, _ = xi_terms(X, Y, ConstantKernel(2.0), ky, base, None, y0)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
 
     def test_matches_brute_force(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 6, 2, 2)
         base = BaseDensity()
         x0, y0 = rng.normal(size=2), rng.normal(size=2)
-        assert xi_hat(X, Y, kx, ky, base, x0, y0) == pytest.approx(
+        assert xi_terms(X, Y, kx, ky, base, x0, y0)[0] == pytest.approx(
             brute_xi_hat(X, Y, kx, ky, base, x0, y0), rel=1e-12
         )
 
@@ -283,27 +304,22 @@ class TestXiHat:
         X, Y, kx, ky, _ = random_instance(rng, 6, 2, 2)
         base = BaseDensity()
         x0, y0 = rng.normal(size=2), rng.normal(size=2)
-        plain = lambda y: xi_hat(X, Y, kx, ky, base, x0, y)
+        plain = lambda y: xi_terms(X, Y, kx, ky, base, x0, y)[0]
         grad_fd = fd_gradient(plain, y0)
         sec_fd = fd_second(plain, y0)
+        _, grad, second = xi_terms(X, Y, kx, ky, base, x0, y0)
         for j in range(2):
-            g = xi_hat(X, Y, kx, ky, base, x0, y0, deriv=(j, 1))
-            s = xi_hat(X, Y, kx, ky, base, x0, y0, deriv=(j, 2))
-            assert g == pytest.approx(grad_fd[j], rel=1e-5, abs=1e-8)
-            assert s == pytest.approx(sec_fd[j], rel=1e-4, abs=1e-6)
+            assert grad[j] == pytest.approx(grad_fd[j], rel=1e-5, abs=1e-8)
+            assert second[j] == pytest.approx(sec_fd[j], rel=1e-4, abs=1e-6)
 
     def test_non_finite_point_is_data_error(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 3, 2, 1)
+        # with zero beta, T is the averaged feature function times -1/lambda
+        model = FactorModel(x_train=X, y_train=Y, kernel_x=kx, kernel_y=ky,
+                            lam=1.0, beta=np.zeros(6))
         for x, y in (([np.nan], [0.0, 0.0]), ([0.0], [0.0, np.inf])):
             with pytest.raises(DataError, match="must be finite"):
-                xi_hat(X, Y, kx, ky, BaseDensity(), x, y)
-
-    def test_bad_deriv_request(self, rng):
-        X, Y, kx, ky, _ = random_instance(rng, 3, 2, 1)
-        with pytest.raises(DataError):
-            xi_hat(X, Y, kx, ky, BaseDensity(), [0.0], [0.0, 0.0], deriv=(0, 3))
-        with pytest.raises(DataError):
-            xi_hat(X, Y, kx, ky, BaseDensity(), [0.0], [0.0, 0.0], deriv=(2, 1))
+                eval_T(model, x, y)
 
 
 class TestBuildH:
@@ -313,7 +329,7 @@ class TestBuildH:
         h = build_h(X, Y, kx, ky, base)
         for b in range(5):
             for i in range(2):
-                expect = xi_hat(X, Y, kx, ky, base, X[b], Y[b], deriv=(i, 1))
+                expect = xi_terms(X, Y, kx, ky, base, X[b], Y[b])[1][i]
                 assert h[b * 2 + i] == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
     def test_matches_brute_force(self, rng):
@@ -751,6 +767,28 @@ class TestFitFactor:
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-12
 
+    def test_model_copies_only_rows_that_others_could_write(self, rng):
+        """A model built from the caller's writable arrays keeps copies, so
+        the caller's later writes change neither its rows nor its T.  Rows
+        that are read-only and own their memory are kept as given, and a
+        read-only view of writable rows is copied."""
+        X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
+        model = fit_factor(X, Y, kx, ky, lam)
+        x0, y0 = rng.normal(size=1), rng.normal(size=1)
+        rows, value = (model.x_train.copy(), model.y_train.copy()), eval_T(model, x0, y0)
+        X[:], Y[:] = 0.0, 0.0
+        assert not np.shares_memory(model.y_train, Y)
+        np.testing.assert_array_equal(model.x_train, rows[0])
+        np.testing.assert_array_equal(model.y_train, rows[1])
+        assert eval_T(model, x0, y0) == value
+        X, Y = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+        X.flags.writeable = Y.flags.writeable = False
+        kept = fit_factor(X, Y, kx, ky, lam)
+        assert kept.x_train is X and kept.y_train is Y
+        view = Y[::-1]
+        view.flags.writeable = False
+        assert not np.shares_memory(fit_factor(X, view, kx, ky, lam).y_train, Y)
+
     def test_given_system_fits_the_same_bits(self, rng):
         X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
         base = BaseDensity(1.5)
@@ -875,7 +913,7 @@ class TestEvalT:
         model = FactorModel(x_train=X, y_train=Y, kernel_x=kx, kernel_y=ky,
                             lam=lam, beta=np.zeros(10))
         x0, y0 = rng.normal(size=2), rng.normal(size=2)
-        expect = -xi_hat(X, Y, kx, ky, model.base, x0, y0) / lam
+        expect = -xi_terms(X, Y, kx, ky, model.base, x0, y0)[0] / lam
         assert eval_T(model, x0, y0) == pytest.approx(expect, rel=1e-12)
 
     def test_constant_kernel_is_x_invariant(self, rng):
@@ -914,10 +952,12 @@ class TestDerivativesOfT:
         model = fit_random(rng, n=8, d=2, p=1, lam=0.1)
         x0, y0 = rng.normal(size=1), rng.normal(size=2)
         f = lambda y: eval_T(model, x0, y)
-        grad, second = laplacian_terms_T(model, x0, y0)
+        _, grad, second = T_terms(model, x0, y0)
         np.testing.assert_allclose(grad, fd_gradient(f, y0), rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(second, fd_second(f, y0), rtol=1e-4, atol=1e-6)
-        np.testing.assert_allclose(grad_y_T(model, x0, y0), grad, rtol=1e-14)
+        _, grad_alone, _ = _T_terms(model, point(x0), point(y0),
+                                    want_value=False, want_grad=True)
+        np.testing.assert_allclose(grad_alone[0], grad, rtol=1e-14)
 
     def test_zero_beta_model_derivatives_reduce_to_xi(self, rng):
         X, Y, kx, ky, _ = random_instance(rng, 6, 2, 1)
@@ -925,12 +965,11 @@ class TestDerivativesOfT:
         model = FactorModel(x_train=X, y_train=Y, kernel_x=kx, kernel_y=ky,
                             lam=lam, beta=np.zeros(12))
         x0, y0 = rng.normal(size=1), rng.normal(size=2)
-        grad, second = laplacian_terms_T(model, x0, y0)
+        _, grad, second = T_terms(model, x0, y0)
+        _, xg, xs = xi_terms(X, Y, kx, ky, model.base, x0, y0)
         for j in range(2):
-            xg = xi_hat(X, Y, kx, ky, model.base, x0, y0, deriv=(j, 1))
-            xs = xi_hat(X, Y, kx, ky, model.base, x0, y0, deriv=(j, 2))
-            assert grad[j] == pytest.approx(-xg / lam, rel=1e-12)
-            assert second[j] == pytest.approx(-xs / lam, rel=1e-12)
+            assert grad[j] == pytest.approx(-xg[j] / lam, rel=1e-12)
+            assert second[j] == pytest.approx(-xs[j] / lam, rel=1e-12)
 
     def test_one_dim_second_derivative_nested_differences(self, rng):
         model = fit_random(rng, n=10, d=1, p=1, lam=0.05)
@@ -938,7 +977,7 @@ class TestDerivativesOfT:
         h = 1e-4
         g = lambda y: eval_T(model, x0, np.atleast_1d(y))
         nested = (g(y0 + h) - 2 * g(y0) + g(y0 - h)) / h**2
-        _, second = laplacian_terms_T(model, x0, y0)
+        _, _, second = T_terms(model, x0, y0)
         assert second[0] == pytest.approx(float(nested), rel=1e-4, abs=1e-6)
 
 
@@ -1223,6 +1262,24 @@ class TestWorkerCount:
             assert np.array_equal(got[1], grad)
             assert got[2] is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_keep_the_callers_error_state(self, monkeypatch, workers):
+        """Rows ten times wider than the 0.5 bandwidths make exp underflow
+        in k_X and k_Y.  Under np.errstate(under="raise") the assembly and
+        the paired sums raise on one worker and on a pool of two alike: each
+        block runs in a copy of the caller's context, where numpy keeps its
+        error state."""
+        X = Y = np.random.default_rng(0).normal(size=(1100, 1)) * 10
+        kx = ky = GaussianKernelSpec([0.5])
+        base = BaseDensity()
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
+        assert score_fit_mod._block_plan(1100, 1100, score_fit_mod._block_arrays(1))[0] == workers
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                build_gram_system(X, Y, kx, ky, base)
+            with pytest.raises(FloatingPointError, match="underflow"):
+                _pair_sums(X, Y, kx, ky, [_xi_coeffs(Y, base)], X, Y)
+
     def test_a_pool_starts_only_for_two_blocks_of_enough_rows(self, rng,
                                                                monkeypatch):
         model = fit_random(rng, n=20, d=1, p=1, lam=0.05)
@@ -1322,20 +1379,21 @@ class TestUnnormLogpdf:
         base = model.base
         for _ in range(10):
             y0 = rng.normal(size=2)
-            assert unnorm_logpdf(model, None, y0) == base.log_pdf(y0)
+            assert unnorm_logpdf_rows(model, point(None), point(y0))[0] == base.log_pdf(y0)
 
     def test_gradient_matches_finite_differences(self, rng):
         model = fit_random(rng, n=6, d=2, p=1, lam=0.2)
         x0, y0 = rng.normal(size=1), rng.normal(size=2)
-        f = lambda y: unnorm_logpdf(model, x0, y)
-        grad = model.base.grad_log(y0) + grad_y_T(model, x0, y0)
+        f = lambda y: unnorm_logpdf_rows(model, point(x0), point(y))[0]
+        grad = model.base.grad_log(y0) + T_terms(model, x0, y0)[1]
         np.testing.assert_allclose(grad, fd_gradient(f, y0), rtol=1e-5, atol=1e-8)
 
     def test_additivity_identity(self, rng):
         model = fit_random(rng, n=5, d=1, p=1)
         x0 = rng.normal(size=1)
         y1, y2 = rng.normal(size=1), rng.normal(size=1)
-        lhs = unnorm_logpdf(model, x0, y1) - unnorm_logpdf(model, x0, y2)
+        lhs = (unnorm_logpdf_rows(model, point(x0), point(y1))[0]
+               - unnorm_logpdf_rows(model, point(x0), point(y2))[0])
         rhs = (model.base.log_pdf(y1) - model.base.log_pdf(y2)
                + eval_T(model, x0, y1) - eval_T(model, x0, y2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
