@@ -63,7 +63,6 @@ from .data_io import (
     prune_correlated,
     save_csv,
     save_model,
-    split,
     standardize,
 )
 
@@ -84,5 +83,5 @@ __all__ = [
     "cross_validate", "disjoint_support_demo", "fisher_divergence",
     "log_partition_is", "test_loglik",
     "StandardizedDataset", "load_csv", "load_model", "prune_correlated",
-    "save_csv", "save_model", "split", "standardize",
+    "save_csv", "save_model", "standardize",
 ]

@@ -1,4 +1,4 @@
-"""Dataset ingestion, standardization, splitting, and model persistence.
+"""Dataset ingestion, standardization, and model persistence.
 
 CSV files are comma-separated UTF-8 with a mandatory header row, '.' decimal
 points, and no thousands separators.  The model archive is a single
@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +63,6 @@ class StandardizedDataset:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def destandardize(self) -> np.ndarray:
-        return self.values * self.column_stds + self.column_means
 
 
 def load_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -154,30 +150,6 @@ def standardize(raw: np.ndarray, column_names=None) -> StandardizedDataset:
         values=(raw - means) / stds, column_means=means, column_stds=stds,
         column_names=names,
     )
-
-
-def split(dataset: StandardizedDataset, fraction: float,
-          seed: int = 0) -> tuple[StandardizedDataset, StandardizedDataset]:
-    """Split rows into (train, test) by a seeded shuffle and contiguous cut.
-
-    ``fraction`` is the training share (0.5 for benchmark-style runs, 0.9
-    for larger held-out evaluations); both halves keep the parent dataset's
-    standardization statistics.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise DataError("train fraction must be in (0, 1]")
-    n = dataset.n
-    perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fraction * n))
-    n_train = min(max(n_train, 1), n)
-    if n_train == n:
-        warnings.warn("train fraction leaves an empty test set")
-    train_idx, test_idx = perm[:n_train], perm[n_train:]
-    make = lambda idx: StandardizedDataset(
-        values=dataset.values[idx], column_means=dataset.column_means,
-        column_stds=dataset.column_stds, column_names=dataset.column_names,
-    )
-    return make(train_idx), make(test_idx)
 
 
 def prune_correlated(values: np.ndarray, column_names,

@@ -276,7 +276,6 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
         mask = np.ones(values.shape[0], dtype=bool)
         mask[block] = False
         x_fit, y_fit = x_all[mask], y_all[mask]
-        x_fit.flags.writeable = y_fit.flags.writeable = False  # so every fit keeps them uncopied
         try:
             system = build_gram_system(x_fit, y_fit, kx, ky, base)
         except (NumericalError, FloatingPointError):
@@ -361,16 +360,15 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     # scratch, or the last fold's scoring, live beside this fold's G, its
     # solve's buffers and its fits.  Beside them live the node's copies of
     # the data (two columns per node) and eight vectors of each fold in
-    # flight, among them the fold's one read-only copy of x and y that all
-    # its fits share, and each fit holds its beta, all counted in vectors
-    # of n.
+    # flight, and each fit holds three (its x, y and beta), all counted in
+    # vectors of n.
     n_fit, R = n - len(fold_blocks[-1]), len(fold_blocks[0])
     lambdas = len(config.lambda_grid)
     pipelined = score_fit._worker_count() > 1
     gram = n_fit * n_fit * 8
-    vectors = 2 * values.shape[1] + 8 + pipelined * (8 + lambdas)
+    vectors = 2 * values.shape[1] + 8 + pipelined * (8 + 3 * lambdas)
     with score_fit._leave_cpu():  # as the pipeline's helper runs them
-        assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1), budget=gram)
+        assembly = _scratch_bytes(n_fit, n_fit, _block_arrays(1))
         scoring = _scratch_bytes(R, n_fit, _block_arrays(1, lambdas))
     folds = gram + (_WORKER_BUFFERS + max(gram + assembly, scoring) if pipelined
                     else max(assembly, scoring))

@@ -101,8 +101,8 @@ class NodeHyperparams:
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam <= 0:
             raise DataError("lambda must be positive and finite")
-        if self.scale <= 0:
-            raise DataError("bandwidth scale must be positive")
+        if not np.isfinite(self.scale) or self.scale <= 0:
+            raise DataError("bandwidth scale must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

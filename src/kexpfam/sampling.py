@@ -251,7 +251,7 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
     weights = 8 * factor.n * nodes
-    scratch = _scratch_bytes(nodes, factor.n, _WEIGHT_ARRAYS, budget=weights)
+    scratch = _scratch_bytes(nodes, factor.n, _WEIGHT_ARRAYS)
     chunk = 16 * _GRID_ROW_CHUNK * (factor.n + nodes)
     _check_memory(_GRID_PEAK_OVER_WEIGHTS * (weights + max(scratch, chunk)),
                   f"grid sampling with {nodes} nodes and n = {factor.n}",

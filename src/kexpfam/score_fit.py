@@ -31,7 +31,6 @@ from .kernels import (
 RESIDUAL_RTOL = 1e-8
 
 _CROSS_BLOCK = 128  # columns per block of every buffered kernel sum, at most
-_EVAL_CHUNK = 256  # columns that the assembly's workers may span together at any size
 _IS_CHUNK = 2048  # draws per block that cross_T_blocks yields
 _WEIGHT_ARRAYS = 3  # scratch arrays per worker of _weights_block
 # Blocks whose work, rows times (1 + the rows of the GEMM each takes), is
@@ -68,9 +67,6 @@ class BaseDensity:
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         const = -0.5 * math.log(2.0 * math.pi * self.std**2)
         return y.shape[1] * const - np.sum(y * y, axis=1) / (2.0 * self.std**2)
-
-    def log_pdf(self, y) -> float:
-        return float(self.log_pdf_rows(np.atleast_2d(y))[0])
 
     def grad_log(self, y: np.ndarray) -> np.ndarray:
         """Per-dimension derivative of log q0: -y_m / std^2."""
@@ -126,11 +122,9 @@ class FactorModel:
     ``xi_coeff`` is the coefficient on the averaged-feature term of the
     natural parameter; fitting always sets it to -1/lambda, and a model with
     ``xi_coeff == 0`` and zero beta has T identically zero.  ``x_train``,
-    ``y_train`` and ``beta`` are kept as given when they are read-only
-    arrays that own their memory, which only their owner could make
-    writable again, and copied into such arrays otherwise.  So fits that
-    share one such copy of their rows, as the fits of one CV fold do, hold
-    it once.
+    ``y_train`` and ``beta`` are always copied into read-only arrays of the
+    model's own, so no write to the arrays it was given changes a fitted
+    model.
     """
 
     x_train: np.ndarray
@@ -156,9 +150,8 @@ class FactorModel:
             raise DataError("beta contains non-finite values")
         xi_coeff = -1.0 / self.lam if self.xi_coeff is None else float(self.xi_coeff)
         for name, arr in (("x_train", x_train), ("y_train", y_train), ("beta", beta)):
-            if arr.flags.writeable or not arr.flags.owndata:  # others could write it
-                arr = arr.copy()
-                arr.flags.writeable = False
+            arr = arr.copy()
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "xi_coeff", xi_coeff)
 
@@ -331,7 +324,7 @@ def _check_fit_size(n: int, d: int) -> None:
     whose tiles of training rows keep it within ``_WORKER_SCRATCH`` per
     worker at any n; the solve adds only vectors of length n*d."""
     gram = (n * d) ** 2 * 8
-    _check_memory(gram + 16 * n * d + _scratch_bytes(n, n, _block_arrays(d), budget=gram),
+    _check_memory(gram + 16 * n * d + _scratch_bytes(n, n, _block_arrays(d)),
                   f"a fit with n*d = {n * d}", "use fewer rows")
 
 
@@ -379,7 +372,7 @@ def build_gram_system(x_train, y_train, kernel_x, kernel_y, base: BaseDensity) -
                 np.multiply(K, _weight(F, a[rows], e, W, T, X), out=W)
                 _sum_rows(W, h[lo:hi, j], rows.start > 0)
 
-    _in_blocks(block, n, n, _block_arrays(d), budget=G.nbytes)
+    _in_blocks(block, n, n, _block_arrays(d))
     if d > 1:  # a zero mixed partial may be -0 opposite a +0 mirror; -0 + 0 = +0
         G += 0.0
     return GramSystem(G=G, h=h.reshape(-1))
@@ -618,9 +611,9 @@ def _cross_weights(model: FactorModel, Y_set: np.ndarray) -> np.ndarray:
     """k_Y(Y_b, y_s) times T's weight for every training sample b and point
     y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s].
 
-    Fills the result through ``_in_blocks``, with its bytes as the budget,
-    so the memory beyond it does not grow with S or n, and no entry depends
-    on the blocks, the tiles or the worker count.
+    Fills the result through ``_in_blocks``, so the memory beyond it is
+    one capped scratch per worker, whatever S or n, and no entry depends on
+    the blocks, the tiles or the worker count.
     """
     a, e = _model_coeffs(model)
     n, S = model.n, Y_set.shape[0]
@@ -630,7 +623,7 @@ def _cross_weights(model: FactorModel, Y_set: np.ndarray) -> np.ndarray:
         for rows, scratch in tiles:
             _weights_block(model, a, e, rows, Y_set[lo:hi], out[rows, lo:hi], *scratch)
 
-    _in_blocks(block, S, n, _WEIGHT_ARRAYS, budget=out.nbytes)
+    _in_blocks(block, S, n, _WEIGHT_ARRAYS)
     return out
 
 
@@ -699,8 +692,7 @@ def _sum_rows(W: np.ndarray, out: np.ndarray, carry: bool) -> None:
     np.sum(W, axis=0, out=out)
 
 
-def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
-                gemm_rows: int = 0) -> tuple[int, int]:
+def _block_plan(size: int, rows: int, arrays: int, gemm_rows: int = 0) -> tuple[int, int]:
     """(workers, tile) for ``_in_blocks``: the blocks are ``_blocks(size,
     _CROSS_BLOCK)``, and each of ``workers`` threads holds ``arrays``
     (tile, ``_widest``) scratch arrays and, with a GEMM (``gemm_rows``
@@ -712,9 +704,8 @@ def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
     numpy sums a single column pairwise.  A pool of up to one thread per
     CPU of ``_worker_count`` (one fewer within ``_leave_cpu``) starts only
     for two blocks or more whose work, rows times (1 + ``gemm_rows``),
-    reaches ``_POOL_ROWS``.  With a ``budget`` in bytes, the scratch of all
-    workers together spans at most ``_EVAL_CHUNK`` columns, or more only
-    while it stays within the budget.
+    reaches ``_POOL_ROWS``.  So a pool holds at most one scratch per CPU
+    and per block, which ``_scratch_bytes`` counts.
     """
     widest = _widest(size, _CROSS_BLOCK)
     tile = rows if widest <= 1 else min(rows, max(1, _WORKER_SCRATCH // (arrays * widest * 8)))
@@ -723,9 +714,6 @@ def _block_plan(size: int, rows: int, arrays: int, budget: int | None = None,
     joined = widest > _CROSS_BLOCK  # a 1-column remainder joins a block
     workers = 1 if rows * (1 + gemm_rows) < _POOL_ROWS else min(
         _POOL_CPUS.get() or _worker_count(), -(-size // _CROSS_BLOCK) - joined)
-    if budget is not None:
-        per_worker = (arrays * tile + rows * (gemm_rows > 0)) * widest * 8
-        workers = min(workers, max(_EVAL_CHUNK // _CROSS_BLOCK, budget // per_worker))
     return workers, tile
 
 
@@ -734,16 +722,16 @@ def _widest(size: int, width: int) -> int:
     return min(size, width) + (size > 1 and size % width == 1)
 
 
-def _scratch_bytes(size: int, rows: int, arrays: int, **plan) -> int:
+def _scratch_bytes(size: int, rows: int, arrays: int, gemm_rows: int = 0) -> int:
     """Bytes of the scratch that ``_in_blocks`` holds for these arguments,
     with each worker's ``_WORKER_BUFFERS``."""
-    workers, tile = _block_plan(size, rows, arrays, **plan)
-    gemm = rows * (plan.get("gemm_rows", 0) > 0)
+    workers, tile = _block_plan(size, rows, arrays, gemm_rows)
+    gemm = rows * (gemm_rows > 0)
     return workers * ((arrays * tile + gemm) * _widest(size, _CROSS_BLOCK) * 8
                       + _WORKER_BUFFERS)
 
 
-def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
+def _in_blocks(work, size: int, rows: int, arrays: int, gemm_rows: int = 0) -> None:
     """Call ``work(lo, hi, tiles)`` once for every block of ``_blocks(size,
     _CROSS_BLOCK)``.  ``tiles`` yields, in order, (slice, scratch) for tiles
     of range(rows) that cover it, where scratch is a list of ``arrays``
@@ -751,18 +739,18 @@ def _in_blocks(work, size: int, rows: int, arrays: int, **plan) -> None:
     hi - lo) operand, the same array for every tile.
 
     The blocks run on the threads, and take the tile height, that
-    ``_block_plan`` gives for ``plan`` (a budget, GEMM rows).  Each worker
-    takes the next block in order when it is free, so a CPU that the host
-    slows down takes fewer blocks, and runs its tiles one after another.
+    ``_block_plan`` gives.  Each worker takes the next block in order when
+    it is free, so a CPU that the host slows down takes fewer blocks, and
+    runs its tiles one after another.
     Before the pool starts, the calling thread allocates one scratch per
     worker, which a worker holds for one block at a time, so workers
     allocate nothing large.  It also takes one copy of its context per
     block, in which the block runs, so every block sees the caller's numpy
     error state on any worker count.
     """
-    workers, tile = _block_plan(size, rows, arrays, **plan)
+    workers, tile = _block_plan(size, rows, arrays, gemm_rows)
     widest = _widest(size, _CROSS_BLOCK)
-    gemm = rows * (plan.get("gemm_rows", 0) > 0)
+    gemm = rows * (gemm_rows > 0)
     free = queue.SimpleQueue()  # one scratch per worker, taken for a block
     for _ in range(workers):
         free.put((np.empty((arrays, tile * widest)), np.empty(gemm * widest)))
@@ -797,20 +785,21 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     full matrix corresponds to draw Y_set[s].  Each chunk is one
     ``_in_blocks`` call: a block of draws computes its weights, tile by tile
     of training rows, into its full-height operand and takes one GEMM with
-    k_X into its columns, bit for bit the same on any worker count.  The
-    scratch stays within the bytes of one (n, ``_IS_CHUNK``) array, so
-    memory is O(n * R) plus that, whatever S.  Before k_X is built, those
-    bytes are compared with physical memory, and a DataError names the
-    rows when they do not fit.
+    k_X into its columns, bit for bit the same on any worker count.  A
+    chunk has at most ``_IS_CHUNK / _CROSS_BLOCK`` blocks, so the workers'
+    operands together stay within the bytes of one (n, ``_IS_CHUNK``)
+    array, beside one capped scratch per worker, and memory is O(n * R)
+    plus that, whatever S.  Before k_X is built, those bytes are compared
+    with physical memory, and a DataError names the rows when they do not
+    fit.
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
     a, e = _model_coeffs(model)
     (R, _), n, S = X_rows.shape, model.n, Y_set.shape[0]
-    budget = n * _IS_CHUNK * 8
     chunk = min(S, _IS_CHUNK)
     kx_bytes = R * n * 8  # k_X, and kernel_matrix's scratch while it is built
-    scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, budget=budget, gemm_rows=R)
+    scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, gemm_rows=R)
     _check_memory(kx_bytes + max(kx_bytes, R * chunk * 8 + scratch),
                   f"importance sampling for {R} distinct rows with n = {n}",
                   "evaluate fewer distinct rows")
@@ -824,6 +813,6 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
                 _weights_block(model, a, e, rows, Y_set[lo + b_lo:lo + b_hi], W[rows], *scratch)
             np.matmul(kxT, W, out=block[:, b_lo:b_hi])
 
-        _in_blocks(gemm_block, hi - lo, n, _WEIGHT_ARRAYS, budget=budget, gemm_rows=R)
+        _in_blocks(gemm_block, hi - lo, n, _WEIGHT_ARRAYS, gemm_rows=R)
         yield slice(lo, hi), block
         del block  # the caller drops its reference too: one block at a time

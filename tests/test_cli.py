@@ -420,6 +420,19 @@ class TestFitEvalPipeline:
         assert "prune threshold" in error["message"]
         assert not list(tmp_path.glob("m.*"))
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_bandwidth_scale_is_data_error(self, tmp_path, capsys, scale):
+        """The scale is refused as such before any node is fitted."""
+        train = gen_grid(tmp_path, "scale.csv", n=60, seed=3)
+        capsys.readouterr()
+        assert run(["fit", "--data", train, "--lambda", 0.01,
+                    "--bandwidth-scale", scale,
+                    "--out-model", tmp_path / "m.kcef"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "data"
+        assert error["message"].startswith("bandwidth scale must be positive and finite")
+        assert not list(tmp_path.glob("m.*"))
+
     def test_custom_dag(self, tmp_path):
         train = gen_grid(tmp_path, "dag3.csv", n=80, dim=3, seed=5)
         model = tmp_path / "dag3.kcef"

@@ -13,7 +13,6 @@ from kexpfam.data_io import (
     prune_correlated,
     save_csv,
     save_model,
-    split,
     standardize,
 )
 from kexpfam.errors import ArchiveError, DataError
@@ -95,7 +94,8 @@ class TestStandardize:
     def test_destandardize_identity(self, rng):
         raw = rng.normal(size=(50, 3)) * 7 + 2
         ds = standardize(raw)
-        np.testing.assert_allclose(ds.destandardize(), raw, atol=1e-12)
+        np.testing.assert_allclose(ds.values * ds.column_stds + ds.column_means, raw,
+                                   atol=1e-12)
 
     def test_zero_variance_column_named(self):
         raw = np.column_stack([np.arange(5.0), np.full(5, 3.0)])
@@ -109,46 +109,6 @@ class TestStandardize:
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
             standardize(np.array([[1.0], [np.nan]]))
-
-
-class TestSplit:
-    def make(self, rng, n=40):
-        return standardize(rng.normal(size=(n, 2)))
-
-    def test_seed_determinism(self, rng):
-        ds = self.make(rng)
-        a1, b1 = split(ds, 0.75, seed=9)
-        a2, b2 = split(ds, 0.75, seed=9)
-        np.testing.assert_array_equal(a1.values, a2.values)
-        np.testing.assert_array_equal(b1.values, b2.values)
-
-    def test_partition_of_rows(self, rng):
-        ds = self.make(rng)
-        train, test = split(ds, 0.6, seed=1)
-        assert train.n + test.n == ds.n
-        merged = np.vstack([train.values, test.values])
-        assert merged.shape == ds.values.shape
-        np.testing.assert_allclose(np.sort(merged, axis=0),
-                                   np.sort(np.asarray(ds.values), axis=0))
-
-    def test_full_fraction_warns_and_empties_test(self, rng):
-        ds = self.make(rng)
-        with pytest.warns(UserWarning, match="empty test"):
-            train, test = split(ds, 1.0, seed=0)
-        assert train.n == ds.n
-        assert test.n == 0
-
-    def test_stats_inherited(self, rng):
-        ds = self.make(rng)
-        train, _ = split(ds, 0.5, seed=2)
-        np.testing.assert_array_equal(train.column_means, ds.column_means)
-        np.testing.assert_array_equal(train.column_stds, ds.column_stds)
-
-    def test_invalid_fraction(self, rng):
-        ds = self.make(rng)
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(DataError):
-                split(ds, bad)
 
 
 class TestPruneCorrelated:

@@ -159,8 +159,7 @@ class TestLogPartition:
         X_rows = rng.normal(size=(R, 1))
         for workers in (1, 2):
             monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
-            scratch = score_fit_mod._scratch_bytes(chunk, n, 3, budget=n * chunk * 8,
-                                                   gemm_rows=R)
+            scratch = score_fit_mod._scratch_bytes(chunk, n, 3, gemm_rows=R)
             tile = score_fit_mod._WORKER_SCRATCH // (3 * 128 * 8)
             assert scratch == workers * ((n + 3 * tile) * 128 * 8
                                          + score_fit_mod._WORKER_BUFFERS)
@@ -188,8 +187,7 @@ class TestLogPartition:
                              lam=1e-2, beta=1e-3 * rng.normal(size=n))
         X_rows = rng.normal(size=(R, 1))
         chunk = score_fit_mod._IS_CHUNK
-        scratch = score_fit_mod._scratch_bytes(chunk, n, 3, budget=n * chunk * 8,
-                                               gemm_rows=R)
+        scratch = score_fit_mod._scratch_bytes(chunk, n, 3, gemm_rows=R)
         need = R * n * 8 + max(R * n * 8, R * chunk * 8 + scratch)
         monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(DataError, match="importance sampling for 40 distinct rows"):
@@ -594,7 +592,7 @@ class TestCrossValidate:
         next G and the assembly's scratch, which weigh more than the
         scoring's), and beside them the data's copies and the assembly's
         vectors, 12 vectors of n for 2 nodes, with the helper 8 more and
-        each of the 3 fits' beta (the fits of a fold share its x and y)."""
+        each of the 3 fits' copies of x, y and beta."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         counted = []
         real = evaluation._check_memory
@@ -617,7 +615,7 @@ class TestCrossValidate:
             if workers == 1:
                 count = 8 * 1000 * 12 + gram + scoring
             else:
-                count = 8 * 1000 * (12 + 8 + 3) + gram + buffers + gram + assembly
+                count = 8 * 1000 * (12 + 8 + 3 * 3) + gram + buffers + gram + assembly
             counted.clear()
             tracemalloc.start()
             try:
@@ -629,30 +627,6 @@ class TestCrossValidate:
                 tracemalloc.stop()
             assert counted == [count]
             assert peak <= count, (folds, peak / gram)
-
-    def test_fits_of_a_fold_share_its_rows(self, small_grid, monkeypatch):
-        """Every lambda's fit of one (node, scale, fold) keeps the fold's one
-        read-only copy of its training rows, and no two folds share one."""
-        scored = []
-        real = evaluation.empirical_score
-
-        def recording(models, *args):
-            scored.append(models)
-            return real(models, *args)
-
-        monkeypatch.setattr(evaluation, "empirical_score", recording)
-        config = CvConfig(folds=3, lambda_grid=(0.01, 0.1, 1.0),
-                          bandwidth_scale_grid=(0.5, 2.0), seed=7)
-        cross_validate(small_grid, make_dag("markov", 2), config)
-        assert [len(fits) for fits in scored] == [3] * 2 * 2 * 3
-        for fits in scored:
-            first = fits[0]
-            assert not first.y_train.flags.writeable
-            for fit in fits[1:]:
-                assert np.shares_memory(fit.y_train, first.y_train)
-                assert fit.x_train is first.x_train and fit.y_train is first.y_train
-        assert not any(np.shares_memory(a[0].y_train, b[0].y_train)
-                       for a, b in itertools.combinations(scored, 2))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_preflight_counts_the_scratch_of_every_worker(self, monkeypatch,
@@ -681,7 +655,7 @@ class TestCrossValidate:
             count = 8 * 1300 * 12 + gram + 7 * 146 * 128 * 8 + buffers
         else:
             assembly = (workers - 1) * (5 * 204 * 128 * 8 + buffers)
-            count = 8 * 1300 * (12 + 8 + 3) + gram + buffers + gram + assembly
+            count = 8 * 1300 * (12 + 8 + 3 * 3) + gram + buffers + gram + assembly
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

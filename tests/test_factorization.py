@@ -131,6 +131,11 @@ class TestFitJoint:
         with pytest.raises(DataError):
             fit_joint(grid_dataset, make_dag("markov", 4))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_hyperparams_refuse_a_scale_that_is_not_positive_and_finite(self, scale):
+        with pytest.raises(DataError, match="bandwidth scale"):
+            NodeHyperparams(lam=0.01, scale=scale)
+
     def test_plain_array_input(self, rng):
         values = rng.normal(size=(30, 2))
         model = fit_joint(values, make_dag("markov", 2), NodeHyperparams(lam=0.1))
@@ -168,7 +173,7 @@ class TestJointTerms:
         terms = joint_terms(model, row)
         assert terms.shape == (1,)
         factor = model.factors[0]
-        assert terms[0] == factor.base.log_pdf(row) + eval_T(factor, None, row)
+        assert terms[0] == factor.base.log_pdf_rows(row[None])[0] + eval_T(factor, None, row)
 
     def test_terms_match_per_factor_recomputation(self, grid_dataset):
         model = fit_joint(grid_dataset, make_dag("full", 3),
@@ -178,8 +183,9 @@ class TestJointTerms:
         for node in range(3):
             parents = list(model.dag.parents[node])
             factor = model.factors[node]
-            expect = factor.base.log_pdf(row[[node]]) + eval_T(factor, row[parents],
-                                                               row[[node]])
+            s2 = factor.base.std**2
+            log_q0 = -0.5 * np.log(2 * np.pi * s2) - row[node]**2 / (2 * s2)
+            expect = log_q0 + eval_T(factor, row[parents], row[[node]])
             assert abs(terms[node] - expect) < 1e-12
 
     def test_jacobian_shift_matches_stats(self, grid_dataset):

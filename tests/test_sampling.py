@@ -497,8 +497,7 @@ class TestGridSampler:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            need = n * G * 8 + score_fit._scratch_bytes(
-                G, n, score_fit._WEIGHT_ARRAYS, budget=n * G * 8)
+            need = n * G * 8 + score_fit._scratch_bytes(G, n, score_fit._WEIGHT_ARRAYS)
             assert peak <= sampling_mod._GRID_PEAK_OVER_WEIGHTS * need, workers
 
     @pytest.mark.parametrize("sigma_y", [1.0, 50.0])

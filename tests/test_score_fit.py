@@ -413,10 +413,7 @@ class TestBuildGramSystem:
         h, the pool's threads and small objects; the former work array was a
         second Gram (2.004-2.017 Grams measured)."""
         for n, workers in itertools.product((1536, 2000), (1, 2, 4)):
-            # the assembly runs on the pool, over more columns than the
-            # _EVAL_CHUNK that its workers' scratch may span at once
-            assert n >= score_fit_mod._POOL_ROWS
-            assert n > 2 * score_fit_mod._EVAL_CHUNK
+            assert n >= score_fit_mod._POOL_ROWS  # the assembly runs on the pool
             monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
             X, Y, kx, ky, lam = random_instance(rng, n, 1, 1, lam=1e-3)
             tracemalloc.start()
@@ -428,7 +425,7 @@ class TestBuildGramSystem:
             finally:
                 tracemalloc.stop()
             gram = n * n * 8
-            scratch = score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
+            scratch = score_fit_mod._scratch_bytes(n, n, 5)
             assert peak <= gram + scratch + 2**20, (n, workers, peak / gram)
 
     def test_scratch_does_not_grow_with_n(self, rng, monkeypatch):
@@ -438,7 +435,7 @@ class TestBuildGramSystem:
         (1.076 measured; 1.33 with full-height scratch)."""
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 2)
         arrays = score_fit_mod._block_arrays(1)
-        assert len({score_fit_mod._scratch_bytes(n, n, arrays, budget=n * n * 8)
+        assert len({score_fit_mod._scratch_bytes(n, n, arrays)
                     for n in (2000, 200_000)}) == 1
         n = 2000
         X, Y, kx, ky, lam = random_instance(rng, n, 1, 1, lam=1e-3)
@@ -472,7 +469,7 @@ class TestBuildGramSystem:
         finally:
             tracemalloc.stop()
         gram = n * n * 8
-        assert peak <= gram + score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
+        assert peak <= gram + score_fit_mod._scratch_bytes(n, n, 5)
 
 
 class TestRidgeSolve:
@@ -769,8 +766,7 @@ class TestFitFactor:
 
     def test_model_copies_only_rows_that_others_could_write(self, rng):
         """A model built from the caller's writable arrays keeps copies, so
-        the caller's later writes change neither its rows nor its T.  Rows
-        that are read-only and own their memory are kept as given, and a
+        the caller's later writes change neither its rows nor its T, and a
         read-only view of writable rows is copied."""
         X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
         model = fit_factor(X, Y, kx, ky, lam)
@@ -781,13 +777,25 @@ class TestFitFactor:
         np.testing.assert_array_equal(model.x_train, rows[0])
         np.testing.assert_array_equal(model.y_train, rows[1])
         assert eval_T(model, x0, y0) == value
-        X, Y = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
-        X.flags.writeable = Y.flags.writeable = False
-        kept = fit_factor(X, Y, kx, ky, lam)
-        assert kept.x_train is X and kept.y_train is Y
         view = Y[::-1]
         view.flags.writeable = False
         assert not np.shares_memory(fit_factor(X, view, kx, ky, lam).y_train, Y)
+
+    def test_model_keeps_its_rows_when_their_owner_writes_them(self, rng):
+        """Read-only rows that own their memory are copied too: their owner
+        may make them writable again, and its writes then change neither
+        the model's rows, nor their read-only flag, nor its T."""
+        X, Y, kx, ky, lam = random_instance(rng, 6, 1, 1)
+        X.flags.writeable = Y.flags.writeable = False
+        model = fit_factor(X, Y, kx, ky, lam)
+        x0, y0 = rng.normal(size=1), rng.normal(size=1)
+        rows, value = model.y_train.copy(), eval_T(model, x0, y0)
+        Y.flags.writeable = True
+        Y[:] += 1.0
+        assert not np.shares_memory(model.y_train, Y)
+        assert not model.y_train.flags.writeable
+        np.testing.assert_array_equal(model.y_train, rows)
+        assert eval_T(model, x0, y0) == value
 
     def test_given_system_fits_the_same_bits(self, rng):
         X, Y, kx, ky, lam = random_instance(rng, 9, 2, 1)
@@ -882,7 +890,7 @@ class TestFitFactor:
         n = 1024
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 1)
         gram = n * n * 8
-        scratch = score_fit_mod._scratch_bytes(n, n, 5, budget=gram)
+        scratch = score_fit_mod._scratch_bytes(n, n, 5)
         tile = score_fit_mod._WORKER_SCRATCH // (5 * 128 * 8)
         assert scratch == 5 * tile * 128 * 8 + score_fit_mod._WORKER_BUFFERS
         need = gram + 16 * n + scratch
@@ -1042,10 +1050,9 @@ class TestCrossWeights:
     def test_cross_T_blocks_do_not_depend_on_worker_count(self, rng, monkeypatch,
                                                           d, workers):
         """Each chunk of draws is one ``_in_blocks`` call over its blocks of
-        ``_CROSS_BLOCK`` draws, on as many threads as the CPUs, the blocks
-        and a budget of one (n, _IS_CHUNK) array allow: 4 scratch arrays
-        per worker, so at most 4 workers for blocks of 128 and 3 for the
-        joined block of 129."""
+        ``_CROSS_BLOCK`` draws, on as many threads as the CPUs and the
+        blocks allow: the 16 blocks of a full chunk take every CPU up to 16,
+        and the last chunk, 128 draws and a joined block of 129, two."""
         model = fit_random(rng, n=10, d=d, p=2, lam=0.05)
         chunk = score_fit_mod._IS_CHUNK
         S = chunk + 2 * score_fit_mod._CROSS_BLOCK + 1  # the last block is joined
@@ -1079,7 +1086,7 @@ class TestCrossWeights:
         assert [size for size, _ in calls] == [chunk, S - chunk]
         for size, done in calls:
             assert sorted(done) == score_fit_mod._blocks(size, 128)
-        assert pools == {1: [], 2: [2, 2], 3: [3, 2], 8: [4, 2]}[workers]
+        assert pools == {1: [], 2: [2, 2], 3: [3, 2], 8: [8, 2]}[workers]
 
     def test_pooling_follows_the_work_of_a_block(self, rng, monkeypatch):
         """A block's work is its n training rows times (1 + the R rows of its
@@ -1103,10 +1110,10 @@ class TestCrossWeights:
 
     def test_more_workers_than_cores_under_fast_thread_switching(self, rng,
                                                                  monkeypatch):
-        """Four workers (of 8 CPUs, within the budget) share the blocks of
-        each chunk while the interpreter switches threads every
-        microsecond; a GEMM that read weights of another worker's block, or
-        a column left unwritten, would change the blocks."""
+        """Eight workers, one per CPU, share the blocks of each chunk while
+        the interpreter switches threads every microsecond; a GEMM that read
+        weights of another worker's block, or a column left unwritten, would
+        change the blocks."""
         model = fit_random(rng, n=20, d=2, p=2, lam=0.05)
         X_rows, Y_set = rng.normal(size=(5, 2)), 2.0 * rng.normal(size=(3000, 2))
         ref = self.reference(model, Y_set)
@@ -1379,7 +1386,12 @@ class TestUnnormLogpdf:
         base = model.base
         for _ in range(10):
             y0 = rng.normal(size=2)
-            assert unnorm_logpdf_rows(model, point(None), point(y0))[0] == base.log_pdf(y0)
+            got = unnorm_logpdf_rows(model, point(None), point(y0))[0]
+            assert got == base.log_pdf_rows(point(y0))[0]
+            # the d = 2 Gaussian log-density with std s: -log(2 pi s^2) - |y|^2 / (2 s^2)
+            s2 = base.std**2
+            assert got == pytest.approx(-np.log(2 * np.pi * s2) - y0 @ y0 / (2 * s2),
+                                        rel=1e-14)
 
     def test_gradient_matches_finite_differences(self, rng):
         model = fit_random(rng, n=6, d=2, p=1, lam=0.2)
@@ -1394,7 +1406,7 @@ class TestUnnormLogpdf:
         y1, y2 = rng.normal(size=1), rng.normal(size=1)
         lhs = (unnorm_logpdf_rows(model, point(x0), point(y1))[0]
                - unnorm_logpdf_rows(model, point(x0), point(y2))[0])
-        rhs = (model.base.log_pdf(y1) - model.base.log_pdf(y2)
+        rhs = ((y2 @ y2 - y1 @ y1) / (2 * model.base.std**2)  # log q0(y1) - log q0(y2)
                + eval_T(model, x0, y1) - eval_T(model, x0, y2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
