@@ -55,8 +55,7 @@ CURVE_SIZES = (200, 500, 1000, 2000)
 # BLAS thread settings can change the last bits of a GEMM, so every
 # provenance records them (null when unset)
 _BLAS_THREAD_VARS = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
-# the HmcConfig fields that ``sample`` takes as flags (--step-size, ...); not
-# chains, since ancestral HMC runs one chain per output row
+# the HmcConfig fields but the seed, which ``sample`` takes as --step-size, ...
 _HMC_OPTIONS = (("step_size", float), ("leapfrog_steps", int), ("burn_in", int),
                ("thin", int))
 # the fit flags that only --lambda or only --cv reads, by NodeHyperparams or
@@ -282,7 +281,7 @@ def _cmd_eval(args, argv) -> int:
 
 def _cmd_curve(args, argv) -> int:
     if args.is_samples < 1:  # before the first fit
-        raise DataError("num_samples must be >= 1")
+        raise DataError("is_samples must be >= 1")
     values, names = _load_training(args)
     if len(values) < CURVE_SIZES[0]:
         raise DataError(f"curve needs at least {CURVE_SIZES[0]} training rows, "
@@ -432,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_score)
 
-    d = sub.add_parser("diverge", help="score-divergence diagnostics")
-    d.add_argument("--demo", required=True, choices=("appendix-d",))
+    d = sub.add_parser("diverge", help="the disjoint-support score-divergence demo")
     d.add_argument("--samples", type=int, default=100_000)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default=None)

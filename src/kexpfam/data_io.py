@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArchiveError, DataError
-from .factorization import DagSpec, JointModel
+from .factorization import DagSpec, JointModel, _column_stats
 from .kernels import ConstantKernel, GaussianKernelSpec
 from .score_fit import BaseDensity, FactorModel
 
@@ -39,21 +39,13 @@ class StandardizedDataset:
     column_names: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        means = np.asarray(self.column_means, dtype=np.float64).reshape(-1)
-        stds = np.asarray(self.column_stds, dtype=np.float64).reshape(-1)
-        names = tuple(str(c) for c in self.column_names)
-        if means.size != values.shape[1] or stds.size != values.shape[1]:
-            raise DataError("standardization stats must have one entry per column")
-        if len(names) != values.shape[1]:
-            raise DataError("need one column name per column")
-        if np.any(stds <= 0) or not np.all(np.isfinite(stds)):
-            raise DataError("column stds must be positive and finite")
-        for field_name, arr in (("values", values), ("column_means", means),
-                                ("column_stds", stds)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, field_name, arr)
+        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64)).copy()
+        values.flags.writeable = False
+        means, stds, names = _column_stats(self.column_means, self.column_stds,
+                                           self.column_names, values.shape[1])
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "column_means", means)
+        object.__setattr__(self, "column_stds", stds)
         object.__setattr__(self, "column_names", names)
 
     @property

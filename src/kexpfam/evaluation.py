@@ -22,7 +22,7 @@ import numpy as np
 from . import score_fit
 from .errors import DataError, KexpfamError, NumericalError
 from .factorization import (DagSpec, JointModel, NodeHyperparams, _node_kernels,
-                            _node_medians)
+                            _node_medians, _standardized_values)
 from .score_fit import (
     _WORKER_BUFFERS,
     BaseDensity,
@@ -162,18 +162,18 @@ def _partition_for_rows(model: FactorModel, X_rows: np.ndarray,
 
 
 def log_partition_is(model: FactorModel, x, num_samples: int,
-                     seed: int = 0, node_index: int = 0) -> LogPartitionEstimate:
+                     seed: int = 0) -> LogPartitionEstimate:
     """Estimate log Z(x) = log E_q0[exp T(x, y)] by Monte Carlo under q0.
 
     Uses a max-stabilized log-mean-exp, so a model with T identically zero
-    yields log_z == 0.0 exactly.  The draws are seeded by (seed, node
-    index), so equal arguments give equal estimates, and x is rounded to
-    12 decimals first.
+    yields log_z == 0.0 exactly.  The draws come from the stream (seed, 0),
+    which ``test_loglik`` gives node 0, so equal arguments give equal
+    estimates, and x is rounded to 12 decimals first.
     """
     if num_samples < 1:
         raise DataError("num_samples must be >= 1")
     x_row = _as_x_row(x, model.p)
-    log_z, se = _partition_for_rows(model, x_row, num_samples, seed, node_index)
+    log_z, se = _partition_for_rows(model, x_row, num_samples, seed)
     return LogPartitionEstimate(log_z=float(log_z[0]), std_err=float(se[0]),
                                 sample_count=num_samples)
 
@@ -193,7 +193,7 @@ def test_loglik(model: JointModel, test_rows, is_samples: int = 10_000,
     of each row's log-partition estimate at each node.
     """
     if is_samples < 1:
-        raise DataError("num_samples must be >= 1")
+        raise DataError("is_samples must be >= 1")
     rows = _as_matrix(test_rows, "test_rows")
     if rows.shape[1] != model.dim:
         raise DataError(
@@ -324,7 +324,7 @@ def _node_cv(values: np.ndarray, dag: DagSpec, node: int, config: CvConfig,
 
 def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
                    base: BaseDensity | None = None) -> CvResult:
-    """Independent K-fold grid search per node.
+    """Independent K-fold grid search per node of a StandardizedDataset.
 
     The split is one seeded shuffle followed by contiguous blocks, shared by
     every node.  Each grid point is scored by the mean held-out empirical
@@ -342,12 +342,7 @@ def cross_validate(dataset, dag: DagSpec, config: CvConfig | None = None,
     """
     config = config if config is not None else CvConfig()
     base = base if base is not None else BaseDensity()
-    values = np.asarray(
-        dataset.values if hasattr(dataset, "values") else dataset, dtype=np.float64
-    )
-    values = np.atleast_2d(values)
-    if values.shape[1] != dag.node_count:
-        raise DataError("dataset column count must equal the DAG node count")
+    values = _standardized_values(dataset, dag)
     n = values.shape[0]
     if n < config.folds:
         raise DataError(f"need at least {config.folds} rows for {config.folds}-fold CV")

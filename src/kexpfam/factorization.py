@@ -74,8 +74,6 @@ def make_dag(kind: str, node_count: int,
     """
     if kind not in DAG_KINDS:
         raise DataError(f"unknown DAG kind {kind!r}; expected one of {DAG_KINDS}")
-    if node_count < 1:
-        raise DataError("a DAG needs at least one node")
     if kind == "full":
         parents = tuple(tuple(range(i)) for i in range(node_count))
     elif kind == "markov":
@@ -87,6 +85,33 @@ def make_dag(kind: str, node_count: int,
         parents = tuple(tuple(sorted(_parent_indices(i, ps)))
                         for i, ps in enumerate(custom_parents))
     return DagSpec(node_count=node_count, parents=parents)
+
+
+def _column_stats(means, stds, names, columns: int):
+    """Read-only copies of one mean, std and name per column, each std
+    positive and finite: the standardization of a dataset or of a model."""
+    means = np.asarray(means, dtype=np.float64).reshape(-1).copy()
+    stds = np.asarray(stds, dtype=np.float64).reshape(-1).copy()
+    names = tuple(str(c) for c in names)
+    if not means.size == stds.size == len(names) == columns:
+        raise DataError(f"need one mean, std and name per column ({columns} columns)")
+    if np.any(stds <= 0) or not np.all(np.isfinite(stds)):
+        raise DataError("column stds must be positive and finite")
+    means.flags.writeable = stds.flags.writeable = False
+    return means, stds, names
+
+
+def _standardized_values(dataset, dag: DagSpec) -> np.ndarray:
+    """The values of a StandardizedDataset with one column per DAG node."""
+    from .data_io import StandardizedDataset  # data_io imports this module
+
+    if not isinstance(dataset, StandardizedDataset):
+        raise DataError("dataset must be a StandardizedDataset (see standardize), "
+                        f"got {type(dataset).__name__}")
+    if dataset.dim != dag.node_count:
+        raise DataError(f"dataset has {dataset.dim} columns but the DAG has "
+                        f"{dag.node_count} nodes")
+    return dataset.values
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,19 +144,8 @@ class JointModel:
     def __post_init__(self):
         if len(self.factors) != self.dag.node_count:
             raise DataError("factor count must equal the DAG node count")
-        means = np.asarray(self.column_means, dtype=np.float64).reshape(-1)
-        stds = np.asarray(self.column_stds, dtype=np.float64).reshape(-1)
-        if means.size != self.dag.node_count or stds.size != self.dag.node_count:
-            raise DataError("standardization stats must have one entry per node")
-        if np.any(stds <= 0) or not np.all(np.isfinite(stds)):
-            raise DataError("standardization stds must be positive and finite")
-        names = tuple(str(c) for c in self.column_names)
-        if len(names) != self.dag.node_count:
-            raise DataError("need one column name per node")
-        means = means.copy()
-        stds = stds.copy()
-        means.flags.writeable = False
-        stds.flags.writeable = False
+        means, stds, names = _column_stats(self.column_means, self.column_stds,
+                                           self.column_names, self.dag.node_count)
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "column_means", means)
         object.__setattr__(self, "column_stds", stds)
@@ -179,27 +193,12 @@ def fit_joint(dataset, dag: DagSpec, hyper=None,
               base: BaseDensity | None = None) -> JointModel:
     """Fit one conditional factor per DAG node by the chain rule.
 
-    ``dataset`` is either a StandardizedDataset or a plain (n, D) array that
-    is assumed to be standardized already (stats then default to mean 0,
-    std 1).  ``hyper`` is a single NodeHyperparams applied to every node or a
-    sequence with one entry per node.  Factors are independent: refitting one
-    node never touches the others.
+    ``dataset`` is a StandardizedDataset, whose column statistics and names
+    the model keeps.  ``hyper`` is a single NodeHyperparams applied to every
+    node or a sequence with one entry per node.  Factors are independent:
+    refitting one node never touches the others.
     """
-    if hasattr(dataset, "values"):
-        values = np.asarray(dataset.values, dtype=np.float64)
-        means = np.asarray(dataset.column_means, dtype=np.float64)
-        stds = np.asarray(dataset.column_stds, dtype=np.float64)
-        names = tuple(dataset.column_names)
-    else:
-        values = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
-        means = np.zeros(values.shape[1])
-        stds = np.ones(values.shape[1])
-        names = tuple(f"x{i}" for i in range(values.shape[1]))
-    if values.shape[1] != dag.node_count:
-        raise DataError(
-            f"dataset has {values.shape[1]} columns but the DAG has "
-            f"{dag.node_count} nodes"
-        )
+    values = _standardized_values(dataset, dag)
     base = base if base is not None else BaseDensity()
     if hyper is None:
         hyper = NodeHyperparams()
@@ -220,7 +219,7 @@ def fit_joint(dataset, dag: DagSpec, hyper=None,
         except KexpfamError as exc:
             raise type(exc)(f"fit failed at node {node}: {exc}") from exc
     return JointModel(
-        dag=dag, factors=tuple(factors), column_means=means,
-        column_stds=stds, column_names=names,
+        dag=dag, factors=tuple(factors), column_means=dataset.column_means,
+        column_stds=dataset.column_stds, column_names=dataset.column_names,
     )
 

@@ -22,6 +22,7 @@ from .score_fit import (_WEIGHT_ARRAYS, FactorModel, _as_x_row, _check_memory,
                         _cross_weights, _scratch_bytes, _T_terms)
 
 _INIT_RETRIES = 100
+_CHAINS = 20  # of hmc_sample_conditional, as in the experimental protocol
 _TRIAL_CAP = 1_000_000
 # Distinct conditioning rows per chunk of the grid pass: one kernel_matrix
 # call for their k_X, then one (chunk, G) density and one (chunk, G) CDF,
@@ -56,17 +57,17 @@ class HmcConfig:
     """Leapfrog-Metropolis sampler settings.
 
     Defaults follow the experimental protocol this library reproduces:
-    burn-in of 100 iterations, 20 chains, thinning by 10.  The mass matrix
-    is the identity and no step-size adaptation is performed, which keeps
-    runs reproducible.  ``chains`` is read by ``hmc_sample_conditional``
-    alone; ``ancestral_sample`` runs one chain per output row.
+    burn-in of 100 iterations and thinning by 10.  The mass matrix is the
+    identity and no step-size adaptation is performed, which keeps runs
+    reproducible.  The chain count is not a setting:
+    ``hmc_sample_conditional`` runs ``_CHAINS`` chains and
+    ``ancestral_sample`` one per output row.
     """
 
     step_size: float = 0.1
     leapfrog_steps: int = 20
     burn_in: int = 100
     thin: int = 10
-    chains: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -78,8 +79,6 @@ class HmcConfig:
             raise DataError("burn_in must be >= 0")
         if self.thin < 1:
             raise DataError("thin must be >= 1")
-        if self.chains < 1:
-            raise DataError("chains must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +210,10 @@ def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
 
 
 def hmc_sample_conditional(model: FactorModel, x, n_samples: int,
-                           config: HmcConfig | None = None,
-                           return_stats: bool = False):
+                           config: HmcConfig | None = None) -> np.ndarray:
     """Draw samples from the fitted conditional p(y | x) by HMC.
 
-    ``config.chains`` chains start from independent base-density draws, run
+    ``_CHAINS`` (20) chains start from independent base-density draws, run
     ``burn_in`` iterations, and then emit every ``thin``-th state until
     ``n_samples`` total are collected (round-robin across chains).
     """
@@ -223,14 +221,10 @@ def hmc_sample_conditional(model: FactorModel, x, n_samples: int,
     if n_samples < 1:
         raise DataError("n_samples must be >= 1")
     x_row = _as_x_row(x, model.p)
-    C = config.chains
-    per_chain = -(-n_samples // C)
-    x_rows = np.repeat(x_row, C, axis=0)
-    chains, accept_rate = _run_chains(model, x_rows, per_chain, config)
-    samples = chains.transpose(1, 0, 2).reshape(-1, model.d)[:n_samples]
-    if return_stats:
-        return samples, {"accept_rate": accept_rate}
-    return samples
+    per_chain = -(-n_samples // _CHAINS)
+    x_rows = np.repeat(x_row, _CHAINS, axis=0)
+    chains, _ = _run_chains(model, x_rows, per_chain, config)
+    return chains.transpose(1, 0, 2).reshape(-1, model.d)[:n_samples]
 
 
 def _grid_nodes(factor: FactorModel) -> np.ndarray:
@@ -378,9 +372,9 @@ def ancestral_sample(model: JointModel, count: int,
     r-th uniform, so the first k rows do not depend on ``count``.  With an
     ``HmcConfig`` each output row runs its own HMC chain per node instead,
     for ``burn_in + thin`` iterations, and keeps the chain's last state; so
-    only that sum matters, and ``config.chains`` is not used.  A node whose
-    chains accept no proposal at all raises NumericalError, since each of
-    its rows would be the chain's first base-density draw.
+    only that sum matters.  A node whose chains accept no proposal at all
+    raises NumericalError, since each of its rows would be the chain's
+    first base-density draw.
     Model math happens in standardized coordinates; results are mapped back
     to original units at the end.
 

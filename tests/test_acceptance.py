@@ -446,8 +446,8 @@ def test_criterion_11_persistence_and_replay(tmp_path):
                         "--seed", "5", "--burn-in", "10", "--out", None],
         "score.json": ["score", "--model", a_dir / "model.kcef", "--data",
                        a_dir / "test.csv", "--out", None],
-        "diverge.json": ["diverge", "--demo", "appendix-d", "--samples",
-                         "20000", "--seed", "0", "--out", None],
+        "diverge.json": ["diverge", "--samples", "20000", "--seed", "0",
+                         "--out", None],
     }
     for name, argv in outputs.items():
         argv = [a_dir / name if a is None else a for a in argv]

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -643,11 +644,73 @@ class TestFitOptions:
         assert not np.array_equal(tables[0], tables[3])
 
 
+class TestEveryFlag:
+    # flags that name a file to read or write
+    PATHS = {"--data", "--test", "--model", "--out", "--out-model"}
+    # TestFitOptions.test_every_fit_flag_changes_a_result varies the options
+    # that fit and curve share and fit's --seed; --cv and --lambda are the
+    # two ways of fitting, of which every fit takes one
+    FIT_OPTIONS = {"--dag", "--lambda", "--cv", "--base-std", "--prune-threshold",
+                   "--bandwidth-scale", "--folds", "--lambda-grid", "--scale-grid"}
+    COVERED = {"fit": FIT_OPTIONS | {"--seed"}, "curve": FIT_OPTIONS}
+    # per command, the argv that each flag is added to (paths aside) and
+    # each flag's second value, other than the argv's or the flag's default
+    TABLE = {
+        "gen-grid": (["--dim", "2", "--n", "30"],
+                     {"--dim": "3", "--n": "40", "--weights": "2,1",
+                      "--support": "0,2", "--seed": "1"}),
+        "eval": (["--model", "{model}", "--test", "{test}", "--is-samples", "200"],
+                 {"--is-samples": "300", "--seed": "1"}),
+        "curve": (["--data", "{train}", "--test", "{test}", "--lambda", "0.01",
+                   "--is-samples", "200"],
+                  {"--is-samples": "300", "--seed": "1"}),
+        "sample": (["--model", "{model}", "--n", "5", "--burn-in", "2"],
+                   {"--n": "6", "--step-size": "0.05", "--leapfrog-steps": "7",
+                    "--burn-in": "3", "--thin": "2", "--seed": "1"}),
+        "diverge": (["--samples", "2000"], {"--samples": "3000", "--seed": "1"}),
+    }
+
+    def test_every_flag_changes_an_output(self, workspace):
+        """Each flag of each command, beside paths and the fit flags, has a
+        second value in TABLE, and that value changes an output file
+        (provenance aside); a flag whose choices allow one value can change
+        nothing."""
+        tmp_path, train, test, model = workspace
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        flags = [(command, action.option_strings[-1], action.choices)
+                 for command, parser in commands.items() for action in parser._actions
+                 if not isinstance(action, argparse._HelpAction)]
+        flags = [(command, flag, choices) for command, flag, choices in flags
+                 if flag not in self.PATHS | self.COVERED.get(command, set())]
+        missing = [f"{command} {flag}" for command, flag, _ in flags
+                   if flag not in self.TABLE.get(command, ((), {}))[1]]
+        single = [f"{command} {flag}" for command, flag, choices in flags
+                  if choices is not None and len(choices) < 2]
+        assert (missing, single) == ([], [])
+
+        def outputs(command, argv, name):
+            where = tmp_path / "every_flag" / f"{command}{name}"
+            where.mkdir(parents=True)
+            argv = [a.format(model=model, test=test, train=train) for a in argv]
+            assert run([command, *argv, "--out", where / "out"]) == 0, (command, argv)
+            return {p.name: p.read_bytes() for p in where.iterdir()
+                    if not p.name.endswith(".provenance.json")}
+
+        unchanged = []
+        for command, (base, second) in self.TABLE.items():
+            before = outputs(command, base, "")
+            for flag, value in second.items():
+                # the flag's later occurrence wins over the base argv's
+                if outputs(command, base + [flag, value], flag) == before:
+                    unchanged.append(f"{command} {flag} {value}")
+        assert unchanged == []
+
+
 class TestDiverge:
     def test_demo_reports_degeneracy(self, tmp_path, capsys):
         out = tmp_path / "div.json"
-        assert run(["diverge", "--demo", "appendix-d", "--samples", 20000,
-                    "--out", out]) == 0
+        assert run(["diverge", "--samples", 20000, "--out", out]) == 0
         captured = capsys.readouterr().out
         assert "divergence" in captured
         payload = json.loads(out.read_text())
@@ -661,14 +724,15 @@ class TestDiverge:
         out = tmp_path / "div.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["diverge", "--demo", "appendix-d", "--samples", samples,
-                        "--out", out]) == 2
+            assert run(["diverge", "--samples", samples, "--out", out]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "data" and "at least 1 sample" in error["message"]
         assert not out.exists()
 
-    def test_unknown_demo_is_usage_error(self, capsys):
-        assert run(["diverge", "--demo", "unknown"]) == 1
+    def test_demo_flag_is_usage_error(self, capsys):
+        """diverge runs its one demo, so --demo, which could name only that
+        one, is gone."""
+        assert run(["diverge", "--demo", "appendix-d"]) == 1
         assert "--demo" in capsys.readouterr().err
 
 
@@ -834,7 +898,7 @@ class TestExitCodes:
         assert run(argv + ["--test", test, "--is-samples", samples,
                            "--out", tmp_path / "bad_is.json"]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error == {"type": "data", "message": "num_samples must be >= 1"}
+        assert error == {"type": "data", "message": "is_samples must be >= 1"}
 
     def test_curve_rejects_nonpositive_is_samples_before_fitting(
             self, workspace, monkeypatch):

@@ -228,13 +228,14 @@ class TestLogPartition:
             return fit_joint(ds, make_dag("markov", 2),
                              NodeHyperparams(lam=0.02)).factors[1]
 
-        alone = log_partition_is(fresh_factor(), [0.25], 2000, seed=1,
-                                 node_index=1)
+        x_row = np.array([[0.25]])
+        alone = evaluation._partition_for_rows(fresh_factor(), x_row, 2000, seed=1,
+                                               node_index=1)
         factor = fresh_factor()
-        node0 = log_partition_is(factor, [0.25], 2000, seed=1, node_index=0)
-        after = log_partition_is(factor, [0.25], 2000, seed=1, node_index=1)
-        assert node0.log_z != alone.log_z
-        assert (after.log_z, after.std_err) == (alone.log_z, alone.std_err)
+        node0 = evaluation._partition_for_rows(factor, x_row, 2000, seed=1, node_index=0)
+        after = evaluation._partition_for_rows(factor, x_row, 2000, seed=1, node_index=1)
+        assert not np.array_equal(node0[0], alone[0])
+        assert all(np.array_equal(a, b) for a, b in zip(after, alone))
 
 
 class TestTestLoglik:
@@ -278,7 +279,7 @@ class TestTestLoglik:
     @pytest.mark.parametrize("is_samples", [0, -5])
     def test_nonpositive_is_samples_is_data_error(self, fitted_1d, is_samples):
         model, ds = fitted_1d
-        with pytest.raises(DataError, match="num_samples must be >= 1"):
+        with pytest.raises(DataError, match="is_samples must be >= 1"):
             evaluation.test_loglik(model, ds.values[:3], is_samples=is_samples)
 
     def test_duplicated_rows_share_cached_partitions(self):
@@ -751,8 +752,8 @@ class TestCrossValidate:
         assert edge.on_grid_edge
 
     def test_needs_enough_rows(self, small_grid):
-        with pytest.raises(DataError):
-            cross_validate(np.zeros((3, 2)), make_dag("markov", 2),
+        with pytest.raises(DataError, match="at least 5 rows"):
+            cross_validate(standardize(small_grid.values[:3]), make_dag("markov", 2),
                            CvConfig(folds=5))
 
     def test_hyperparams_export(self, small_grid):

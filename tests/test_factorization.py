@@ -137,10 +137,14 @@ class TestFitJoint:
             NodeHyperparams(lam=0.01, scale=scale)
 
     def test_plain_array_input(self, rng):
+        """fit_joint and cross_validate read a StandardizedDataset alone: a
+        plain array carries no column statistics for the model to keep."""
         values = rng.normal(size=(30, 2))
-        model = fit_joint(values, make_dag("markov", 2), NodeHyperparams(lam=0.1))
-        np.testing.assert_array_equal(model.column_means, np.zeros(2))
-        np.testing.assert_array_equal(model.column_stds, np.ones(2))
+        dag = make_dag("markov", 2)
+        with pytest.raises(DataError, match="StandardizedDataset"):
+            fit_joint(values, dag, NodeHyperparams(lam=0.1))
+        with pytest.raises(DataError, match="StandardizedDataset"):
+            evaluation.cross_validate(values, dag)
 
 
 class TestFactorIndependence:

@@ -111,7 +111,7 @@ def ecdf_sup_distance(samples, grid, cdf):
 class TestConfigs:
     def test_hmc_config_validation(self):
         for kwargs in ({"step_size": 0.0}, {"leapfrog_steps": 0},
-                       {"burn_in": -1}, {"thin": 0}, {"chains": 0}):
+                       {"burn_in": -1}, {"thin": 0}):
             with pytest.raises(DataError):
                 HmcConfig(**kwargs)
 
@@ -169,12 +169,11 @@ class TestHmcConditional:
         assert stat < critical
 
     def test_tiny_step_acceptance_near_one(self, grid_conditional):
-        _, stats = hmc_sample_conditional(
-            grid_conditional, [0.3], 100,
-            HmcConfig(step_size=1e-4, burn_in=10, thin=1, seed=1),
-            return_stats=True,
-        )
-        assert stats["accept_rate"] > 0.99
+        x_rows = np.repeat([[0.3]], sampling_mod._CHAINS, axis=0)
+        _, rate = sampling_mod._run_chains(
+            grid_conditional, x_rows, 5,
+            HmcConfig(step_size=1e-4, burn_in=10, thin=1, seed=1))
+        assert rate > 0.99
 
     def test_fitted_conditional_matches_quadrature_cdf(self, grid_conditional):
         x0 = np.array([0.3])
@@ -184,9 +183,9 @@ class TestHmcConditional:
         assert ecdf_sup_distance(samples[:, 0], grid, cdf) < 0.05
 
     def test_acceptance_rate_in_unit_interval(self, grid_conditional):
-        _, stats = hmc_sample_conditional(grid_conditional, [0.0], 50,
-                                          HmcConfig(seed=2), return_stats=True)
-        assert 0.0 < stats["accept_rate"] <= 1.0
+        x_rows = np.repeat([[0.0]], sampling_mod._CHAINS, axis=0)
+        _, rate = sampling_mod._run_chains(grid_conditional, x_rows, 3, HmcConfig(seed=2))
+        assert 0.0 < rate <= 1.0
 
     def test_seed_determinism(self, grid_conditional):
         a = hmc_sample_conditional(grid_conditional, [0.1], 60, HmcConfig(seed=9))

@@ -764,7 +764,7 @@ class TestFitFactor:
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-12
 
-    def test_model_copies_only_rows_that_others_could_write(self, rng):
+    def test_model_copies_the_rows_it_is_given(self, rng):
         """A model built from the caller's writable arrays keeps copies, so
         the caller's later writes change neither its rows nor its T, and a
         read-only view of writable rows is copied."""
