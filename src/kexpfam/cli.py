@@ -194,6 +194,18 @@ def _load_training(args):
     return values, names
 
 
+def _model_columns(path, names) -> np.ndarray:
+    """The rows of the CSV at ``path`` in the columns ``names`` (a model's
+    ``column_names``), found by header name; other columns are ignored."""
+    values, header = load_csv(path)
+    for name in names:
+        if header.count(name) != 1:
+            raise DataError(f"{path}: the model's column {name!r} "
+                            + ("is missing" if name not in header
+                               else "appears more than once"))
+    return values[:, [header.index(name) for name in names]]
+
+
 def _fit_from_args(args, dataset):
     dag = _parse_dag(args.dag, dataset.dim)
     base = BaseDensity(std=args.base_std)
@@ -257,7 +269,7 @@ def _stderr_of_mean(per_row: np.ndarray) -> float:
 
 def _cmd_eval(args, argv) -> int:
     model = load_model(args.model)
-    rows, _ = load_csv(args.test)
+    rows = _model_columns(args.test, model.column_names)
     mean, per_row, stats = test_loglik(model, rows, is_samples=args.is_samples,
                                        seed=args.seed, return_stats=True)
     stderr = _stderr_of_mean(per_row)
@@ -286,7 +298,7 @@ def _cmd_curve(args, argv) -> int:
     if len(values) < CURVE_SIZES[0]:
         raise DataError(f"curve needs at least {CURVE_SIZES[0]} training rows, "
                         f"got {len(values)}")
-    test_rows, _ = load_csv(args.test)
+    test_rows = _model_columns(args.test, names)
     shuffled = np.random.default_rng(args.seed).permutation(len(values))
     records = []
     for size in CURVE_SIZES:
@@ -316,8 +328,7 @@ def _cmd_sample(args, argv) -> int:
 
 def _cmd_score(args, argv) -> int:
     model = load_model(args.model)
-    rows, _ = load_csv(args.data)
-    Z = model.standardize_rows(rows)
+    Z = model.standardize_rows(_model_columns(args.data, model.column_names))
     per_node = []
     for node, factor in enumerate(model.factors):
         parents = list(model.dag.parents[node])

@@ -5,7 +5,11 @@ log-likelihoods, cross-validation over hyperparameter grids, and a score
 The importance-sampling proposal is the base density itself, making the
 normalizer estimate a plain Monte Carlo average of exp(T) under q0.  The
 draws are seeded per (seed, node index), so repeated evaluation is
-deterministic; no state outlives a call.
+deterministic; no state outlives a call.  T at every (row, draw) pair comes
+from ``cross_T_blocks``, through a pivoted Cholesky factor of the
+conditioning kernel where pivoting reaches its tolerance within n // 8
+pivots, and through k_X itself otherwise; either way a row's estimate does
+not depend on the other rows of the call.
 """
 
 from __future__ import annotations

@@ -48,6 +48,17 @@ _WORKER_SCRATCH = 2**20
 # np.getbufsize() doubles that numpy takes for broadcast operands, and its
 # thread's own objects: 150-170 KB per worker measured, counted as 192 KiB.
 _WORKER_BUFFERS = 2 * 8 * np.getbufsize() + 2**16
+# cross_T_blocks evaluates T through a pivoted Cholesky factor of k_X: pivoting
+# stops once every residual diagonal is at most _PIVOT_RTOL times k(x, x), and
+# gives the factor up at n // _RANK_CAP pivots.
+_PIVOT_RTOL = 1e-13
+_RANK_CAP = 8
+# Every GEMM of cross_T_blocks takes this many rows, the last tile padded
+# with zero rows: OpenBLAS picks its kernel by the sizes (a matrix-vector
+# product for one row, a small-matrix kernel for few), and kernels differ
+# in their last bits, so a fixed height keeps a row's bits whatever the
+# other rows are.
+_GEMM_ROWS = 64
 # The strict upper triangle of a diagonal block that _mirror_lower refills
 _STRICT_UPPER = np.triu(np.ones((_CROSS_BLOCK, _CROSS_BLOCK), dtype=bool), 1)
 _STRICT_UPPER.flags.writeable = False
@@ -777,42 +788,116 @@ def _in_blocks(work, size: int, rows: int, arrays: int, gemm_rows: int = 0) -> N
         list(run(run_block, [contextvars.copy_context() for _ in blocks], blocks))
 
 
+def _kx_factor(model: FactorModel) -> tuple[list[int], np.ndarray] | None:
+    """Pivoted Cholesky factor of k_X over the training x: (pivots, Lt),
+    where Lt is (m, n) and k_X(X_a, X_b) is Lt[:, a] · Lt[:, b] up to the
+    residual, or None when n // ``_RANK_CAP`` pivots do not reach it.
+
+    Each step takes the largest residual diagonal (the first index on
+    ties) as pivot, until every residual is at most ``_PIVOT_RTOL`` times
+    k(x, x) (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012).  It
+    depends on the model alone.  Only the m rows of Lt that pivoting
+    writes are touched, and they are copied out at the end.
+    """
+    X, spec, n = model.x_train, model.kernel_x, model.n
+    cap = n // _RANK_CAP
+    diag = np.full(n, kernel_matrix(spec, X[:1], X[:1])[0, 0])
+    tol = _PIVOT_RTOL * diag[0]
+    Lt = np.empty((cap, n))
+    pivots = []
+    for k in range(cap + 1):
+        j = int(np.argmax(diag))
+        if diag[j] <= tol:
+            return pivots, Lt[:k].copy()
+        if k == cap:
+            return None
+        row = kernel_matrix(spec, X[j:j + 1], X, out=Lt[k:k + 1])[0]
+        if k:
+            row -= Lt[:k, j] @ Lt[:k]
+        row /= math.sqrt(diag[j])
+        diag -= row * row
+        diag[j] = 0.0
+        pivots.append(j)
+
+
+def _kx_rows(model: FactorModel, pivots: list[int], Lt: np.ndarray,
+             X_rows: np.ndarray) -> np.ndarray:
+    """ℓ(X)ᵀ, shape (m, R), with k_X(x_r, X_b) ≈ ℓ(x_r) · Lt[:, b]: the
+    forward substitution of k_X(X_pivots, x_r) through the pivots' rows of
+    the factor.  It runs elementwise, each step on all R rows at once, so
+    row r's values take the same operations whatever the other rows are
+    (a LAPACK solve blocks its columns, and gave some rows other bits)."""
+    E = kernel_matrix(model.kernel_x, model.x_train[pivots], X_rows)
+    tmp = np.empty_like(E)
+    for k, j in enumerate(pivots):
+        np.divide(E[k], Lt[k, j], out=E[k])
+        np.multiply(Lt[k, pivots[k + 1:], None], E[k], out=tmp[k + 1:])
+        np.subtract(E[k + 1:], tmp[k + 1:], out=E[k + 1:])
+    return E
+
+
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     """Yield (slice, block) pairs covering T(x_r, y_s) for all rows and draws.
 
     X_rows is (R, p) and Y_set is (S, d); each block is a fresh (R, width)
     array for a chunk of at most ``_IS_CHUNK`` draws, and column s of the
     full matrix corresponds to draw Y_set[s].  Each chunk is one
-    ``_in_blocks`` call: a block of draws computes its weights, tile by tile
-    of training rows, into its full-height operand and takes one GEMM with
-    k_X into its columns, bit for bit the same on any worker count.  A
-    chunk has at most ``_IS_CHUNK / _CROSS_BLOCK`` blocks, so the workers'
+    ``_in_blocks`` call: a block of draws computes its weights W, tile by
+    tile of training rows, into its full-height operand, and then its
+    columns of T, bit for bit the same on any worker count.
+
+    T is ℓ(X) @ (Lᵀ W), with the pivoted Cholesky factor L of k_X from
+    ``_kx_factor`` (rank m, at most n // 8) and ℓ(X) (R × m) from
+    ``_kx_rows``; k_X (R × n) is not built.  A model whose pivoting reaches
+    the cap takes k_X @ W.  The route depends on the model alone, and every
+    GEMM of the left operand takes ``_GEMM_ROWS`` rows of it, the last tile
+    padded with zero rows, so a row's values do not depend on the other
+    rows of the call.
+
+    A chunk has at most ``_IS_CHUNK / _CROSS_BLOCK`` blocks, so the workers'
     operands together stay within the bytes of one (n, ``_IS_CHUNK``)
-    array, beside one capped scratch per worker, and memory is O(n * R)
-    plus that, whatever S.  Before k_X is built, those bytes are compared
-    with physical memory, and a DataError names the rows when they do not
-    fit.
+    array, beside one capped scratch (and, with the factor, one m × 128
+    product Lᵀ W) per worker.  Memory is O(m (n + R)), or O(n R) on the
+    exact route, plus that, whatever S.  Before ℓ(X) or k_X is built, those
+    bytes are compared with physical memory, and a DataError names the rows
+    when they do not fit.
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
     a, e = _model_coeffs(model)
     (R, _), n, S = X_rows.shape, model.n, Y_set.shape[0]
     chunk = min(S, _IS_CHUNK)
-    kx_bytes = R * n * 8  # k_X, and kernel_matrix's scratch while it is built
+    factor = _kx_factor(model)
+    m, Lt = (n, None) if factor is None else (len(factor[0]), factor[1])
+    height = -(-R // _GEMM_ROWS) * _GEMM_ROWS  # R rounded up to whole row tiles
     scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, gemm_rows=R)
-    _check_memory(kx_bytes + max(kx_bytes, R * chunk * 8 + scratch),
+    if Lt is not None:  # each worker's M beside its operand
+        scratch += (_block_plan(chunk, n, _WEIGHT_ARRAYS, R)[0] * m
+                    * _widest(chunk, _CROSS_BLOCK) * 8)
+    # beside the left operand: while it is built, kernel_matrix's scratch, or
+    # ℓ(X)ᵀ and the substitution's scratch; then a chunk's block and scratch
+    _check_memory((0 if Lt is None else Lt.nbytes) + height * m * 8
+                  + max(R * m * 8 * (1 if Lt is None else 2),
+                        height * chunk * 8 + scratch),
                   f"importance sampling for {R} distinct rows with n = {n}",
                   "evaluate fewer distinct rows")
-    kxT = kernel_matrix(model.kernel_x, X_rows, model.x_train)  # exact k_X.T, C order
+    left = np.zeros((height, m))  # k_X or ℓ(X), then zero rows
+    if Lt is None:
+        kernel_matrix(model.kernel_x, X_rows, model.x_train, out=left[:R])
+    else:
+        left[:R] = _kx_rows(model, *factor, X_rows).T
+    row_tiles = [slice(t, t + _GEMM_ROWS) for t in range(0, height, _GEMM_ROWS)]
     for lo in range(0, S, _IS_CHUNK):
         hi = min(lo + _IS_CHUNK, S)
-        block = np.empty((R, hi - lo))
+        block = np.empty((height, hi - lo))
 
-        def gemm_block(b_lo, b_hi, tiles):  # weights into the operand W, then a GEMM
+        def gemm_block(b_lo, b_hi, tiles):  # weights into the operand W, then GEMMs
             for rows, (W, *scratch) in tiles:
                 _weights_block(model, a, e, rows, Y_set[lo + b_lo:lo + b_hi], W[rows], *scratch)
-            np.matmul(kxT, W, out=block[:, b_lo:b_hi])
+            M = W if Lt is None else Lt @ W
+            for t in row_tiles:
+                np.matmul(left[t], M, out=block[t, b_lo:b_hi])
 
         _in_blocks(gemm_block, hi - lo, n, _WEIGHT_ARRAYS, gemm_rows=R)
-        yield slice(lo, hi), block
+        yield slice(lo, hi), block[:R]
         del block  # the caller drops its reference too: one block at a time

@@ -17,7 +17,7 @@ import kexpfam.evaluation as evaluation
 import kexpfam.sampling as sampling
 import kexpfam.score_fit as score_fit
 from kexpfam.cli import main
-from kexpfam.data_io import load_csv, load_model, standardize
+from kexpfam.data_io import load_csv, load_model, save_csv, standardize
 from kexpfam.errors import DataError
 from kexpfam.evaluation import CvConfig
 from kexpfam.factorization import fit_joint, make_dag
@@ -440,6 +440,59 @@ class TestFitEvalPipeline:
         assert run(["fit", "--data", train, "--dag", "custom:[[],[0],[0]]",
                     "--lambda", 0.01, "--out-model", model]) == 0
         assert load_model(model).dag.parents == ((), (0,), (0,))
+
+
+class TestColumnsByName:
+    """eval, score and curve take the model's columns from a CSV by header
+    name: extra columns are ignored, and a missing one is a data error."""
+
+    def test_pruned_model_evaluates_its_original_csv(self, tmp_path, capsys):
+        train = gen_grid(tmp_path, "train.csv", n=200, dim=3, seed=0)
+        test = gen_grid(tmp_path, "test.csv", n=50, dim=3, seed=1)
+        model = tmp_path / "pruned.kcef"
+        capsys.readouterr()
+        assert run(["fit", "--data", train, "--lambda", 0.01, "--prune-threshold", 0,
+                    "--out-model", model]) == 0
+        assert "pruned correlated columns: x1, x2" in capsys.readouterr().out
+        assert load_model(model).column_names == ("x0",)
+        assert run(["eval", "--model", model, "--test", test, "--is-samples", 200,
+                    "--out", tmp_path / "eval.json"]) == 0
+        assert run(["score", "--model", model, "--data", test,
+                    "--out", tmp_path / "score.json"]) == 0
+        assert run(["curve", "--data", train, "--test", test, "--lambda", 0.01,
+                    "--prune-threshold", 0, "--is-samples", 200,
+                    "--out", tmp_path / "curve.csv"]) == 0
+
+    def test_extra_and_reordered_columns_change_no_byte(self, workspace):
+        tmp_path, _, test, model = workspace
+        values, names = load_csv(test)
+        shuffled = tmp_path / "shuffled.csv"
+        save_csv(shuffled, np.column_stack([values[:, 1], np.ones(len(values)),
+                                            values[:, 0]]),
+                 [names[1], "extra", names[0]])
+        for name, data in (("plain", test), ("shuffled", shuffled)):
+            assert run(["eval", "--model", model, "--test", data, "--is-samples", 300,
+                        "--out", tmp_path / f"{name}.json"]) == 0
+            assert run(["score", "--model", model, "--data", data,
+                        "--out", tmp_path / f"{name}_score.json"]) == 0
+        assert ((tmp_path / "plain.rows.csv").read_bytes()
+                == (tmp_path / "shuffled.rows.csv").read_bytes())
+        assert ((tmp_path / "plain_score.json").read_bytes()
+                == (tmp_path / "shuffled_score.json").read_bytes())
+
+    @pytest.mark.parametrize("header", ["x0,y", "x0,x1,x1"])
+    def test_a_missing_or_repeated_column_is_a_data_error(self, workspace, capsys,
+                                                          header):
+        tmp_path, _, _, model = workspace
+        data = tmp_path / "bad_columns.csv"
+        data.write_text(header + "\n" + ",".join(["0.5"] * header.count(",")) + ",0.5\n")
+        for command in (["eval", "--model", model, "--test", data],
+                        ["score", "--model", model, "--data", data]):
+            capsys.readouterr()
+            assert run([*command, "--out", tmp_path / "bad.json"]) == 2
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["type"] == "data" and "'x1'" in error["message"]
+        assert not (tmp_path / "bad.json").exists()
 
 
 class TestCurve:

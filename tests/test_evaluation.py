@@ -174,21 +174,41 @@ class TestLogPartition:
             assert peak <= 1.2 * ((n * R + R * chunk) * 8 + scratch), workers
 
     def test_preflight_names_the_rows_that_do_not_fit(self, monkeypatch):
-        """Before k_X is built, IS compares k_X (R, n) beside, in turn,
-        kernel_matrix's scratch of its size, or one (R, chunk) block and
-        the workers' scratch, with physical memory: one byte less is a
+        """Before ℓ(X) is built, IS compares with physical memory the left
+        operand, R rows padded to a whole 64-row tile of m columns (the
+        factor's rank, 20 here at a cap of 37), beside, in turn, ℓ(X)ᵀ and
+        the substitution's scratch, or one padded (64, chunk) block, the
+        workers' scratch and each worker's M; and L.  One byte less is a
         DataError that names the distinct rows, and the count itself runs."""
+        self.check_preflight(monkeypatch, bandwidth=1.0)
+
+    def test_preflight_counts_k_X_on_the_exact_route(self, monkeypatch):
+        """At x bandwidth 0.02 pivoting reaches the cap, and the left operand
+        is k_X with n columns, beside kernel_matrix's scratch while it is
+        built."""
+        self.check_preflight(monkeypatch, bandwidth=0.02)
+
+    @staticmethod
+    def check_preflight(monkeypatch, bandwidth):
         rng = np.random.default_rng(6)
         n, R, S = 300, 40, 3000
         factor = FactorModel(x_train=rng.normal(size=(n, 1)),
                              y_train=rng.normal(size=(n, 1)),
-                             kernel_x=GaussianKernelSpec([1.0]),
+                             kernel_x=GaussianKernelSpec([bandwidth]),
                              kernel_y=GaussianKernelSpec([1.0]),
                              lam=1e-2, beta=1e-3 * rng.normal(size=n))
         X_rows = rng.normal(size=(R, 1))
         chunk = score_fit_mod._IS_CHUNK
+        kx_factor = score_fit_mod._kx_factor(factor)
+        assert (kx_factor is None) == (bandwidth < 1)
+        m = n if kx_factor is None else len(kx_factor[0])
         scratch = score_fit_mod._scratch_bytes(chunk, n, 3, gemm_rows=R)
-        need = R * n * 8 + max(R * n * 8, R * chunk * 8 + scratch)
+        held, build = 64 * m * 8, R * m * 8
+        if kx_factor is not None:
+            workers = score_fit_mod._block_plan(chunk, n, 3, R)[0]
+            scratch += workers * m * 128 * 8
+            held, build = held + m * n * 8, 2 * build
+        need = held + max(build, 64 * chunk * 8 + scratch)
         monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(DataError, match="importance sampling for 40 distinct rows"):
             evaluation._partition_for_rows(factor, X_rows, S, seed=0)
@@ -204,14 +224,38 @@ class TestLogPartition:
             evaluation._log_z_from_draws(factor, np.empty((1, 0)),
                                          np.zeros((2, 1)))
 
-    def test_cache_returns_identical_estimates(self, fitted_1d):
+    @pytest.mark.parametrize("n, p, bandwidth, factor_route",
+                             [(800, 2, 3.0, True), (400, 1, 0.02, False)])
+    def test_a_row_keeps_its_bits_alone_and_among_other_rows(self, n, p, bandwidth,
+                                                            factor_route):
+        """A row's estimate takes the same operations whatever the other rows
+        of the call, on both routes: ℓ(X) comes from an elementwise forward
+        substitution (with a LAPACK solve in its place, 8 of these 40 rows
+        got other bits alone), and every GEMM takes 64 rows (with one GEMM
+        of R rows, 3 of 20 rows of an n = 2000 model got other bits in a
+        pair of rows than among 500)."""
+        rng = np.random.default_rng(7)
+        factor = FactorModel(x_train=rng.normal(size=(n, p)),
+                             y_train=rng.normal(size=(n, 1)),
+                             kernel_x=GaussianKernelSpec(np.full(p, bandwidth)),
+                             kernel_y=GaussianKernelSpec([1.0]),
+                             lam=0.05, beta=0.1 * rng.normal(size=n))
+        assert (score_fit_mod._kx_factor(factor) is not None) == factor_route
+        X_rows = rng.normal(size=(40, p))
+        together = evaluation._partition_for_rows(factor, X_rows, 1000, seed=2)
+        for r in range(len(X_rows)):
+            alone = evaluation._partition_for_rows(factor, X_rows[r:r + 1], 1000, seed=2)
+            for got, among in zip(alone, together):
+                assert got.tobytes() == among[r:r + 1].tobytes(), r
+
+    def test_repeated_calls_give_identical_estimates(self, fitted_1d):
         model, _ = fitted_1d
         factor = model.factors[0]
         e1 = log_partition_is(factor, None, 5000, seed=3)
         e2 = log_partition_is(factor, None, 5000, seed=3)
         assert e1.log_z == e2.log_z and e1.std_err == e2.std_err
 
-    def test_cache_rounds_conditioning_point(self):
+    def test_conditioning_point_is_rounded_to_12_decimals(self):
         raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=100, seed=3))
         model = fit_joint(standardize(raw), make_dag("markov", 2),
                           NodeHyperparams(lam=0.02))
@@ -220,7 +264,7 @@ class TestLogPartition:
         e2 = log_partition_is(factor, [0.25 + 1e-15], 2000, seed=1)
         assert e1.log_z == e2.log_z
 
-    def test_cache_does_not_depend_on_earlier_node_calls(self):
+    def test_estimate_does_not_depend_on_earlier_calls(self):
         raw = rejection_sample_grid(GridDatasetConfig(dim=2, n=100, seed=3))
         ds = standardize(raw)
 

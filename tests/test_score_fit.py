@@ -1029,11 +1029,15 @@ class TestCrossWeights:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cross_T_blocks_are_gemms_of_the_reference(self, rng, monkeypatch,
                                                        d, p, chunk):
+        """At n = 9 the cap is one pivot: the constant k_X of a parentless
+        model is rank 1 and takes the factor route, 2 parents take k_X."""
         model = fit_random(rng, n=9, d=d, p=p, lam=0.05)
         S = 2 * chunk + 41  # the last chunk is partial, and so is its last block
         X_rows, Y_set = rng.normal(size=(4, p)), 2.0 * rng.normal(size=(S, d))
         ref = self.reference(model, Y_set)
         kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
+        factor = score_fit_mod._kx_factor(model)
+        assert (factor is None) == (p > 0)
         monkeypatch.setattr(score_fit_mod, "_IS_CHUNK", chunk)
         # collected first: a block that aliased scratch reused across chunks
         # would be overwritten by the chunks after it
@@ -1041,7 +1045,13 @@ class TestCrossWeights:
         assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, 2 * chunk),
                                             slice(2 * chunk, S)]
         for sl, block in blocks:
-            assert np.array_equal(block, kx.T @ ref[:, sl])
+            if factor is None:
+                assert np.array_equal(block, kx.T @ ref[:, sl])
+            else:
+                ell = score_fit_mod._kx_rows(model, *factor, X_rows).T
+                assert np.array_equal(block, ell @ (factor[1] @ ref[:, sl]))
+                assert np.all(np.abs(block - kx.T @ ref[:, sl])
+                              <= 1e-10 * (np.abs(kx.T) @ np.abs(ref[:, sl])))
         for (_, first), (_, second) in itertools.combinations(blocks, 2):
             assert not np.shares_memory(first, second)
 
@@ -1134,6 +1144,97 @@ class TestCrossWeights:
         assert [sl for sl, _ in blocks] == [slice(0, 2048), slice(2048, 3000)]
         for sl, block in blocks:
             assert np.array_equal(block, kx.T @ ref[:, sl])
+
+
+class TestKxFactor:
+    """IS takes k_X through a pivoted Cholesky factor when pivoting reaches
+    its tolerance within n // 8 pivots, and takes k_X itself otherwise: one
+    fixture of each route with one parent, one with two parents."""
+
+    # n, parents, x bandwidth, whether the factor route is taken
+    CASES = {"p1": (240, 1, 1.2, True), "p2": (800, 2, 3.0, True),
+             "cap": (200, 1, 0.05, False)}
+
+    @staticmethod
+    def model(case):
+        n, p, bw, _ = TestKxFactor.CASES[case]
+        rng = np.random.default_rng(31)
+        return FactorModel(x_train=rng.normal(size=(n, p)), y_train=rng.normal(size=(n, 1)),
+                           kernel_x=GaussianKernelSpec(np.full(p, bw)),
+                           kernel_y=GaussianKernelSpec([1.0]), lam=0.05,
+                           beta=0.1 * rng.normal(size=n))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pivoting_stops_at_the_tolerance_or_the_cap(self, monkeypatch, case):
+        model = self.model(case)
+        factor = score_fit_mod._kx_factor(model)
+        assert (factor is not None) == self.CASES[case][3]
+        monkeypatch.setattr(score_fit_mod, "_RANK_CAP", 1)  # pivoting to the end
+        pivots, Lt = score_fit_mod._kx_factor(model)
+        assert (len(pivots) <= model.n // 8) == self.CASES[case][3]
+        assert len(set(pivots)) == len(pivots) and Lt.shape == (len(pivots), model.n)
+        K = kernel_matrix(model.kernel_x, model.x_train, model.x_train)
+        assert np.max(np.abs(K - Lt.T @ Lt)) <= 2e-13
+        # the training rows by forward substitution give k_X back as well
+        ell = score_fit_mod._kx_rows(model, pivots, Lt, model.x_train)
+        assert np.max(np.abs(K - ell.T @ Lt)) <= 2e-13
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_routes_agree(self, case):
+        """The factor route is ℓ(X) @ (Lᵀ @ W) bit for bit and within 1e-10
+        of k_X @ W, relative to the summed magnitudes |k_X|·|W|; the capped
+        model takes k_X @ W, bit for bit.  A GEMM's sizes can change its
+        bits, so the references take IS's blocks of draws and of rows."""
+        model = self.model(case)
+        rng = np.random.default_rng(5)
+        X_rows = rng.normal(size=(6, model.p))
+        S = 2 * score_fit_mod._IS_CHUNK + 300
+        Y_set = 2.0 * rng.normal(size=(S, 1))
+        ref = TestCrossWeights.reference(model, Y_set)
+        kxT = kernel_matrix(model.kernel_x, X_rows, model.x_train)  # C order, as IS builds it
+        factor = score_fit_mod._kx_factor(model)
+        ell = None if factor is None else score_fit_mod._kx_rows(model, *factor, X_rows).T
+
+        def by_blocks(left, sl, Lt=None):
+            """left @ (Lt @ W), or left @ W, as IS takes it: in blocks of 128
+            draws, and in GEMMs of _GEMM_ROWS rows, the last padded with zeros."""
+            h = score_fit_mod._GEMM_ROWS
+            padded = np.zeros((h, left.shape[1]))
+            padded[:len(left)] = left
+            cols = ref[:, sl]
+            return np.hstack([
+                padded @ (cols[:, lo:hi] if Lt is None else Lt @ cols[:, lo:hi])
+                for lo, hi in score_fit_mod._blocks(cols.shape[1], 128)])[:len(left)]
+
+        full = []
+        for sl, block in cross_T_blocks(model, X_rows, Y_set):
+            if factor is None:
+                assert np.array_equal(block, by_blocks(kxT, sl))
+            else:
+                assert np.array_equal(block, by_blocks(ell, sl, factor[1]))
+            full.append(block)
+        full = np.hstack(full)
+        assert np.all(np.abs(full - kxT @ ref) <= 1e-10 * (np.abs(kxT) @ np.abs(ref)))
+        assert (factor is None) == (case == "cap")
+
+    def test_factor_route_builds_no_k_X(self, monkeypatch):
+        """Beside the pivoting's columns of k_X, the factor route builds only
+        k_X between the pivots and the rows, (m × R), never (R × n)."""
+        model = self.model("p1")
+        X_rows = np.random.default_rng(5).normal(size=(7, 1))
+        shapes = []
+        real = score_fit_mod.kernel_matrix
+
+        def recording(spec, A, B, *args, **kwargs):
+            out = real(spec, A, B, *args, **kwargs)
+            if spec is model.kernel_x:
+                shapes.append(out.shape)
+            return out
+
+        m = len(score_fit_mod._kx_factor(model)[0])
+        monkeypatch.setattr(score_fit_mod, "kernel_matrix", recording)
+        list(cross_T_blocks(model, X_rows, np.zeros((5, 1))))
+        assert shapes == [(1, 1)] + [(1, model.n)] * m + [(m, 7)]
 
 
 class TestWorkerCount:
