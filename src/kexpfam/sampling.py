@@ -18,27 +18,16 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .factorization import JointModel
 from .kernels import kernel_matrix
-from .score_fit import (_WEIGHT_ARRAYS, FactorModel, _as_x_row, _check_memory,
-                        _cross_weights, _scratch_bytes, _T_terms)
+from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_T_bytes,
+                        _T_terms, cross_T_blocks)
 
 _INIT_RETRIES = 100
 _CHAINS = 20  # of hmc_sample_conditional, as in the experimental protocol
 _TRIAL_CAP = 1_000_000
-# Distinct conditioning rows per chunk of the grid pass: one kernel_matrix
-# call for their k_X, then one (chunk, G) density and one (chunk, G) CDF,
-# each computed over the whole chunk at once.
+# Distinct conditioning rows per chunk of the grid pass: one cross_T_blocks
+# call for their T, then one (chunk, G) density and one (chunk, G) CDF, each
+# computed over the whole chunk at once.
 _GRID_ROW_CHUNK = 256
-# Peak bytes of _grid_pass over those of its (n, G) weights plus the larger
-# of their scratch (_scratch_bytes) and 8 (2 C n + 2 C G) bytes, with
-# C = _GRID_ROW_CHUNK: a chunk's k_X (kernel_matrix's result and scratch)
-# and its density and CDF, of which k_X is dropped before the CDF and all
-# before the next chunk.  With 1000 distinct rows, tracemalloc reads 0.77-
-# 0.83 on one worker and 0.89 on 2 or 4 at n = 1024 (G = 131, 257), 0.82-
-# 0.89 at n = 2000, 0.63 at n = 300 and 0.88-0.90 at n = 64 (G = 257, 1025).
-# It bounds _cross_weights alone over its result and scratch, which counts
-# NumPy's ufunc buffers: 0.93-0.99 from n = 300 to 2000 and 0.87-0.89 at
-# n = 64 (G = 131, 257), on 1 and 2 workers.
-_GRID_PEAK_OVER_WEIGHTS = 1.15
 
 
 @dataclass(frozen=True)
@@ -205,8 +194,7 @@ def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
         if t >= config.burn_in and (t - config.burn_in + 1) % config.thin == 0:
             out[:, n_out, :] = y
             n_out += 1
-    accept_rate = accepted / (total_iters * C) if total_iters else 1.0
-    return out, accept_rate
+    return out, accepted / (total_iters * C)
 
 
 def hmc_sample_conditional(model: FactorModel, x, n_samples: int,
@@ -234,35 +222,33 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     to cover the training targets +- 8 sigma_y (the y-kernel bandwidth, the
     scale on which T varies).  Its spacing is at most sigma_y / 8 and its
     node count is odd, so the even nodes form a grid of spacing at most
-    sigma_y / 4.  Raises DataError before allocating when ``_grid_pass``,
-    its (n, nodes) weights and either their scratch or a chunk of
-    k_X rows and the chunk's (rows, nodes) density and CDF, cannot fit in
-    physical memory, as with a tiny sigma_y.
+    sigma_y / 4.  Raises DataError before allocating when ``_grid_pass``
+    cannot fit in physical memory, as with a tiny sigma_y: a chunk's (rows,
+    nodes) density and CDF, and what ``cross_T_blocks`` holds for the chunk.
+    The rank of k_X is unknown before pivoting, so the latter is counted
+    for the exact route, with all n training rows.
     """
     sigma_y = float(factor.kernel_y.bandwidths[0])
     half = 8.0 * factor.base.std
     lo = min(-half, float(factor.y_train.min()) - 8.0 * sigma_y)
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
-    weights = 8 * factor.n * nodes
-    scratch = _scratch_bytes(nodes, factor.n, _WEIGHT_ARRAYS)
-    chunk = 16 * _GRID_ROW_CHUNK * (factor.n + nodes)
-    _check_memory(_GRID_PEAK_OVER_WEIGHTS * (weights + max(scratch, chunk)),
+    _check_memory(16 * _GRID_ROW_CHUNK * nodes
+                  + _cross_T_bytes(factor.n, _GRID_ROW_CHUNK, nodes),
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")
     return np.linspace(lo, hi, nodes)
 
 
-def _grid_density(factor: FactorModel, x_rows: np.ndarray, weights: np.ndarray,
-                  log_q0: np.ndarray, grid: np.ndarray, node_index: int = 0):
+def _grid_density(factor: FactorModel, x_rows: np.ndarray, log_q0: np.ndarray,
+                  grid: np.ndarray, node_index: int = 0):
     """Densities on the grid of a chunk of at most ``_GRID_ROW_CHUNK``
     distinct conditioning rows of a d = 1 factor.
 
-    Row u's log q0(y) + T(x_u, y) takes one matrix-vector product of its
-    k_X row with the (n, G) ``weights`` of ``_cross_weights``, written into
-    row u of a (rows, G) array, so a row's values do not depend on which or
-    how many rows come with it.  The rest runs over the whole array: one
+    log q0(y) + T(x_u, y) fills a (rows, G) array, one block of
+    ``cross_T_blocks`` at a time, so a row's values do not depend on which
+    or how many rows come with it.  The rest runs over the whole array: one
     finiteness check, the density exp(log p - row max) in place, the
     trapezoid CDF as a cumulative sum along each row and the trapezoid sums
     on the even nodes alone.
@@ -272,12 +258,10 @@ def _grid_density(factor: FactorModel, x_rows: np.ndarray, weights: np.ndarray,
     log Z on the even nodes alone| (inf where the even nodes miss the peak
     entirely and hold no mass).
     """
-    kx = kernel_matrix(factor.kernel_x, x_rows, factor.x_train)  # (rows, n)
-    p = np.empty((kx.shape[0], grid.size))
-    for u, kx_row in enumerate(kx):
-        np.matmul(kx_row, weights, out=p[u])
-    del kx, kx_row  # free k_X before the CDF is allocated
-    p += log_q0
+    p = np.empty((x_rows.shape[0], grid.size))
+    for cols, T in cross_T_blocks(factor, x_rows, grid[:, None]):
+        np.add(T, log_q0[cols], out=p[:, cols])
+        del T  # so that the next block, or the CDF, is not allocated beside it
     if not np.isfinite(p).all():
         raise NumericalError(
             f"natural parameter is not finite on the sampling grid "
@@ -327,7 +311,6 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
                         f"has d = {factor.d}")
     grid = _grid_nodes(factor)
     widths = np.diff(grid)
-    weights = _cross_weights(factor, grid[:, None])  # (n, G)
     log_q0 = factor.base.log_pdf_rows(grid[:, None])
     uniq, inverse = np.unique(x_rows, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -339,7 +322,7 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
     for lo in range(0, uniq.shape[0], _GRID_ROW_CHUNK):
         hi = min(lo + _GRID_ROW_CHUNK, uniq.shape[0])
         p, cdf, log_z[lo:hi], gap[lo:hi] = _grid_density(
-            factor, uniq[lo:hi], weights, log_q0, grid, node_index)
+            factor, uniq[lo:hi], log_q0, grid, node_index)
         rows = order[starts[lo]:ends[hi - 1]]  # this chunk's output rows
         which = inverse[rows] - lo  # each one's distinct row in the chunk
         target = uniforms[rows] * cdf[which, -1]
@@ -356,7 +339,7 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(root > 0.0, 2.0 * rest / root, 0.0)
         draws[rows] = grid[i] + np.minimum(step, widths[i])
-        del p, cdf  # free this chunk's arrays before the next chunk's k_X
+        del p, cdf  # free this chunk's arrays before the next chunk's T
     return draws, log_z[inverse], gap[inverse], grid
 
 

@@ -596,11 +596,12 @@ def empirical_score(model, x_eval, y_eval):
 
 def _weights_block(model: FactorModel, a, e, rows: slice, Y_block: np.ndarray,
                    out, kb, vb, tb):
-    """Training ``rows`` of one block of ``_cross_weights`` into ``out``,
-    with scratch ``kb``, ``vb`` and ``tb`` of out's shape.  Each entry comes
-    from the operations of ``kernel_matrix(...) * _weight(V, ..., 0, 0)`` in
-    the same order, bit for bit; the only rewrite is an exact one: -(u/s2)
-    is u/(-s2)."""
+    """k_Y(Y_b, y_s) times T's weight for the training ``rows`` b and the
+    points y_s of ``Y_block`` into ``out``, so that over all rows T(x, y_s)
+    = sum_b k_X(X_b, x) * out[b, s]; ``kb``, ``vb`` and ``tb`` are scratch
+    of out's shape.  Each entry comes from the operations of
+    ``kernel_matrix(...) * _weight(V, ..., 0, 0)`` in the same order, bit
+    for bit; the only rewrite is an exact one: -(u/s2) is u/(-s2)."""
     Y, a, s2 = model.y_train[rows], a[rows], model.kernel_y.variances
     kernel_matrix(model.kernel_y, Y, Y_block, kb, tb)
     # weight = sum_l a_l * (-u_l/s2_l) + e * ((u_l/s2_l)^2 - 1/s2_l)
@@ -616,26 +617,6 @@ def _weights_block(model: FactorModel, a, e, rows: slice, Y_block: np.ndarray,
         if l:
             np.add(out, tb, out=out)
     np.multiply(kb, out, out=out)
-
-
-def _cross_weights(model: FactorModel, Y_set: np.ndarray) -> np.ndarray:
-    """k_Y(Y_b, y_s) times T's weight for every training sample b and point
-    y_s, shape (n, S), so that T(x, y_s) = sum_b k_X(X_b, x) * out[b, s].
-
-    Fills the result through ``_in_blocks``, so the memory beyond it is
-    one capped scratch per worker, whatever S or n, and no entry depends on
-    the blocks, the tiles or the worker count.
-    """
-    a, e = _model_coeffs(model)
-    n, S = model.n, Y_set.shape[0]
-    out = np.empty((n, S))
-
-    def block(lo, hi, tiles):
-        for rows, scratch in tiles:
-            _weights_block(model, a, e, rows, Y_set[lo:hi], out[rows, lo:hi], *scratch)
-
-    _in_blocks(block, S, n, _WEIGHT_ARRAYS)
-    return out
 
 
 def _worker_count() -> int:
@@ -836,6 +817,24 @@ def _kx_rows(model: FactorModel, pivots: list[int], Lt: np.ndarray,
     return E
 
 
+def _cross_T_bytes(n: int, R: int, S: int, Lt: np.ndarray | None = None) -> int:
+    """Bytes that ``cross_T_blocks`` holds for R rows and S points, by
+    arithmetic alone: the factor ``Lt`` (m × n; None on the exact route,
+    where m = n) and the left operand, ℓ(X) or k_X, in whole row tiles;
+    beside it, while it is built, ℓ(X)ᵀ and the substitution's scratch, or
+    kernel_matrix's, and then a chunk's block, the workers' scratch and,
+    with the factor, each worker's M = Lᵀ W."""
+    chunk = min(S, _IS_CHUNK)
+    m = n if Lt is None else Lt.shape[0]
+    height = -(-R // _GEMM_ROWS) * _GEMM_ROWS
+    scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, gemm_rows=R)
+    if Lt is not None:
+        scratch += (_block_plan(chunk, n, _WEIGHT_ARRAYS, R)[0] * m
+                    * _widest(chunk, _CROSS_BLOCK) * 8)
+    return ((0 if Lt is None else Lt.nbytes) + height * m * 8
+            + max(R * m * 8 * (1 if Lt is None else 2), height * chunk * 8 + scratch))
+
+
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     """Yield (slice, block) pairs covering T(x_r, y_s) for all rows and draws.
 
@@ -859,28 +858,20 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     array, beside one capped scratch (and, with the factor, one m × 128
     product Lᵀ W) per worker.  Memory is O(m (n + R)), or O(n R) on the
     exact route, plus that, whatever S.  Before ℓ(X) or k_X is built, those
-    bytes are compared with physical memory, and a DataError names the rows
-    when they do not fit.
+    bytes (``_cross_T_bytes``) are compared with physical memory, and a
+    DataError names the rows when they do not fit.
     """
     X_rows = _as_matrix(X_rows, "X_rows")
     Y_set = _as_matrix(Y_set, "Y_set")
     a, e = _model_coeffs(model)
     (R, _), n, S = X_rows.shape, model.n, Y_set.shape[0]
-    chunk = min(S, _IS_CHUNK)
     factor = _kx_factor(model)
-    m, Lt = (n, None) if factor is None else (len(factor[0]), factor[1])
-    height = -(-R // _GEMM_ROWS) * _GEMM_ROWS  # R rounded up to whole row tiles
-    scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, gemm_rows=R)
-    if Lt is not None:  # each worker's M beside its operand
-        scratch += (_block_plan(chunk, n, _WEIGHT_ARRAYS, R)[0] * m
-                    * _widest(chunk, _CROSS_BLOCK) * 8)
-    # beside the left operand: while it is built, kernel_matrix's scratch, or
-    # ℓ(X)ᵀ and the substitution's scratch; then a chunk's block and scratch
-    _check_memory((0 if Lt is None else Lt.nbytes) + height * m * 8
-                  + max(R * m * 8 * (1 if Lt is None else 2),
-                        height * chunk * 8 + scratch),
-                  f"importance sampling for {R} distinct rows with n = {n}",
+    Lt = None if factor is None else factor[1]
+    _check_memory(_cross_T_bytes(n, R, S, Lt),
+                  f"the natural parameter for {R} distinct rows with n = {n}",
                   "evaluate fewer distinct rows")
+    height = -(-R // _GEMM_ROWS) * _GEMM_ROWS  # R rounded up to whole row tiles
+    m = n if Lt is None else Lt.shape[0]
     left = np.zeros((height, m))  # k_X or ℓ(X), then zero rows
     if Lt is None:
         kernel_matrix(model.kernel_x, X_rows, model.x_train, out=left[:R])

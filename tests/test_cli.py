@@ -351,7 +351,7 @@ class TestFitEvalPipeline:
                     "--out", tmp_path / "big.json"]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "data"
-        assert "importance sampling for" in error["message"]
+        assert "the natural parameter for" in error["message"]
         assert "distinct rows" in error["message"] and "GiB" in error["message"]
         assert not (tmp_path / "big.json").exists()
 

@@ -210,7 +210,7 @@ class TestLogPartition:
             held, build = held + m * n * 8, 2 * build
         need = held + max(build, 64 * chunk * 8 + scratch)
         monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need - 1)
-        with pytest.raises(DataError, match="importance sampling for 40 distinct rows"):
+        with pytest.raises(DataError, match="the natural parameter for 40 distinct rows"):
             evaluation._partition_for_rows(factor, X_rows, S, seed=0)
         monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need)
         evaluation._partition_for_rows(factor, X_rows, S, seed=0)

@@ -10,7 +10,7 @@ import kexpfam.score_fit as score_fit
 from kexpfam.data_io import standardize
 from kexpfam.errors import DataError, NumericalError
 from kexpfam.factorization import NodeHyperparams, fit_joint, make_dag
-from kexpfam.kernels import ConstantKernel, GaussianKernelSpec, kernel_matrix
+from kexpfam.kernels import ConstantKernel, GaussianKernelSpec
 from kexpfam.sampling import (
     GridDatasetConfig,
     GridSamplerConfig,
@@ -23,8 +23,7 @@ from kexpfam.sampling import (
     leapfrog,
     rejection_sample_grid,
 )
-from kexpfam.score_fit import (_CROSS_BLOCK, FactorModel, _cross_weights,
-                               unnorm_logpdf_rows)
+from kexpfam.score_fit import FactorModel, cross_T_blocks, unnorm_logpdf_rows
 
 
 def zero_T_model(d=1):
@@ -44,6 +43,15 @@ def grid_conditional():
     return model.factors[1]
 
 
+@pytest.fixture(scope="module")
+def capped_conditional():
+    """Node 3 of a 4-column full-DAG fit: with three parents at n = 300,
+    pivoting k_X reaches its cap, so T takes the exact k_X route."""
+    raw = rejection_sample_grid(GridDatasetConfig(dim=4, n=300, seed=3))
+    model = fit_joint(standardize(raw), make_dag("full", 4), NodeHyperparams(lam=1e-2))
+    return model.factors[3]
+
+
 def quadrature_cdf(factor, x0, half_width_stds=8.0, points=4097):
     std = factor.base.std
     grid = np.linspace(-half_width_stds * std, half_width_stds * std, points)
@@ -57,20 +65,21 @@ def quadrature_cdf(factor, x0, half_width_stds=8.0, points=4097):
 
 
 def per_row_grid_pass(factor, x_rows, uniforms):
-    """The grid pass as one loop over distinct rows, each row's density,
-    CDF, normalizer and draws computed on their own: the reference that
-    ``_grid_pass``'s whole-chunk steps must match bit for bit."""
+    """The grid pass as one loop over distinct rows, each row's T (from
+    ``cross_T_blocks`` on that row alone), density, CDF, normalizer and
+    draws computed on their own: the reference that ``_grid_pass``'s
+    whole-chunk steps must match bit for bit."""
     grid = _grid_nodes(factor)
     widths = np.diff(grid)
     coarse_widths = grid[2::2] - grid[:-2:2]
-    weights = _cross_weights(factor, grid[:, None])
     log_q0 = factor.base.log_pdf_rows(grid[:, None])
     uniq, inverse = np.unique(x_rows, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     draws, log_z, gap = np.empty(x_rows.shape[0]), np.empty(uniq.shape[0]), np.empty(uniq.shape[0])
-    kx = kernel_matrix(factor.kernel_x, uniq, factor.x_train)
-    for u, kx_row in enumerate(kx):
-        log_p = log_q0 + kx_row @ weights
+    for u in range(uniq.shape[0]):
+        T = np.hstack([block for _, block in
+                       cross_T_blocks(factor, uniq[u:u + 1], grid[:, None])])[0]
+        log_p = log_q0 + T
         top = log_p.max()
         p = np.exp(log_p - top)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * widths)))
@@ -404,12 +413,22 @@ class TestGridSampler:
         _, stats = ancestral_sample(joint_model, 4, return_stats=True)
         assert [e["max_log_z_gap"] for e in stats["per_node"]] == [None, None]
 
-    def test_repeated_rows_match_rows_drawn_alone(self, grid_conditional):
-        x_rows = np.array([[0.3], [-1.0], [0.3], [0.3], [-1.0]])
-        uniforms = np.random.default_rng(8).random(5)
-        draws, log_z, gap, _ = _grid_pass(grid_conditional, x_rows, uniforms)
-        for r in range(5):
-            alone = _grid_pass(grid_conditional, x_rows[r:r + 1], uniforms[r:r + 1])
+    @pytest.mark.parametrize("route", ["factor", "exact"])
+    def test_repeated_rows_match_rows_drawn_alone(self, route, request):
+        """On both routes of ``cross_T_blocks``: the pivoted factor of k_X
+        (one parent), and k_X itself once pivoting reaches its cap (three
+        parents, 150 of the training rows drawn together)."""
+        if route == "factor":
+            factor = request.getfixturevalue("grid_conditional")
+            x_rows = np.array([[0.3], [-1.0], [0.3], [0.3], [-1.0]])
+        else:
+            factor = request.getfixturevalue("capped_conditional")
+            x_rows = factor.x_train[:150]
+        assert (score_fit._kx_factor(factor) is None) == (route == "exact")
+        uniforms = np.random.default_rng(8).random(x_rows.shape[0])
+        draws, log_z, gap, _ = _grid_pass(factor, x_rows, uniforms)
+        for r in range(x_rows.shape[0]):
+            alone = _grid_pass(factor, x_rows[r:r + 1], uniforms[r:r + 1])
             assert (draws[r], log_z[r], gap[r]) == tuple(v[0] for v in alone[:3])
 
     @pytest.mark.parametrize("case", ["repeated rows", "parentless", "missed peak"])
@@ -444,18 +463,19 @@ class TestGridSampler:
     def test_non_finite_T_in_a_later_chunk_names_the_node(self, grid_conditional,
                                                          monkeypatch):
         """The first chunk of 3 distinct rows passes; in the second chunk,
-        the last row's k_X, and so its T, is NaN."""
+        the last row's T is NaN."""
         monkeypatch.setattr(sampling_mod, "_GRID_ROW_CHUNK", 3)
         calls = []
+        real = sampling_mod.cross_T_blocks
 
-        def nan_in_second_chunk(spec, A, B):
-            calls.append(A.shape[0])
-            kx = kernel_matrix(spec, A, B)
-            if len(calls) == 2:
-                kx[-1] = np.nan
-            return kx
+        def nan_in_second_chunk(model, X_rows, Y_set):
+            calls.append(X_rows.shape[0])
+            for cols, T in real(model, X_rows, Y_set):
+                if len(calls) == 2:
+                    T[-1] = np.nan
+                yield cols, T
 
-        monkeypatch.setattr(sampling_mod, "kernel_matrix", nan_in_second_chunk)
+        monkeypatch.setattr(sampling_mod, "cross_T_blocks", nan_in_second_chunk)
         x_rows = np.linspace(-1.0, 1.0, 9)[:, None]
         with pytest.raises(NumericalError, match="at node 4"):
             _grid_pass(grid_conditional, x_rows, np.full(9, 0.5), node_index=4)
@@ -468,43 +488,12 @@ class TestGridSampler:
         ancestral_sample(joint_model, 5, HmcConfig(burn_in=2))
 
     @pytest.mark.parametrize("sigma_y", [1.0, 50.0])
-    def test_preflight_constant_bounds_the_grid_weights(self, sigma_y, monkeypatch):
-        """_GRID_PEAK_OVER_WEIGHTS bounds the traced peak of the grid's
-        weights on a typical grid and on the smallest grid that
-        ``_grid_nodes`` builds, where the scratch blocks weigh most.  At n =
-        1024 the fill pools, and on 1 and 2 workers it holds the scratch
-        that ``_scratch_bytes`` counts: three (341, 128) tile arrays per
-        worker and numpy's buffers."""
-        rng = np.random.default_rng(5)
-        n = 1024
-        model = FactorModel(x_train=rng.normal(size=(n, 1)),
-                            y_train=rng.normal(size=(n, 1)),
-                            kernel_x=GaussianKernelSpec([1.0]),
-                            kernel_y=GaussianKernelSpec([sigma_y]),
-                            lam=1e-2, beta=rng.normal(size=n))
-        grid = _grid_nodes(model)[:, None]
-        G = grid.shape[0]
-        if sigma_y > 1.0:  # the node count's floor of 129 is below two blocks
-            assert G < 2 * _CROSS_BLOCK
-        for workers in (1, 2):
-            monkeypatch.setattr(score_fit, "_worker_count", lambda: workers)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                _cross_weights(model, grid)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            need = n * G * 8 + score_fit._scratch_bytes(G, n, score_fit._WEIGHT_ARRAYS)
-            assert peak <= sampling_mod._GRID_PEAK_OVER_WEIGHTS * need, workers
-
-    @pytest.mark.parametrize("sigma_y", [1.0, 50.0])
     def test_preflight_bounds_the_whole_grid_pass(self, sigma_y, monkeypatch):
-        """The pre-flight estimate of ``_grid_nodes`` bounds the traced peak
-        of the whole pass, whose row loop holds a chunk of k_X rows next to
-        the weights.  An estimate of the weights and ``_cross_weights``'
-        scratch alone is exceeded 1.24 times at G = 257 and 1.30 at G = 131."""
+        """The one pre-flight of ``_grid_nodes``, a chunk's density and CDF
+        and what ``cross_T_blocks`` holds for a chunk on the exact route,
+        bounds the traced peak of the whole pass.  This model takes the
+        factor route (rank 23), and the pass peaks at 0.60-0.70 of the
+        count; a capped model at n = 1024 peaks at 0.92-0.96."""
         rng = np.random.default_rng(5)
         n = 1024
         model = FactorModel(x_train=rng.normal(size=(n, 1)),
@@ -514,7 +503,7 @@ class TestGridSampler:
                             lam=1e-2, beta=1e-3 * rng.normal(size=n))
         rows = 4 * sampling_mod._GRID_ROW_CHUNK  # all distinct
         x_rows, uniforms = rng.normal(size=(rows, 1)), rng.uniform(size=rows)
-        for workers in (1, 2):  # the weights' fill pools at n = 1024
+        for workers in (1, 2):  # cross_T_blocks pools at n = 1024
             monkeypatch.setattr(score_fit, "_worker_count", lambda: workers)
             checked = []
             monkeypatch.setattr(sampling_mod, "_check_memory",
@@ -540,13 +529,13 @@ class TestGridSampler:
             _grid_nodes(model)
 
     def test_non_finite_T_names_the_node(self, joint_model, monkeypatch):
-        real = sampling_mod._cross_weights
+        real = sampling_mod.cross_T_blocks
 
-        def broken(model, Y_set):
-            w = real(model, Y_set)
-            return np.full_like(w, np.inf) if model is joint_model.factors[1] else w
+        def broken(model, X_rows, Y_set):
+            for cols, T in real(model, X_rows, Y_set):
+                yield cols, np.full_like(T, np.inf) if model is joint_model.factors[1] else T
 
-        monkeypatch.setattr(sampling_mod, "_cross_weights", broken)
+        monkeypatch.setattr(sampling_mod, "cross_T_blocks", broken)
         with pytest.raises(NumericalError, match="node 1"):
             ancestral_sample(joint_model, 5)
 

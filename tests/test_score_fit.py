@@ -25,7 +25,6 @@ from kexpfam.score_fit import (
     BaseDensity,
     FactorModel,
     GramSystem,
-    _cross_weights,
     _pair_sums,
     _ridge_solve,
     _T_terms,
@@ -1005,7 +1004,8 @@ class TestCrossTBlocks:
 
 
 class TestCrossWeights:
-    """The column-blocked, buffered weights against the unblocked expression
+    """The buffered weights, and the blocks of T that IS and the grid
+    sampler take from them, against the unblocked expression
     ref_kernel(...) * ref_weight(...), bit for bit."""
 
     @staticmethod
@@ -1022,7 +1022,10 @@ class TestCrossWeights:
         S = 2 * score_fit_mod._CROSS_BLOCK + 37  # ends on a partial block
         Y_set = 2.0 * rng.normal(size=(S, d))
         ref = self.reference(model, Y_set)
-        assert np.array_equal(_cross_weights(model, Y_set), ref)
+        a, e = score_fit_mod._model_coeffs(model)
+        out, *scratch = np.empty((4, 9, S))
+        score_fit_mod._weights_block(model, a, e, slice(0, 9), Y_set, out, *scratch)
+        assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("chunk", [300, 2048])
     @pytest.mark.parametrize("p", [0, 2])
@@ -1291,7 +1294,7 @@ class TestWorkerCount:
         assert tile(100, 5) == 100
         assert tile(2000, 5) == tile(10**6, 5) == 204
         assert tile(2000, 7) == 146
-        assert tile(2000, 3) == tile(2000, 3, gemm_rows=500) == 341  # grid weights, IS
+        assert tile(2000, 3) == tile(2000, 3, gemm_rows=500) == 341  # cross_T_blocks
         assert tile(2000, 5, size=129) == 203  # the joined block of 129 columns
         assert tile(10**6, 5, size=1) == 10**6
         assert (score_fit_mod._scratch_bytes(1000, 2000, 3, gemm_rows=500)
@@ -1304,10 +1307,10 @@ class TestWorkerCount:
         other calls take the tiles that the same cap gives their arrays)
         and tiles of all n rows give the same bytes: G, h and beta, T's
         value, grad and second (also at one row, a 1-column block that stays
-        one tile), the score of 1 and of 8 models, the grid weights and
-        every IS block.  n = 19 * 7 + 1, so the assembly's last
-        7-row tile has one row next to the carried sum, as every tile of 1
-        row does; the tiled runs take 2 workers."""
+        one tile), the score of 1 and of 8 models and every IS block.  n =
+        19 * 7 + 1, so the assembly's last 7-row tile has one row next to
+        the carried sum, as every tile of 1 row does; the tiled runs take 2
+        workers."""
         n, R = 134, 300
         X, Y, kx, ky, _ = random_instance(rng, n, d, 2)
         lams = np.geomspace(1e-3, 1.0, 8)
@@ -1321,7 +1324,6 @@ class TestWorkerCount:
                     *score_fit_mod._T_terms(models[0], X_eval[:1], Y_eval[:1], True, True, True),
                     np.array([empirical_score(models[0], X_eval, Y_eval)]),
                     np.array(empirical_score(models, X_eval, Y_eval)),
-                    _cross_weights(models[0], Y_eval),
                     *(block for _, block in cross_T_blocks(models[0], X_eval, Y_eval))]
 
         monkeypatch.setattr(score_fit_mod, "_WORKER_SCRATCH", 2**40)
