@@ -18,15 +18,15 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .factorization import JointModel
 from .kernels import kernel_matrix
-from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_T_bytes,
-                        _T_terms, cross_T_blocks)
+from .score_fit import (FactorModel, _as_x_row, _check_memory, _cross_T,
+                        _cross_T_bytes, _T_terms)
 
 _INIT_RETRIES = 100
 _CHAINS = 20  # of hmc_sample_conditional, as in the experimental protocol
 _TRIAL_CAP = 1_000_000
-# Distinct conditioning rows per chunk of the grid pass: one cross_T_blocks
-# call for their T, then one (chunk, G) density and one (chunk, G) CDF, each
-# computed over the whole chunk at once.
+# Distinct conditioning rows per chunk of the grid pass: one call of the
+# node's prepared cross_T_blocks for their T, then one (chunk, G) density
+# and one (chunk, G) CDF, each computed over the whole chunk at once.
 _GRID_ROW_CHUNK = 256
 
 
@@ -241,13 +241,14 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     return np.linspace(lo, hi, nodes)
 
 
-def _grid_density(factor: FactorModel, x_rows: np.ndarray, log_q0: np.ndarray,
+def _grid_density(T_blocks, x_rows: np.ndarray, log_q0: np.ndarray,
                   grid: np.ndarray, node_index: int = 0):
     """Densities on the grid of a chunk of at most ``_GRID_ROW_CHUNK``
-    distinct conditioning rows of a d = 1 factor.
+    distinct conditioning rows of a d = 1 factor, whose ``cross_T_blocks``
+    ``_cross_T`` prepared as ``T_blocks``.
 
     log q0(y) + T(x_u, y) fills a (rows, G) array, one block of
-    ``cross_T_blocks`` at a time, so a row's values do not depend on which
+    ``T_blocks`` at a time, so a row's values do not depend on which
     or how many rows come with it.  The rest runs over the whole array: one
     finiteness check, the density exp(log p - row max) in place, the
     trapezoid CDF as a cumulative sum along each row and the trapezoid sums
@@ -259,7 +260,7 @@ def _grid_density(factor: FactorModel, x_rows: np.ndarray, log_q0: np.ndarray,
     entirely and hold no mass).
     """
     p = np.empty((x_rows.shape[0], grid.size))
-    for cols, T in cross_T_blocks(factor, x_rows, grid[:, None]):
+    for cols, T in T_blocks(x_rows, grid[:, None]):
         np.add(T, log_q0[cols], out=p[:, cols])
         del T  # so that the next block, or the CDF, is not allocated beside it
     if not np.isfinite(p).all():
@@ -296,10 +297,12 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
     ``_grid_nodes``.  Between nodes the density is taken as linear, so the
     trapezoid rule is its exact integral, and the draw for ``uniforms[r]``
     solves one quadratic in the cell that holds that fraction of the mass.
-    Rows with equal conditioning values share one density.  The distinct
-    rows go through ``_grid_density`` in chunks of ``_GRID_ROW_CHUNK``; then
-    each distinct row takes one binary search for all of its uniforms, and
-    the quadratic runs once over the chunk's output rows.  Every step is
+    Rows with equal conditioning values share one density.  The factor's
+    ``cross_T_blocks`` is prepared once (``_cross_T``: one pivoting of k_X),
+    and the distinct rows go through ``_grid_density`` in chunks of
+    ``_GRID_ROW_CHUNK``; then each distinct row takes one binary search for
+    all of its uniforms, and the quadratic runs once over the chunk's output
+    rows.  Every step is
     element-wise or along one row, so a row's values do not depend on which
     or how many rows are computed together, or on the row chunk.
 
@@ -312,6 +315,7 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
     grid = _grid_nodes(factor)
     widths = np.diff(grid)
     log_q0 = factor.base.log_pdf_rows(grid[:, None])
+    T_blocks = _cross_T(factor)
     uniq, inverse = np.unique(x_rows, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     order = np.argsort(inverse, kind="stable")  # rows grouped by distinct row
@@ -322,7 +326,7 @@ def _grid_pass(factor: FactorModel, x_rows: np.ndarray, uniforms: np.ndarray,
     for lo in range(0, uniq.shape[0], _GRID_ROW_CHUNK):
         hi = min(lo + _GRID_ROW_CHUNK, uniq.shape[0])
         p, cdf, log_z[lo:hi], gap[lo:hi] = _grid_density(
-            factor, uniq[lo:hi], log_q0, grid, node_index)
+            T_blocks, uniq[lo:hi], log_q0, grid, node_index)
         rows = order[starts[lo]:ends[hi - 1]]  # this chunk's output rows
         which = inverse[rows] - lo  # each one's distinct row in the chunk
         target = uniforms[rows] * cdf[which, -1]

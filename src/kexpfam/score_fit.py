@@ -32,7 +32,7 @@ RESIDUAL_RTOL = 1e-8
 
 _CROSS_BLOCK = 128  # columns per block of every buffered kernel sum, at most
 _IS_CHUNK = 2048  # draws per block that cross_T_blocks yields
-_WEIGHT_ARRAYS = 3  # scratch arrays per worker of _weights_block
+_WEIGHT_ARRAYS = 2  # scratch arrays per worker of cross_T_blocks
 # Blocks whose work, rows times (1 + the rows of the GEMM each takes), is
 # less run on one thread.  On 2 CPUs, two threads assembled an n = 400
 # system (CV's folds) in 7.5 ms against 4.7 ms for one, tied at n = 1000 and
@@ -53,6 +53,14 @@ _WORKER_BUFFERS = 2 * 8 * np.getbufsize() + 2**16
 # gives the factor up at n // _RANK_CAP pivots.
 _PIVOT_RTOL = 1e-13
 _RANK_CAP = 8
+# A factor of rank m at most _STACK_RANK takes T's weight through one
+# stacked GEMM of k_Y per block of draws (see _cross_T): (d + 2) m
+# multiply-adds per (training row, draw) pair in place of m and the weight's
+# 2d + 2 elementwise passes, so the break-even is a rank, whatever d.  At
+# n = 2000, 500 rows and 4096 draws, one BLAS thread, the stacked route took
+# 0.80-0.95 of the other's time up to m = 32 and 1.06-1.18 from m = 37 at
+# d = 1; at d = 2 and 3 the two tied near m = 36 and m = 40.
+_STACK_RANK = 32
 # Every GEMM of cross_T_blocks takes this many rows, the last tile padded
 # with zero rows: OpenBLAS picks its kernel by the sizes (a matrix-vector
 # product for one row, a small-matrix kernel for few), and kernels differ
@@ -594,31 +602,6 @@ def empirical_score(model, x_eval, y_eval):
     return scores if many else scores[0]
 
 
-def _weights_block(model: FactorModel, a, e, rows: slice, Y_block: np.ndarray,
-                   out, kb, vb, tb):
-    """k_Y(Y_b, y_s) times T's weight for the training ``rows`` b and the
-    points y_s of ``Y_block`` into ``out``, so that over all rows T(x, y_s)
-    = sum_b k_X(X_b, x) * out[b, s]; ``kb``, ``vb`` and ``tb`` are scratch
-    of out's shape.  Each entry comes from the operations of
-    ``kernel_matrix(...) * _weight(V, ..., 0, 0)`` in the same order, bit
-    for bit; the only rewrite is an exact one: -(u/s2) is u/(-s2)."""
-    Y, a, s2 = model.y_train[rows], a[rows], model.kernel_y.variances
-    kernel_matrix(model.kernel_y, Y, Y_block, kb, tb)
-    # weight = sum_l a_l * (-u_l/s2_l) + e * ((u_l/s2_l)^2 - 1/s2_l)
-    for l in range(model.d):
-        term = out if l == 0 else tb
-        np.subtract(Y[:, l, None], Y_block[None, :, l], out=vb)
-        np.divide(vb, -s2[l], out=vb)
-        np.multiply(a[:, l, None], vb, out=term)
-        np.multiply(vb, vb, out=vb)
-        np.subtract(vb, 1.0 / s2[l], out=vb)
-        np.multiply(e, vb, out=vb)
-        np.add(term, vb, out=term)
-        if l:
-            np.add(out, tb, out=out)
-    np.multiply(kb, out, out=out)
-
-
 def _worker_count() -> int:
     """CPUs this process may run on: its affinity mask, where the OS has one."""
     try:
@@ -817,22 +800,106 @@ def _kx_rows(model: FactorModel, pivots: list[int], Lt: np.ndarray,
     return E
 
 
-def _cross_T_bytes(n: int, R: int, S: int, Lt: np.ndarray | None = None) -> int:
+def _cross_T_bytes(n: int, R: int, S: int, Lt: np.ndarray | None = None,
+                   stack: np.ndarray | None = None) -> int:
     """Bytes that ``cross_T_blocks`` holds for R rows and S points, by
     arithmetic alone: the factor ``Lt`` (m × n; None on the exact route,
-    where m = n) and the left operand, ℓ(X) or k_X, in whole row tiles;
-    beside it, while it is built, ℓ(X)ᵀ and the substitution's scratch, or
-    kernel_matrix's, and then a chunk's block, the workers' scratch and,
-    with the factor, each worker's M = Lᵀ W."""
+    where m = n) and its ``stack`` (None off the stacked route) and the left
+    operand, ℓ(X) or k_X, in whole row tiles; beside it, while it is built,
+    ℓ(X)ᵀ and the substitution's scratch, or kernel_matrix's, and then a
+    chunk's block, the workers' scratch and, with the factor, each worker's
+    M = Lᵀ W or P = stack @ k_Y."""
     chunk = min(S, _IS_CHUNK)
     m = n if Lt is None else Lt.shape[0]
     height = -(-R // _GEMM_ROWS) * _GEMM_ROWS
     scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, gemm_rows=R)
+    held = height * m * 8
     if Lt is not None:
-        scratch += (_block_plan(chunk, n, _WEIGHT_ARRAYS, R)[0] * m
+        product = m if stack is None else stack.shape[0]
+        scratch += (_block_plan(chunk, n, _WEIGHT_ARRAYS, R)[0] * product
                     * _widest(chunk, _CROSS_BLOCK) * 8)
-    return ((0 if Lt is None else Lt.nbytes) + height * m * 8
-            + max(R * m * 8 * (1 if Lt is None else 2), height * chunk * 8 + scratch))
+        held += Lt.nbytes + (0 if stack is None else stack.nbytes)
+    return held + max(R * m * 8 * (1 if Lt is None else 2), height * chunk * 8 + scratch)
+
+
+def _cross_T(model: FactorModel):
+    """``cross_T_blocks`` for one model, prepared once: returns blocks(X_rows,
+    Y_set), which yields that call's blocks, so that a caller with several
+    sets of rows (the grid sampler's chunks) pivots k_X once.
+
+    T's weight at (Y_b, y) is a quadratic in y, w_b(y) = c0_b + Σ_l c1_bl y_l
+    + e q(y) with q(y) = Σ_l (y_l / s2_l)², so T(x, y) = Σ_b k_X(x, X_b)
+    k_Y(Y_b, y) w_b(y) takes its per-row coefficients once per model.  With
+    the factor L of k_X at rank m ≤ ``_STACK_RANK``, Lᵀ W for a block of
+    draws is P₀ + Σ_l y_l P₁ₗ + q(y) P₂ over the blocks P of one GEMM of the
+    stack [Lᵀ∘c0; Lᵀ∘c1_l …; e Lᵀ] with k_Y, and no weight is formed.
+    Otherwise W = k_Y ∘ (Σ_l c1_l y_l + c0 + e q) in four elementwise
+    passes for d = 1, and Lᵀ W or, at the cap, W itself is the block's M.
+    """
+    a, e = _model_coeffs(model)
+    Y, s2, (n, d) = model.y_train, model.kernel_y.variances, model.y_train.shape
+    V = Y / s2
+    c0 = np.sum(-a * V + e * (V * V - 1.0 / s2), axis=1)
+    c1 = a / s2 - 2.0 * e * V / s2
+    factor = _kx_factor(model)
+    Lt = None if factor is None else factor[1]
+    m = n if Lt is None else Lt.shape[0]
+    stack = None
+    if Lt is not None and m <= _STACK_RANK:
+        stack = np.concatenate([Lt * c0, *(Lt * c1[:, l] for l in range(d)), e * Lt])
+
+    def blocks(X_rows, Y_set):
+        X_rows = _as_matrix(X_rows, "X_rows")
+        Y_set = _as_matrix(Y_set, "Y_set")
+        R, S = X_rows.shape[0], Y_set.shape[0]
+        _check_memory(_cross_T_bytes(n, R, S, Lt, stack),
+                      f"the natural parameter for {R} distinct rows with n = {n}",
+                      "evaluate fewer distinct rows")
+        height = -(-R // _GEMM_ROWS) * _GEMM_ROWS  # R rounded up to whole row tiles
+        left = np.zeros((height, m))  # k_X or ℓ(X), then zero rows
+        if Lt is None:
+            kernel_matrix(model.kernel_x, X_rows, model.x_train, out=left[:R])
+        else:
+            left[:R] = _kx_rows(model, *factor, X_rows).T
+        row_tiles = [slice(t, t + _GEMM_ROWS) for t in range(0, height, _GEMM_ROWS)]
+        for lo in range(0, S, _IS_CHUNK):
+            hi = min(lo + _IS_CHUNK, S)
+            block = np.empty((height, hi - lo))
+
+            def gemm_block(b_lo, b_hi, tiles):  # k_Y into the operand K, then GEMMs
+                y = Y_set[lo + b_lo:lo + b_hi]
+                v = y / s2
+                q = v[:, 0] * v[:, 0]
+                for l in range(1, d):
+                    q += v[:, l] * v[:, l]
+                eq = e * q
+                for rows, (K, poly, term) in tiles:
+                    kernel_matrix(model.kernel_y, Y[rows], y, K[rows], poly)
+                    if stack is None:  # W = k_Y ∘ (Σ_l c1_l y_l + c0 + e q)
+                        np.multiply(c1[rows, 0, None], y[None, :, 0], out=poly)
+                        for l in range(1, d):
+                            np.multiply(c1[rows, l, None], y[None, :, l], out=term)
+                            np.add(poly, term, out=poly)
+                        np.add(poly, c0[rows, None], out=poly)
+                        np.add(poly, eq, out=poly)
+                        np.multiply(K[rows], poly, out=K[rows])
+                if stack is None:
+                    M = K if Lt is None else Lt @ K
+                else:  # M = P₀ + Σ_l y_l P₁ₗ + q P₂, in P's own rows
+                    P = stack @ K
+                    M = P[:m]
+                    for l in range(d + 1):
+                        part = P[(l + 1) * m:(l + 2) * m]
+                        np.multiply(part, y[:, l] if l < d else q, out=part)
+                        np.add(M, part, out=M)
+                for t in row_tiles:
+                    np.matmul(left[t], M, out=block[t, b_lo:b_hi])
+
+            _in_blocks(gemm_block, hi - lo, n, _WEIGHT_ARRAYS, gemm_rows=R)
+            yield slice(lo, hi), block[:R]
+            del block  # the caller drops its reference too: one block at a time
+
+    return blocks
 
 
 def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
@@ -841,54 +908,25 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     X_rows is (R, p) and Y_set is (S, d); each block is a fresh (R, width)
     array for a chunk of at most ``_IS_CHUNK`` draws, and column s of the
     full matrix corresponds to draw Y_set[s].  Each chunk is one
-    ``_in_blocks`` call: a block of draws computes its weights W, tile by
-    tile of training rows, into its full-height operand, and then its
-    columns of T, bit for bit the same on any worker count.
+    ``_in_blocks`` call: a block of draws computes k_Y, tile by tile of
+    training rows, into its full-height operand, and then its columns of T,
+    bit for bit the same on any worker count.
 
     T is ℓ(X) @ (Lᵀ W), with the pivoted Cholesky factor L of k_X from
     ``_kx_factor`` (rank m, at most n // 8) and ℓ(X) (R × m) from
-    ``_kx_rows``; k_X (R × n) is not built.  A model whose pivoting reaches
-    the cap takes k_X @ W.  The route depends on the model alone, and every
-    GEMM of the left operand takes ``_GEMM_ROWS`` rows of it, the last tile
-    padded with zero rows, so a row's values do not depend on the other
-    rows of the call.
+    ``_kx_rows``; k_X (R × n) is not built.  Lᵀ W comes from one stacked
+    GEMM of k_Y at low rank, or from the weights W (``_cross_T``).  A model
+    whose pivoting reaches the cap takes k_X @ W.  The route depends on the
+    model alone (its d and m), and every GEMM of the left operand takes
+    ``_GEMM_ROWS`` rows of it, the last tile padded with zero rows, so a
+    row's values do not depend on the other rows of the call.
 
     A chunk has at most ``_IS_CHUNK / _CROSS_BLOCK`` blocks, so the workers'
     operands together stay within the bytes of one (n, ``_IS_CHUNK``)
-    array, beside one capped scratch (and, with the factor, one m × 128
-    product Lᵀ W) per worker.  Memory is O(m (n + R)), or O(n R) on the
-    exact route, plus that, whatever S.  Before ℓ(X) or k_X is built, those
-    bytes (``_cross_T_bytes``) are compared with physical memory, and a
-    DataError names the rows when they do not fit.
+    array, beside one capped scratch (and, with the factor, one product M
+    or P of 128 columns) per worker.  Memory is O(m (n + R)), or O(n R) on
+    the exact route, plus that, whatever S.  Before ℓ(X) or k_X is built,
+    those bytes (``_cross_T_bytes``) are compared with physical memory, and
+    a DataError names the rows when they do not fit.
     """
-    X_rows = _as_matrix(X_rows, "X_rows")
-    Y_set = _as_matrix(Y_set, "Y_set")
-    a, e = _model_coeffs(model)
-    (R, _), n, S = X_rows.shape, model.n, Y_set.shape[0]
-    factor = _kx_factor(model)
-    Lt = None if factor is None else factor[1]
-    _check_memory(_cross_T_bytes(n, R, S, Lt),
-                  f"the natural parameter for {R} distinct rows with n = {n}",
-                  "evaluate fewer distinct rows")
-    height = -(-R // _GEMM_ROWS) * _GEMM_ROWS  # R rounded up to whole row tiles
-    m = n if Lt is None else Lt.shape[0]
-    left = np.zeros((height, m))  # k_X or ℓ(X), then zero rows
-    if Lt is None:
-        kernel_matrix(model.kernel_x, X_rows, model.x_train, out=left[:R])
-    else:
-        left[:R] = _kx_rows(model, *factor, X_rows).T
-    row_tiles = [slice(t, t + _GEMM_ROWS) for t in range(0, height, _GEMM_ROWS)]
-    for lo in range(0, S, _IS_CHUNK):
-        hi = min(lo + _IS_CHUNK, S)
-        block = np.empty((height, hi - lo))
-
-        def gemm_block(b_lo, b_hi, tiles):  # weights into the operand W, then GEMMs
-            for rows, (W, *scratch) in tiles:
-                _weights_block(model, a, e, rows, Y_set[lo + b_lo:lo + b_hi], W[rows], *scratch)
-            M = W if Lt is None else Lt @ W
-            for t in row_tiles:
-                np.matmul(left[t], M, out=block[t, b_lo:b_hi])
-
-        _in_blocks(gemm_block, hi - lo, n, _WEIGHT_ARRAYS, gemm_rows=R)
-        yield slice(lo, hi), block[:R]
-        del block  # the caller drops its reference too: one block at a time
+    yield from _cross_T(model)(X_rows, Y_set)

@@ -178,7 +178,8 @@ class TestLogPartition:
         operand, R rows padded to a whole 64-row tile of m columns (the
         factor's rank, 20 here at a cap of 37), beside, in turn, ℓ(X)ᵀ and
         the substitution's scratch, or one padded (64, chunk) block, the
-        workers' scratch and each worker's M; and L.  One byte less is a
+        workers' scratch and each worker's P, the (3m, 128) GEMM of the
+        stacked route; and L and the (3m, n) stack.  One byte less is a
         DataError that names the distinct rows, and the count itself runs."""
         self.check_preflight(monkeypatch, bandwidth=1.0)
 
@@ -202,12 +203,13 @@ class TestLogPartition:
         kx_factor = score_fit_mod._kx_factor(factor)
         assert (kx_factor is None) == (bandwidth < 1)
         m = n if kx_factor is None else len(kx_factor[0])
-        scratch = score_fit_mod._scratch_bytes(chunk, n, 3, gemm_rows=R)
+        scratch = score_fit_mod._scratch_bytes(chunk, n, 2, gemm_rows=R)
         held, build = 64 * m * 8, R * m * 8
         if kx_factor is not None:
-            workers = score_fit_mod._block_plan(chunk, n, 3, R)[0]
-            scratch += workers * m * 128 * 8
-            held, build = held + m * n * 8, 2 * build
+            assert m <= score_fit_mod._STACK_RANK
+            workers = score_fit_mod._block_plan(chunk, n, 2, R)[0]
+            scratch += workers * 3 * m * 128 * 8
+            held, build = held + 4 * m * n * 8, 2 * build
         need = held + max(build, 64 * chunk * 8 + scratch)
         monkeypatch.setattr(score_fit_mod, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(DataError, match="the natural parameter for 40 distinct rows"):

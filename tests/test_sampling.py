@@ -466,20 +466,35 @@ class TestGridSampler:
         the last row's T is NaN."""
         monkeypatch.setattr(sampling_mod, "_GRID_ROW_CHUNK", 3)
         calls = []
-        real = sampling_mod.cross_T_blocks
+        real = sampling_mod._cross_T
 
-        def nan_in_second_chunk(model, X_rows, Y_set):
-            calls.append(X_rows.shape[0])
-            for cols, T in real(model, X_rows, Y_set):
-                if len(calls) == 2:
-                    T[-1] = np.nan
-                yield cols, T
+        def nan_in_second_chunk(model):
+            T_blocks = real(model)
 
-        monkeypatch.setattr(sampling_mod, "cross_T_blocks", nan_in_second_chunk)
+            def blocks(X_rows, Y_set):
+                calls.append(X_rows.shape[0])
+                for cols, T in T_blocks(X_rows, Y_set):
+                    if len(calls) == 2:
+                        T[-1] = np.nan
+                    yield cols, T
+            return blocks
+
+        monkeypatch.setattr(sampling_mod, "_cross_T", nan_in_second_chunk)
         x_rows = np.linspace(-1.0, 1.0, 9)[:, None]
         with pytest.raises(NumericalError, match="at node 4"):
             _grid_pass(grid_conditional, x_rows, np.full(9, 0.5), node_index=4)
         assert calls == [3, 3]
+
+    def test_each_node_pivots_k_X_once(self, joint_model, monkeypatch):
+        """The grid pass prepares a node's ``cross_T_blocks`` once: with more
+        distinct parent rows than one chunk of 256, k_X is still pivoted
+        once per node."""
+        pivoted = []
+        real = score_fit._kx_factor
+        monkeypatch.setattr(score_fit, "_kx_factor",
+                            lambda model: pivoted.append(model) or real(model))
+        ancestral_sample(joint_model, 2 * sampling_mod._GRID_ROW_CHUNK + 1)
+        assert sorted(map(id, pivoted)) == sorted(map(id, joint_model.factors))
 
     def test_grid_too_large_for_memory_is_data_error(self, joint_model, monkeypatch):
         monkeypatch.setattr(score_fit, "_physical_memory_bytes", lambda: 1024)
@@ -529,13 +544,18 @@ class TestGridSampler:
             _grid_nodes(model)
 
     def test_non_finite_T_names_the_node(self, joint_model, monkeypatch):
-        real = sampling_mod.cross_T_blocks
+        real = sampling_mod._cross_T
 
-        def broken(model, X_rows, Y_set):
-            for cols, T in real(model, X_rows, Y_set):
-                yield cols, np.full_like(T, np.inf) if model is joint_model.factors[1] else T
+        def broken(model):
+            T_blocks = real(model)
 
-        monkeypatch.setattr(sampling_mod, "cross_T_blocks", broken)
+            def blocks(X_rows, Y_set):
+                for cols, T in T_blocks(X_rows, Y_set):
+                    broken_node = model is joint_model.factors[1]
+                    yield cols, np.full_like(T, np.inf) if broken_node else T
+            return blocks
+
+        monkeypatch.setattr(sampling_mod, "_cross_T", broken)
         with pytest.raises(NumericalError, match="node 1"):
             ancestral_sample(joint_model, 5)
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import sys
 import threading
@@ -214,6 +215,60 @@ def ref_gram_system(X, Y, kernel_x, kernel_y, base):
                  axis=1)
     return 0.5 * (G + G.T), h.reshape(-1)
 
+
+
+def form_coefficients(model):
+    """(c0, c1, e) of T's weight as a quadratic in y: w_b(y) = c0_b +
+    sum_l c1_bl y_l + e q(y), with q(y) = sum_l (y_l / s2_l)^2."""
+    a, e = score_fit_mod._model_coeffs(model)
+    s2 = model.kernel_y.variances
+    V = model.y_train / s2
+    return np.sum(-a * V + e * (V * V - 1.0 / s2), axis=1), a / s2 - 2.0 * e * V / s2, e
+
+
+def cross_T_reference(model, X_rows, Y_set, sl):
+    """The block that ``cross_T_blocks`` yields for the draws Y_set[sl], bit
+    for bit: k_Y and the weight's terms over whole arrays, then, for each
+    block of 128 draws of the chunk, the route's M (the stacked GEMM P0 +
+    sum_l y_l P1l + q P2 at rank m <= _STACK_RANK, Lt @ W above it, W at the
+    cap) and the GEMMs of the left operand in 64-row tiles, the last padded
+    with zero rows."""
+    c0, c1, e = form_coefficients(model)
+    d, Y = model.d, Y_set[sl]
+    v = Y / model.kernel_y.variances
+    q = v[:, 0] * v[:, 0]
+    for l in range(1, d):
+        q = q + v[:, l] * v[:, l]
+    ky = ref_kernel(model.kernel_y, model.y_train, Y)
+    factor = score_fit_mod._kx_factor(model)
+    if factor is None:
+        left, Lt = kernel_matrix(model.kernel_x, X_rows, model.x_train), None
+    else:
+        left, Lt = score_fit_mod._kx_rows(model, *factor, X_rows).T, factor[1]
+    stacked = Lt is not None and len(Lt) <= score_fit_mod._STACK_RANK
+    if stacked:
+        m = len(Lt)
+        stack = np.concatenate([Lt * c0, *(Lt * c1[:, l] for l in range(d)), e * Lt])
+    else:
+        poly = c1[:, 0, None] * Y[None, :, 0]
+        for l in range(1, d):
+            poly = poly + c1[:, l, None] * Y[None, :, l]
+        W = ky * (poly + c0[:, None] + e * q)
+    h = score_fit_mod._GEMM_ROWS
+    padded = np.zeros((-(-len(left) // h) * h, left.shape[1]))
+    padded[:len(left)] = left
+    out = []
+    for lo, hi in score_fit_mod._blocks(Y.shape[0], 128):
+        if stacked:
+            P = stack @ ky[:, lo:hi]
+            M = P[:m]
+            for l in range(d):
+                M = M + P[(l + 1) * m:(l + 2) * m] * Y[lo:hi, l]
+            M = M + P[(d + 1) * m:] * q[lo:hi]
+        else:
+            M = W[:, lo:hi] if Lt is None else Lt @ W[:, lo:hi]
+        out.append(np.vstack([padded[t:t + h] @ M for t in range(0, len(padded), h)]))
+    return np.hstack(out)[:len(left)]
 
 class TestBuildGram:
     def test_single_point_unit_bandwidth(self):
@@ -1004,28 +1059,17 @@ class TestCrossTBlocks:
 
 
 class TestCrossWeights:
-    """The buffered weights, and the blocks of T that IS and the grid
-    sampler take from them, against the unblocked expression
-    ref_kernel(...) * ref_weight(...), bit for bit."""
+    """The blocks of T that IS and the grid sampler take from
+    ``cross_T_blocks``, bit for bit against ``cross_T_reference`` on each
+    route, and within a tolerance of k_X @ (k_Y * weight) from the
+    unblocked expression ref_kernel(...) * ref_weight(...)."""
 
     @staticmethod
-    def reference(model, Y_set):
+    def weights(model, Y_set):
         a, e = score_fit_mod._model_coeffs(model)
         return (ref_kernel(model.kernel_y, model.y_train, Y_set)
                 * ref_weight(ref_diffs(model.y_train, Y_set),
                              model.kernel_y.variances, a, e, 0, 0))
-
-    @pytest.mark.parametrize("p", [0, 2])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_bit_identical_to_unblocked_weights(self, rng, d, p):
-        model = fit_random(rng, n=9, d=d, p=p, lam=0.05)
-        S = 2 * score_fit_mod._CROSS_BLOCK + 37  # ends on a partial block
-        Y_set = 2.0 * rng.normal(size=(S, d))
-        ref = self.reference(model, Y_set)
-        a, e = score_fit_mod._model_coeffs(model)
-        out, *scratch = np.empty((4, 9, S))
-        score_fit_mod._weights_block(model, a, e, slice(0, 9), Y_set, out, *scratch)
-        assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("chunk", [300, 2048])
     @pytest.mark.parametrize("p", [0, 2])
@@ -1033,11 +1077,12 @@ class TestCrossWeights:
     def test_cross_T_blocks_are_gemms_of_the_reference(self, rng, monkeypatch,
                                                        d, p, chunk):
         """At n = 9 the cap is one pivot: the constant k_X of a parentless
-        model is rank 1 and takes the factor route, 2 parents take k_X."""
+        model is rank 1 and takes the stacked factor route, 2 parents take
+        k_X."""
         model = fit_random(rng, n=9, d=d, p=p, lam=0.05)
         S = 2 * chunk + 41  # the last chunk is partial, and so is its last block
         X_rows, Y_set = rng.normal(size=(4, p)), 2.0 * rng.normal(size=(S, d))
-        ref = self.reference(model, Y_set)
+        W = self.weights(model, Y_set)
         kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
         factor = score_fit_mod._kx_factor(model)
         assert (factor is None) == (p > 0)
@@ -1048,13 +1093,9 @@ class TestCrossWeights:
         assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, 2 * chunk),
                                             slice(2 * chunk, S)]
         for sl, block in blocks:
-            if factor is None:
-                assert np.array_equal(block, kx.T @ ref[:, sl])
-            else:
-                ell = score_fit_mod._kx_rows(model, *factor, X_rows).T
-                assert np.array_equal(block, ell @ (factor[1] @ ref[:, sl]))
-                assert np.all(np.abs(block - kx.T @ ref[:, sl])
-                              <= 1e-10 * (np.abs(kx.T) @ np.abs(ref[:, sl])))
+            assert np.array_equal(block, cross_T_reference(model, X_rows, Y_set, sl))
+            assert np.all(np.abs(block - kx.T @ W[:, sl])
+                          <= 1e-10 * (np.abs(kx.T) @ np.abs(W[:, sl])))
         for (_, first), (_, second) in itertools.combinations(blocks, 2):
             assert not np.shares_memory(first, second)
 
@@ -1065,13 +1106,10 @@ class TestCrossWeights:
         """Each chunk of draws is one ``_in_blocks`` call over its blocks of
         ``_CROSS_BLOCK`` draws, on as many threads as the CPUs and the
         blocks allow: the 16 blocks of a full chunk take every CPU up to 16,
-        and the last chunk, 128 draws and a joined block of 129, two."""
-        model = fit_random(rng, n=10, d=d, p=2, lam=0.05)
+        and the last chunk, 128 draws and a joined block of 129, two.  Two
+        parents at n = 10 take k_X, a parentless model the stacked route."""
         chunk = score_fit_mod._IS_CHUNK
         S = chunk + 2 * score_fit_mod._CROSS_BLOCK + 1  # the last block is joined
-        X_rows, Y_set = rng.normal(size=(4, 2)), 2.0 * rng.normal(size=(S, d))
-        ref = self.reference(model, Y_set)
-        kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
         monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         calls, pools = [], []
@@ -1091,15 +1129,20 @@ class TestCrossWeights:
 
         monkeypatch.setattr(score_fit_mod, "_in_blocks", recording_in_blocks)
         monkeypatch.setattr(score_fit_mod, "ThreadPoolExecutor", recording_pool)
-        blocks = list(cross_T_blocks(model, X_rows, Y_set))
-        assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, S)]
-        for sl, block in blocks:
-            assert np.array_equal(block, kx.T @ ref[:, sl])
-        # every block of each chunk once, in any order
-        assert [size for size, _ in calls] == [chunk, S - chunk]
-        for size, done in calls:
-            assert sorted(done) == score_fit_mod._blocks(size, 128)
-        assert pools == {1: [], 2: [2, 2], 3: [3, 2], 8: [8, 2]}[workers]
+        for p in (2, 0):
+            model = fit_random(rng, n=10, d=d, p=p, lam=0.05)
+            X_rows, Y_set = rng.normal(size=(4, p)), 2.0 * rng.normal(size=(S, d))
+            calls.clear()
+            pools.clear()
+            blocks = list(cross_T_blocks(model, X_rows, Y_set))
+            assert [sl for sl, _ in blocks] == [slice(0, chunk), slice(chunk, S)]
+            for sl, block in blocks:
+                assert np.array_equal(block, cross_T_reference(model, X_rows, Y_set, sl))
+            # every block of each chunk once, in any order
+            assert [size for size, _ in calls] == [chunk, S - chunk]
+            for size, done in calls:
+                assert sorted(done) == score_fit_mod._blocks(size, 128)
+            assert pools == {1: [], 2: [2, 2], 3: [3, 2], 8: [8, 2]}[workers]
 
     def test_pooling_follows_the_work_of_a_block(self, rng, monkeypatch):
         """A block's work is its n training rows times (1 + the R rows of its
@@ -1125,12 +1168,11 @@ class TestCrossWeights:
                                                                  monkeypatch):
         """Eight workers, one per CPU, share the blocks of each chunk while
         the interpreter switches threads every microsecond; a GEMM that read
-        weights of another worker's block, or a column left unwritten, would
-        change the blocks."""
-        model = fit_random(rng, n=20, d=2, p=2, lam=0.05)
+        k_Y or weights of another worker's block, or a column left unwritten,
+        would change the blocks.  Two parents at n = 20 take k_X, a
+        parentless model the stacked route."""
+        models = [fit_random(rng, n=20, d=2, p=p, lam=0.05) for p in (2, 0)]
         X_rows, Y_set = rng.normal(size=(5, 2)), 2.0 * rng.normal(size=(3000, 2))
-        ref = self.reference(model, Y_set)
-        kx = kernel_matrix(model.kernel_x, model.x_train, X_rows)
         monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 8)
         blocks = []
@@ -1138,15 +1180,18 @@ class TestCrossWeights:
         sys.setswitchinterval(1e-6)
         try:
             runner = threading.Thread(target=lambda: blocks.extend(
-                cross_T_blocks(model, X_rows, Y_set)))
+                [list(cross_T_blocks(model, X_rows[:, :model.p], Y_set))
+                 for model in models]))
             runner.start()
             runner.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
-        assert [sl for sl, _ in blocks] == [slice(0, 2048), slice(2048, 3000)]
-        for sl, block in blocks:
-            assert np.array_equal(block, kx.T @ ref[:, sl])
+        for model, model_blocks in zip(models, blocks, strict=True):
+            assert [sl for sl, _ in model_blocks] == [slice(0, 2048), slice(2048, 3000)]
+            for sl, block in model_blocks:
+                assert np.array_equal(
+                    block, cross_T_reference(model, X_rows[:, :model.p], Y_set, sl))
 
 
 class TestKxFactor:
@@ -1159,13 +1204,13 @@ class TestKxFactor:
              "cap": (200, 1, 0.05, False)}
 
     @staticmethod
-    def model(case):
+    def model(case, d=1):
         n, p, bw, _ = TestKxFactor.CASES[case]
         rng = np.random.default_rng(31)
-        return FactorModel(x_train=rng.normal(size=(n, p)), y_train=rng.normal(size=(n, 1)),
+        return FactorModel(x_train=rng.normal(size=(n, p)), y_train=rng.normal(size=(n, d)),
                            kernel_x=GaussianKernelSpec(np.full(p, bw)),
-                           kernel_y=GaussianKernelSpec([1.0]), lam=0.05,
-                           beta=0.1 * rng.normal(size=n))
+                           kernel_y=GaussianKernelSpec(np.ones(d)), lam=0.05,
+                           beta=0.1 * rng.normal(size=n * d))
 
     @pytest.mark.parametrize("case", CASES)
     def test_pivoting_stops_at_the_tolerance_or_the_cap(self, monkeypatch, case):
@@ -1184,41 +1229,62 @@ class TestKxFactor:
 
     @pytest.mark.parametrize("case", CASES)
     def test_routes_agree(self, case):
-        """The factor route is ℓ(X) @ (Lᵀ @ W) bit for bit and within 1e-10
-        of k_X @ W, relative to the summed magnitudes |k_X|·|W|; the capped
-        model takes k_X @ W, bit for bit.  A GEMM's sizes can change its
-        bits, so the references take IS's blocks of draws and of rows."""
+        """Each route is ``cross_T_reference`` bit for bit (p1 at rank 16 the
+        stacked GEMM, p2 at rank 77 Lᵀ @ W, the capped model k_X @ W) and
+        within 1e-10 of k_X @ W, relative to the summed magnitudes
+        |k_X|·|W|.  A GEMM's sizes can change its bits, so the reference
+        takes IS's blocks of draws and of rows."""
         model = self.model(case)
         rng = np.random.default_rng(5)
         X_rows = rng.normal(size=(6, model.p))
         S = 2 * score_fit_mod._IS_CHUNK + 300
         Y_set = 2.0 * rng.normal(size=(S, 1))
-        ref = TestCrossWeights.reference(model, Y_set)
-        kxT = kernel_matrix(model.kernel_x, X_rows, model.x_train)  # C order, as IS builds it
-        factor = score_fit_mod._kx_factor(model)
-        ell = None if factor is None else score_fit_mod._kx_rows(model, *factor, X_rows).T
-
-        def by_blocks(left, sl, Lt=None):
-            """left @ (Lt @ W), or left @ W, as IS takes it: in blocks of 128
-            draws, and in GEMMs of _GEMM_ROWS rows, the last padded with zeros."""
-            h = score_fit_mod._GEMM_ROWS
-            padded = np.zeros((h, left.shape[1]))
-            padded[:len(left)] = left
-            cols = ref[:, sl]
-            return np.hstack([
-                padded @ (cols[:, lo:hi] if Lt is None else Lt @ cols[:, lo:hi])
-                for lo, hi in score_fit_mod._blocks(cols.shape[1], 128)])[:len(left)]
-
+        W = TestCrossWeights.weights(model, Y_set)
+        kxT = kernel_matrix(model.kernel_x, X_rows, model.x_train)
         full = []
         for sl, block in cross_T_blocks(model, X_rows, Y_set):
-            if factor is None:
-                assert np.array_equal(block, by_blocks(kxT, sl))
-            else:
-                assert np.array_equal(block, by_blocks(ell, sl, factor[1]))
+            assert np.array_equal(block, cross_T_reference(model, X_rows, Y_set, sl))
             full.append(block)
         full = np.hstack(full)
-        assert np.all(np.abs(full - kxT @ ref) <= 1e-10 * (np.abs(kxT) @ np.abs(ref)))
+        assert np.all(np.abs(full - kxT @ W) <= 1e-10 * (np.abs(kxT) @ np.abs(W)))
+        factor = score_fit_mod._kx_factor(model)
         assert (factor is None) == (case == "cap")
+        stacked = factor is not None and len(factor[0]) <= score_fit_mod._STACK_RANK
+        assert stacked == (case == "p1")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_T_agrees_with_the_paired_sums(self, case, d):
+        """On each route T agrees with ``_T_terms``, the paired sums that
+        ``unnorm_logpdf_rows`` takes, within 1e-12 of the summed magnitudes
+        of the weight's terms, sum_b |k_X| k_Y (|c0_b| + sum_l |c1_bl y_l| +
+        |e| q(y)).  One training y sits at 6 in every dimension, and the
+        draws reach ±16, 8 base stds, along two diagonals, where the terms
+        of the quadratic in y cancel most."""
+        model = self.model(case, d)
+        y_train = model.y_train.copy()
+        y_train[0] = 6.0
+        model = dataclasses.replace(model, y_train=y_train)
+        rng = np.random.default_rng(5)
+        X_rows = rng.normal(size=(6, model.p))
+        line = np.linspace(-16.0, 16.0, 401)[:, None]
+        Y_set = np.vstack([2.0 * rng.normal(size=(1500, d)), line * np.ones(d),
+                           line * np.where(np.arange(d) % 2, -1.0, 1.0)])
+        S = len(Y_set)
+        T = np.hstack([block for _, block in cross_T_blocks(model, X_rows, Y_set)])
+        paired = np.vstack([
+            _T_terms(model, np.repeat(X_rows[r:r + 1], S, axis=0), Y_set)[0]
+            for r in range(len(X_rows))])
+        c0, c1, e = form_coefficients(model)
+        terms = (np.abs(c0)[:, None] + np.abs(c1) @ np.abs(Y_set.T)
+                 + abs(e) * np.sum((Y_set / model.kernel_y.variances) ** 2, axis=1))
+        magnitude = (ref_kernel(model.kernel_x, X_rows, model.x_train)
+                     @ (ref_kernel(model.kernel_y, model.y_train, Y_set) * terms))
+        assert np.all(np.abs(T - paired) <= 1e-12 * magnitude)
+        factor = score_fit_mod._kx_factor(model)
+        route = ("cap" if factor is None else
+                 "p1" if len(factor[0]) <= score_fit_mod._STACK_RANK else "p2")
+        assert route == case
 
     def test_factor_route_builds_no_k_X(self, monkeypatch):
         """Beside the pivoting's columns of k_X, the factor route builds only
@@ -1294,7 +1360,7 @@ class TestWorkerCount:
         assert tile(100, 5) == 100
         assert tile(2000, 5) == tile(10**6, 5) == 204
         assert tile(2000, 7) == 146
-        assert tile(2000, 3) == tile(2000, 3, gemm_rows=500) == 341  # cross_T_blocks
+        assert tile(2000, 2) == tile(2000, 2, gemm_rows=500) == 512  # cross_T_blocks
         assert tile(2000, 5, size=129) == 203  # the joined block of 129 columns
         assert tile(10**6, 5, size=1) == 10**6
         assert (score_fit_mod._scratch_bytes(1000, 2000, 3, gemm_rows=500)
