@@ -201,7 +201,10 @@ def kernel_matrix(spec, A: np.ndarray, B: np.ndarray, out=None,
 
     Accepts a ConstantKernel, in which case the inputs may have zero columns.
     Summation runs in a fixed per-dimension order, so swapping A and B yields
-    the exact transpose bit for bit.  ``out`` and ``scratch`` may carry
+    the exact transpose bit for bit, which the assembly needs for an exactly
+    symmetric G.  Its error scales with (A - B)², which the paired sums and
+    k_X in ``cross_T_blocks`` (whose ℓ(X) would amplify it) rely on; that
+    k_Y comes from one GEMM.  ``out`` and ``scratch`` may carry
     C-contiguous (n, m) arrays to write into (each allocated when None);
     the values do not depend on whether they do.
     """

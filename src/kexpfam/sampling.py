@@ -234,7 +234,7 @@ def _grid_nodes(factor: FactorModel) -> np.ndarray:
     hi = max(half, float(factor.y_train.max()) + 8.0 * sigma_y)
     nodes = 2 * math.ceil((hi - lo) / (0.25 * sigma_y)) + 1
     _check_memory(16 * _GRID_ROW_CHUNK * nodes
-                  + _cross_T_bytes(factor.n, _GRID_ROW_CHUNK, nodes),
+                  + _cross_T_bytes(factor.n, factor.d, _GRID_ROW_CHUNK, nodes),
                   f"grid sampling with {nodes} nodes and n = {factor.n}",
                   "sample by HMC instead (HmcConfig; on the command line, "
                   "any HMC flag such as --burn-in)")

@@ -32,7 +32,6 @@ RESIDUAL_RTOL = 1e-8
 
 _CROSS_BLOCK = 128  # columns per block of every buffered kernel sum, at most
 _IS_CHUNK = 2048  # draws per block that cross_T_blocks yields
-_WEIGHT_ARRAYS = 2  # scratch arrays per worker of cross_T_blocks
 # Blocks whose work, rows times (1 + the rows of the GEMM each takes), is
 # less run on one thread.  On 2 CPUs, two threads assembled an n = 400
 # system (CV's folds) in 7.5 ms against 4.7 ms for one, tied at n = 1000 and
@@ -57,9 +56,10 @@ _RANK_CAP = 8
 # stacked GEMM of k_Y per block of draws (see _cross_T): (d + 2) m
 # multiply-adds per (training row, draw) pair in place of m and the weight's
 # 2d + 2 elementwise passes, so the break-even is a rank, whatever d.  At
-# n = 2000, 500 rows and 4096 draws, one BLAS thread, the stacked route took
-# 0.80-0.95 of the other's time up to m = 32 and 1.06-1.18 from m = 37 at
-# d = 1; at d = 2 and 3 the two tied near m = 36 and m = 40.
+# n = 2000, 500 rows and 4096 draws, one BLAS thread and one CPU, with k_Y
+# from one GEMM on both routes, the stacked route took 0.64-0.96 of the
+# other's time up to m = 34 and 1.07-1.21 from m = 44 at d = 1, 2 and 3; the
+# two tied at m = 35-40.
 _STACK_RANK = 32
 # Every GEMM of cross_T_blocks takes this many rows, the last tile padded
 # with zero rows: OpenBLAS picks its kernel by the sizes (a matrix-vector
@@ -675,15 +675,16 @@ def _block_plan(size: int, rows: int, arrays: int, gemm_rows: int = 0) -> tuple[
     on the sizes alone, so that a pre-flight may ask about any size.
 
     A tile takes as many of the ``rows`` as keep the arrays within
-    ``_WORKER_SCRATCH``, at least one.  A 1-column block is one tile, since
-    numpy sums a single column pairwise.  A pool of up to one thread per
-    CPU of ``_worker_count`` (one fewer within ``_leave_cpu``) starts only
-    for two blocks or more whose work, rows times (1 + ``gemm_rows``),
-    reaches ``_POOL_ROWS``.  So a pool holds at most one scratch per CPU
-    and per block, which ``_scratch_bytes`` counts.
+    ``_WORKER_SCRATCH``, at least one.  A 1-column block, since numpy sums a
+    single column pairwise, and a block with no arrays are one tile.  A pool
+    of up to one thread per CPU of ``_worker_count`` (one fewer within
+    ``_leave_cpu``) starts only for two blocks or more whose work, rows
+    times (1 + ``gemm_rows``), reaches ``_POOL_ROWS``.  So a pool holds at
+    most one scratch per CPU and per block, which ``_scratch_bytes`` counts.
     """
     widest = _widest(size, _CROSS_BLOCK)
-    tile = rows if widest <= 1 else min(rows, max(1, _WORKER_SCRATCH // (arrays * widest * 8)))
+    tile = rows if widest <= 1 or not arrays else min(
+        rows, max(1, _WORKER_SCRATCH // (arrays * widest * 8)))
     if size == 0:
         return 1, tile
     joined = widest > _CROSS_BLOCK  # a 1-column remainder joins a block
@@ -800,24 +801,32 @@ def _kx_rows(model: FactorModel, pivots: list[int], Lt: np.ndarray,
     return E
 
 
-def _cross_T_bytes(n: int, R: int, S: int, Lt: np.ndarray | None = None,
+def _weight_arrays(d: int, stacked: bool) -> int:
+    """Scratch arrays per worker of ``cross_T_blocks``: none when stacked,
+    else the weight's quadratic and, when d > 1, one term of it."""
+    return 0 if stacked else 1 + (d > 1)
+
+
+def _cross_T_bytes(n: int, d: int, R: int, S: int, Lt: np.ndarray | None = None,
                    stack: np.ndarray | None = None) -> int:
     """Bytes that ``cross_T_blocks`` holds for R rows and S points, by
-    arithmetic alone: the factor ``Lt`` (m × n; None on the exact route,
-    where m = n) and its ``stack`` (None off the stacked route) and the left
-    operand, ℓ(X) or k_X, in whole row tiles; beside it, while it is built,
-    ℓ(X)ᵀ and the substitution's scratch, or kernel_matrix's, and then a
-    chunk's block, the workers' scratch and, with the factor, each worker's
-    M = Lᵀ W or P = stack @ k_Y."""
+    arithmetic alone: k_Y's left operand (n × (d + 2)), the factor ``Lt``
+    (m × n; None on the exact route, where m = n) and its ``stack`` (None
+    off the stacked route) and the left operand, ℓ(X) or k_X, in whole row
+    tiles; beside it, while it is built, ℓ(X)ᵀ and the substitution's
+    scratch, or kernel_matrix's, and then a chunk's block, the workers'
+    scratch and right operands of k_Y ((d + 2) × 128) and, with the factor,
+    each worker's M = Lᵀ W or P = stack @ k_Y."""
     chunk = min(S, _IS_CHUNK)
     m = n if Lt is None else Lt.shape[0]
     height = -(-R // _GEMM_ROWS) * _GEMM_ROWS
-    scratch = _scratch_bytes(chunk, n, _WEIGHT_ARRAYS, gemm_rows=R)
-    held = height * m * 8
+    arrays = _weight_arrays(d, stack is not None)
+    product = 0 if Lt is None else m if stack is None else stack.shape[0]
+    scratch = (_scratch_bytes(chunk, n, arrays, gemm_rows=R)
+               + _block_plan(chunk, n, arrays, R)[0] * (d + 2 + product)
+               * _widest(chunk, _CROSS_BLOCK) * 8)
+    held = (height * m + n * (d + 2)) * 8
     if Lt is not None:
-        product = m if stack is None else stack.shape[0]
-        scratch += (_block_plan(chunk, n, _WEIGHT_ARRAYS, R)[0] * product
-                    * _widest(chunk, _CROSS_BLOCK) * 8)
         held += Lt.nbytes + (0 if stack is None else stack.nbytes)
     return held + max(R * m * 8 * (1 if Lt is None else 2), height * chunk * 8 + scratch)
 
@@ -827,6 +836,13 @@ def _cross_T(model: FactorModel):
     Y_set), which yields that call's blocks, so that a caller with several
     sets of rows (the grid sampler's chunks) pivots k_X once.
 
+    k_Y's exponent -Σ_l (Y_bl - y_l)² / (2 s2_l) is u_b + a_b · y + v(y),
+    with u_b = -Σ_l Y_bl² / (2 s2_l), a_b = Y_b / s2 and v(y) = -Σ_l y_l² /
+    (2 s2_l) (the fast Gauss transform's split), so a block of draws takes
+    k_Y as exp of one GEMM, [u, a, 1] (n × (d + 2), once per model) @ [1;
+    yᵀ; v(y)], over its full height.  The exponent's error is a few eps
+    (|u_b| + |a_b · y| + |v(y)|), not kernel_matrix's few eps (Y - y)² / s2.
+
     T's weight at (Y_b, y) is a quadratic in y, w_b(y) = c0_b + Σ_l c1_bl y_l
     + e q(y) with q(y) = Σ_l (y_l / s2_l)², so T(x, y) = Σ_b k_X(x, X_b)
     k_Y(Y_b, y) w_b(y) takes its per-row coefficients once per model.  With
@@ -834,25 +850,28 @@ def _cross_T(model: FactorModel):
     draws is P₀ + Σ_l y_l P₁ₗ + q(y) P₂ over the blocks P of one GEMM of the
     stack [Lᵀ∘c0; Lᵀ∘c1_l …; e Lᵀ] with k_Y, and no weight is formed.
     Otherwise W = k_Y ∘ (Σ_l c1_l y_l + c0 + e q) in four elementwise
-    passes for d = 1, and Lᵀ W or, at the cap, W itself is the block's M.
+    passes for d = 1, tile by tile, and Lᵀ W or, at the cap, W itself is
+    the block's M.
     """
     a, e = _model_coeffs(model)
     Y, s2, (n, d) = model.y_train, model.kernel_y.variances, model.y_train.shape
     V = Y / s2
     c0 = np.sum(-a * V + e * (V * V - 1.0 / s2), axis=1)
     c1 = a / s2 - 2.0 * e * V / s2
+    Yaug = np.hstack([-0.5 * np.sum(Y * V, axis=1, keepdims=True), V, np.ones((n, 1))])
     factor = _kx_factor(model)
     Lt = None if factor is None else factor[1]
     m = n if Lt is None else Lt.shape[0]
     stack = None
     if Lt is not None and m <= _STACK_RANK:
         stack = np.concatenate([Lt * c0, *(Lt * c1[:, l] for l in range(d)), e * Lt])
+    arrays = _weight_arrays(d, stack is not None)
 
     def blocks(X_rows, Y_set):
         X_rows = _as_matrix(X_rows, "X_rows")
         Y_set = _as_matrix(Y_set, "Y_set")
         R, S = X_rows.shape[0], Y_set.shape[0]
-        _check_memory(_cross_T_bytes(n, R, S, Lt, stack),
+        _check_memory(_cross_T_bytes(n, d, R, S, Lt, stack),
                       f"the natural parameter for {R} distinct rows with n = {n}",
                       "evaluate fewer distinct rows")
         height = -(-R // _GEMM_ROWS) * _GEMM_ROWS  # R rounded up to whole row tiles
@@ -873,13 +892,17 @@ def _cross_T(model: FactorModel):
                 for l in range(1, d):
                     q += v[:, l] * v[:, l]
                 eq = e * q
-                for rows, (K, poly, term) in tiles:
-                    kernel_matrix(model.kernel_y, Y[rows], y, K[rows], poly)
+                yaug = np.vstack([np.ones(len(y)), y.T, -0.5 * np.sum(y * v, axis=1)])
+                for rows, (K, *tmp) in tiles:
+                    if rows.start == 0:  # k_Y's exponent, one GEMM of K's full height
+                        np.matmul(Yaug, yaug, out=K)
+                    np.exp(K[rows], out=K[rows])
                     if stack is None:  # W = k_Y ∘ (Σ_l c1_l y_l + c0 + e q)
+                        poly = tmp[0]
                         np.multiply(c1[rows, 0, None], y[None, :, 0], out=poly)
                         for l in range(1, d):
-                            np.multiply(c1[rows, l, None], y[None, :, l], out=term)
-                            np.add(poly, term, out=poly)
+                            np.multiply(c1[rows, l, None], y[None, :, l], out=tmp[1])
+                            np.add(poly, tmp[1], out=poly)
                         np.add(poly, c0[rows, None], out=poly)
                         np.add(poly, eq, out=poly)
                         np.multiply(K[rows], poly, out=K[rows])
@@ -895,7 +918,7 @@ def _cross_T(model: FactorModel):
                 for t in row_tiles:
                     np.matmul(left[t], M, out=block[t, b_lo:b_hi])
 
-            _in_blocks(gemm_block, hi - lo, n, _WEIGHT_ARRAYS, gemm_rows=R)
+            _in_blocks(gemm_block, hi - lo, n, arrays, gemm_rows=R)
             yield slice(lo, hi), block[:R]
             del block  # the caller drops its reference too: one block at a time
 
@@ -908,9 +931,10 @@ def cross_T_blocks(model: FactorModel, X_rows: np.ndarray, Y_set: np.ndarray):
     X_rows is (R, p) and Y_set is (S, d); each block is a fresh (R, width)
     array for a chunk of at most ``_IS_CHUNK`` draws, and column s of the
     full matrix corresponds to draw Y_set[s].  Each chunk is one
-    ``_in_blocks`` call: a block of draws computes k_Y, tile by tile of
-    training rows, into its full-height operand, and then its columns of T,
-    bit for bit the same on any worker count.
+    ``_in_blocks`` call: a block of draws computes k_Y into its full-height
+    operand, as one GEMM of inner dimension d + 2 and one exp (see
+    ``_cross_T``), and then its columns of T, bit for bit the same on any
+    worker count and tile height.
 
     T is ℓ(X) @ (Lᵀ W), with the pivoted Cholesky factor L of k_X from
     ``_kx_factor`` (rank m, at most n // 8) and ℓ(X) (R × m) from

@@ -178,15 +178,17 @@ class TestLogPartition:
         operand, R rows padded to a whole 64-row tile of m columns (the
         factor's rank, 20 here at a cap of 37), beside, in turn, ℓ(X)ᵀ and
         the substitution's scratch, or one padded (64, chunk) block, the
-        workers' scratch and each worker's P, the (3m, 128) GEMM of the
-        stacked route; and L and the (3m, n) stack.  One byte less is a
+        workers' operands of k_Y, no scratch arrays on the stacked route and
+        each worker's P, the (3m, 128) GEMM of the stacked route; and L, the
+        (3m, n) stack and k_Y's (n, 3) left operand.  One byte less is a
         DataError that names the distinct rows, and the count itself runs."""
         self.check_preflight(monkeypatch, bandwidth=1.0)
 
     def test_preflight_counts_k_X_on_the_exact_route(self, monkeypatch):
         """At x bandwidth 0.02 pivoting reaches the cap, and the left operand
         is k_X with n columns, beside kernel_matrix's scratch while it is
-        built."""
+        built, and each worker holds one scratch array, the weight's
+        quadratic."""
         self.check_preflight(monkeypatch, bandwidth=0.02)
 
     @staticmethod
@@ -203,11 +205,13 @@ class TestLogPartition:
         kx_factor = score_fit_mod._kx_factor(factor)
         assert (kx_factor is None) == (bandwidth < 1)
         m = n if kx_factor is None else len(kx_factor[0])
-        scratch = score_fit_mod._scratch_bytes(chunk, n, 2, gemm_rows=R)
-        held, build = 64 * m * 8, R * m * 8
+        arrays = 1 if kx_factor is None else 0
+        workers = score_fit_mod._block_plan(chunk, n, arrays, R)[0]
+        scratch = (score_fit_mod._scratch_bytes(chunk, n, arrays, gemm_rows=R)
+                   + workers * 3 * 128 * 8)  # each worker's [1; yᵀ; v(y)]
+        held, build = 64 * m * 8 + n * 3 * 8, R * m * 8
         if kx_factor is not None:
             assert m <= score_fit_mod._STACK_RANK
-            workers = score_fit_mod._block_plan(chunk, n, 2, R)[0]
             scratch += workers * 3 * m * 128 * 8
             held, build = held + 4 * m * n * 8, 2 * build
         need = held + max(build, 64 * chunk * 8 + scratch)

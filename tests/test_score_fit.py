@@ -226,20 +226,34 @@ def form_coefficients(model):
     return np.sum(-a * V + e * (V * V - 1.0 / s2), axis=1), a / s2 - 2.0 * e * V / s2, e
 
 
+def gemm_ky(model, Y):
+    """k_Y between the training y and the draws Y as ``cross_T_blocks``
+    builds it: for each block of 128 draws, exp of the (n × (d + 2)) @
+    ((d + 2) × width) product [u, Y_train / s2, 1] @ [1; Yᵀ; v(Y)], with u
+    = -sum_l Y_train_l² / (2 s2_l) and v(y) = -sum_l y_l² / (2 s2_l)."""
+    s2, Y_train = model.kernel_y.variances, model.y_train
+    V = Y_train / s2
+    left = np.hstack([-0.5 * np.sum(Y_train * V, axis=1, keepdims=True), V,
+                      np.ones((len(Y_train), 1))])
+    right = np.vstack([np.ones(len(Y)), Y.T, -0.5 * np.sum(Y * (Y / s2), axis=1)])
+    return np.hstack([np.exp(left @ right[:, lo:hi])
+                      for lo, hi in score_fit_mod._blocks(len(Y), 128)])
+
+
 def cross_T_reference(model, X_rows, Y_set, sl):
     """The block that ``cross_T_blocks`` yields for the draws Y_set[sl], bit
-    for bit: k_Y and the weight's terms over whole arrays, then, for each
-    block of 128 draws of the chunk, the route's M (the stacked GEMM P0 +
-    sum_l y_l P1l + q P2 at rank m <= _STACK_RANK, Lt @ W above it, W at the
-    cap) and the GEMMs of the left operand in 64-row tiles, the last padded
-    with zero rows."""
+    for bit: k_Y from ``gemm_ky`` and the weight's terms over whole arrays,
+    then, for each block of 128 draws of the chunk, the route's M (the
+    stacked GEMM P0 + sum_l y_l P1l + q P2 at rank m <= _STACK_RANK, Lt @ W
+    above it, W at the cap) and the GEMMs of the left operand in 64-row
+    tiles, the last padded with zero rows."""
     c0, c1, e = form_coefficients(model)
     d, Y = model.d, Y_set[sl]
     v = Y / model.kernel_y.variances
     q = v[:, 0] * v[:, 0]
     for l in range(1, d):
         q = q + v[:, l] * v[:, l]
-    ky = ref_kernel(model.kernel_y, model.y_train, Y)
+    ky = gemm_ky(model, Y)
     factor = score_fit_mod._kx_factor(model)
     if factor is None:
         left, Lt = kernel_matrix(model.kernel_x, X_rows, model.x_train), None
@@ -1204,13 +1218,27 @@ class TestKxFactor:
              "cap": (200, 1, 0.05, False)}
 
     @staticmethod
-    def model(case, d=1):
+    def model(case, d=1, y_bandwidth=1.0):
         n, p, bw, _ = TestKxFactor.CASES[case]
         rng = np.random.default_rng(31)
         return FactorModel(x_train=rng.normal(size=(n, p)), y_train=rng.normal(size=(n, d)),
                            kernel_x=GaussianKernelSpec(np.full(p, bw)),
-                           kernel_y=GaussianKernelSpec(np.ones(d)), lam=0.05,
+                           kernel_y=GaussianKernelSpec(np.full(d, y_bandwidth)), lam=0.05,
                            beta=0.1 * rng.normal(size=n * d))
+
+    @staticmethod
+    def outlier(case, d, y_bandwidth=1.0):
+        """The model of ``case`` with its first training y moved to 6 in
+        every dimension, and 2301 draws: 1500 from the base density and 401
+        along each of two diagonals out to ±16, 8 base stds."""
+        model = TestKxFactor.model(case, d, y_bandwidth)
+        y_train = model.y_train.copy()
+        y_train[0] = 6.0
+        rng = np.random.default_rng(5)
+        line = np.linspace(-16.0, 16.0, 401)[:, None]
+        Y_set = np.vstack([2.0 * rng.normal(size=(1500, d)), line * np.ones(d),
+                           line * np.where(np.arange(d) % 2, -1.0, 1.0)])
+        return dataclasses.replace(model, y_train=y_train), Y_set
 
     @pytest.mark.parametrize("case", CASES)
     def test_pivoting_stops_at_the_tolerance_or_the_cap(self, monkeypatch, case):
@@ -1259,17 +1287,21 @@ class TestKxFactor:
         ``unnorm_logpdf_rows`` takes, within 1e-12 of the summed magnitudes
         of the weight's terms, sum_b |k_X| k_Y (|c0_b| + sum_l |c1_bl y_l| +
         |e| q(y)).  One training y sits at 6 in every dimension, and the
-        draws reach ±16, 8 base stds, along two diagonals, where the terms
+        draws reach ±16 along two diagonals (``outlier``), where the terms
         of the quadratic in y cancel most."""
-        model = self.model(case, d)
-        y_train = model.y_train.copy()
-        y_train[0] = 6.0
-        model = dataclasses.replace(model, y_train=y_train)
-        rng = np.random.default_rng(5)
-        X_rows = rng.normal(size=(6, model.p))
-        line = np.linspace(-16.0, 16.0, 401)[:, None]
-        Y_set = np.vstack([2.0 * rng.normal(size=(1500, d)), line * np.ones(d),
-                           line * np.where(np.arange(d) % 2, -1.0, 1.0)])
+        self.check_T_against_the_paired_sums(case, d, y_bandwidth=1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_T_agrees_with_the_paired_sums_on_a_narrow_y_kernel(self, case, d):
+        """The same bound at y bandwidth 0.25 (bandwidth scale 0.25), where
+        the terms of k_Y's exponent, u_b + a_b · y + v(y), are 16 times
+        those at bandwidth 1."""
+        self.check_T_against_the_paired_sums(case, d, y_bandwidth=0.25)
+
+    def check_T_against_the_paired_sums(self, case, d, y_bandwidth):
+        model, Y_set = self.outlier(case, d, y_bandwidth)
+        X_rows = np.random.default_rng(5).normal(size=(6, model.p))
         S = len(Y_set)
         T = np.hstack([block for _, block in cross_T_blocks(model, X_rows, Y_set)])
         paired = np.vstack([
@@ -1280,11 +1312,37 @@ class TestKxFactor:
                  + abs(e) * np.sum((Y_set / model.kernel_y.variances) ** 2, axis=1))
         magnitude = (ref_kernel(model.kernel_x, X_rows, model.x_train)
                      @ (ref_kernel(model.kernel_y, model.y_train, Y_set) * terms))
-        assert np.all(np.abs(T - paired) <= 1e-12 * magnitude)
+        # plus the smallest normal double: at bandwidth 0.25 the magnitudes
+        # far from the training y are subnormal, down to 1e-323, where both
+        # sums keep few bits (at bandwidth 1 they stay above 1e-153)
+        assert np.all(np.abs(T - paired) <= 1e-12 * magnitude + np.finfo(float).tiny)
         factor = score_fit_mod._kx_factor(model)
         route = ("cap" if factor is None else
                  "p1" if len(factor[0]) <= score_fit_mod._STACK_RANK else "p2")
         assert route == case
+
+    @pytest.mark.parametrize("y_bandwidth", [1.0, 0.25, 0.1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_k_Y_of_one_gemm_is_within_its_exponent_error(self, d, y_bandwidth):
+        """k_Y as IS and the grid sampler build it (``gemm_ky``, which the
+        reference tests tie to ``cross_T_blocks`` bit for bit) is within 4
+        eps (1 + |u_b| + |a_b · y| + |v(y)|) of kernel_matrix's value,
+        relative to the larger of the two, plus the smallest normal double,
+        below which exp's results are subnormal: the GEMM rounds each of
+        the exponent's terms, not their sum.  On the outlier fixture the
+        largest |ΔK| at d = 1 is 1.4e-15, 1.9e-14 and 2.3e-13 at bandwidths
+        1, 0.25 and 0.1, and at most 2.6 times eps (...) for every d."""
+        model, Y_set = self.outlier("p1", d, y_bandwidth)
+        s2, Y_train = model.kernel_y.variances, model.y_train
+        ky = gemm_ky(model, Y_set)
+        exact = kernel_matrix(model.kernel_y, Y_train, Y_set)
+        terms = (np.sum(Y_train * Y_train / (2.0 * s2), axis=1)[:, None]
+                 + np.abs(Y_train / s2) @ np.abs(Y_set.T)
+                 + np.sum(Y_set * Y_set / (2.0 * s2), axis=1))
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        assert np.all(np.abs(ky - exact)
+                      <= 4.0 * eps * (1.0 + terms) * np.maximum(ky, exact) + tiny)
+        assert np.max(np.abs(ky - exact)) > 0  # the two routes do differ
 
     def test_factor_route_builds_no_k_X(self, monkeypatch):
         """Beside the pivoting's columns of k_X, the factor route builds only
@@ -1352,7 +1410,7 @@ class TestWorkerCount:
         within ``_WORKER_SCRATCH`` (1 MiB): 204 rows for the assembly's five
         arrays at d = 1 and 146 for CV's scoring pass's seven, at any n.  A
         GEMM adds its full-height operand, and a 1-column block, which numpy
-        sums pairwise, is one tile."""
+        sums pairwise, and a block with no arrays are one tile."""
         def tile(rows, arrays, size=1000, **plan):
             return score_fit_mod._block_plan(size, rows, arrays, **plan)[1]
 
@@ -1360,7 +1418,11 @@ class TestWorkerCount:
         assert tile(100, 5) == 100
         assert tile(2000, 5) == tile(10**6, 5) == 204
         assert tile(2000, 7) == 146
-        assert tile(2000, 2) == tile(2000, 2, gemm_rows=500) == 512  # cross_T_blocks
+        # cross_T_blocks: the weight's quadratic at d = 1, and a term beside
+        # it at d > 1; the stacked route holds no array and takes one tile
+        assert tile(2000, 1, gemm_rows=500) == 1024
+        assert tile(2000, 2) == tile(2000, 2, gemm_rows=500) == 512
+        assert tile(2000, 0, gemm_rows=500) == 2000 and tile(10**6, 0) == 10**6
         assert tile(2000, 5, size=129) == 203  # the joined block of 129 columns
         assert tile(10**6, 5, size=1) == 10**6
         assert (score_fit_mod._scratch_bytes(1000, 2000, 3, gemm_rows=500)
