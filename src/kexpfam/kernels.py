@@ -105,9 +105,10 @@ def _poly_factor(v, s2, order: int, out, tmp=None):
     """Prefactor P_k such that d^k/du^k exp(-u^2/(2 s2)) = P_k(u) exp(-u^2/(2 s2)).
 
     Takes v = u / s2 and writes P_k into ``out`` (arrays or 0-d arrays of
-    v's shape); orders 3 and 4 also write into ``tmp``.  Closed forms up to
-    total order 4, which covers mixed partials of order (2, 2) on a shared
-    dimension.
+    v's shape); orders 3 and 4 also write into ``tmp``.  Closed forms for
+    orders 0 to 4, which cover mixed partials of order (2, 2) on a shared
+    dimension; no caller asks for more (``DerivRequest`` caps each order at
+    2).
     """
     if order == 0:
         out[...] = 1.0
@@ -123,15 +124,13 @@ def _poly_factor(v, s2, order: int, out, tmp=None):
         np.multiply(3.0, v, out=tmp)
         np.divide(tmp, s2, out=tmp)
         np.add(out, tmp, out=out)
-    elif order == 4:  # v2*v2 - 6 v2/s2 + 3/s2^2, v2 = v*v
+    else:  # order 4: v2*v2 - 6 v2/s2 + 3/s2^2, v2 = v*v
         np.multiply(v, v, out=tmp)
         np.multiply(tmp, tmp, out=out)
         np.multiply(6.0, tmp, out=tmp)
         np.divide(tmp, s2, out=tmp)
         np.subtract(out, tmp, out=out)
         np.add(out, 3.0 / (s2 * s2), out=out)
-    else:
-        raise DataError(f"unsupported derivative order {order}")
     return out
 
 

@@ -28,6 +28,10 @@ _TRIAL_CAP = 1_000_000
 # node's prepared cross_T_blocks for their T, then one (chunk, G) density
 # and one (chunk, G) CDF, each computed over the whole chunk at once.
 _GRID_ROW_CHUNK = 256
+# Chains per chunk of _run_chains: a chunk holds one (n, chunk) k_X between
+# the training rows and its conditioning rows, so memory does not grow with
+# the chain count.
+_CHAIN_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,29 @@ def _make_potential(model: FactorModel, x_rows: np.ndarray):
 
 def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
                 config: HmcConfig, node_index: int = 0):
-    """Run one independent chain per row of ``x_rows``.
+    """Run one independent chain per row of ``x_rows``, in chunks of
+    ``_CHAIN_CHUNK`` rows.  Row c's chain is keyed by (seed, node_index, c)
+    and a row's T does not depend on the other rows, so its states do not
+    depend on the chunks or on how many rows there are.
 
     Returns (samples (C, samples_per_chain, d), acceptance rate).
     """
     C = x_rows.shape[0]
-    d = model.d
-    rngs = [_chain_rng(config.seed, node_index, c) for c in range(C)]
+    out = np.empty((C, samples_per_chain, model.d))
+    accepted = 0
+    for lo in range(0, C, _CHAIN_CHUNK):
+        hi = min(lo + _CHAIN_CHUNK, C)
+        accepted += _run_chunk(model, x_rows[lo:hi], out[lo:hi], config, node_index, lo)
+    return out, accepted / ((config.burn_in + config.thin * samples_per_chain) * C)
+
+
+def _run_chunk(model: FactorModel, x_rows: np.ndarray, out: np.ndarray,
+               config: HmcConfig, node_index: int, first: int) -> int:
+    """The chains of ``_run_chains`` for one chunk of rows, the first keyed
+    by chain index ``first``; writes their samples into ``out`` and returns
+    the number of accepted proposals."""
+    C, samples_per_chain, d = out.shape
+    rngs = [_chain_rng(config.seed, node_index, first + c) for c in range(C)]
     potential, grad_potential = _make_potential(model, x_rows)
 
     y = np.vstack([model.base.sample(rng, 1, d) for rng in rngs])
@@ -173,7 +193,6 @@ def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
         )
 
     total_iters = config.burn_in + config.thin * samples_per_chain
-    out = np.empty((C, samples_per_chain, d))
     n_out = 0
     accepted = 0
     for t in range(total_iters):
@@ -194,7 +213,7 @@ def _run_chains(model: FactorModel, x_rows: np.ndarray, samples_per_chain: int,
         if t >= config.burn_in and (t - config.burn_in + 1) % config.thin == 0:
             out[:, n_out, :] = y
             n_out += 1
-    return out, accepted / (total_iters * C)
+    return accepted
 
 
 def hmc_sample_conditional(model: FactorModel, x, n_samples: int,
@@ -359,9 +378,11 @@ def ancestral_sample(model: JointModel, count: int,
     r-th uniform, so the first k rows do not depend on ``count``.  With an
     ``HmcConfig`` each output row runs its own HMC chain per node instead,
     for ``burn_in + thin`` iterations, and keeps the chain's last state; so
-    only that sum matters.  A node whose chains accept no proposal at all
-    raises NumericalError, since each of its rows would be the chain's
-    first base-density draw.
+    only that sum matters.  Row r's chain is keyed by (seed, node, r), so
+    here too the first k rows do not depend on ``count``, and the chains run
+    in chunks of rows, so memory does not grow with it.  A node whose chains
+    accept no proposal at all raises NumericalError, since each of its rows
+    would be the chain's first base-density draw.
     Model math happens in standardized coordinates; results are mapped back
     to original units at the end.
 

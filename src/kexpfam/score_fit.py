@@ -639,13 +639,9 @@ def _pool(workers: int):
 
 
 def _blocks(size: int, width: int) -> list[tuple[int, int]]:
-    """(lo, hi) blocks of ``width`` columns that cover range(size).
-    A 1-column remainder joins the block before it: numpy sums a single
-    column pairwise, which would change its last bits."""
-    bounds = [*range(0, size, width), size]
-    if size > 1 and size % width == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
+    """(lo, hi) blocks of ``width`` columns, the last one narrower, that
+    cover range(size)."""
+    return [(lo, min(lo + width, size)) for lo in range(0, size, width)]
 
 
 def _block_arrays(d: int, models: int = 1) -> int:
@@ -659,43 +655,41 @@ def _block_arrays(d: int, models: int = 1) -> int:
 
 def _sum_rows(W: np.ndarray, out: np.ndarray, carry: bool) -> None:
     """np.sum(W, axis=0) into ``out``, continued from the sum in ``out``
-    when ``carry``.  numpy sums the rows of an array of two or more columns
-    one after another, so a sum carried into the first row of each tile
-    gives the bits of the sum over all rows at once."""
+    when ``carry``, with the rows added one after another.  numpy's sum does
+    so for two or more columns but sums a single column pairwise, so that
+    one takes its cumulative sum, in place.  A sum carried into the first
+    row of each tile then gives the bits of the sum over all rows at once,
+    at any block width."""
     if carry:
         np.add(out, W[0], out=W[0])
-    np.sum(W, axis=0, out=out)
+    if W.shape[1] == 1:
+        out[0] = np.cumsum(W[:, 0], out=W[:, 0])[-1]
+    else:
+        np.sum(W, axis=0, out=out)
 
 
 def _block_plan(size: int, rows: int, arrays: int, gemm_rows: int = 0) -> tuple[int, int]:
     """(workers, tile) for ``_in_blocks``: the blocks are ``_blocks(size,
-    _CROSS_BLOCK)``, and each of ``workers`` threads holds ``arrays``
-    (tile, ``_widest``) scratch arrays and, with a GEMM (``gemm_rows``
-    above 0), its full-height (rows, ``_widest``) operand.  It is arithmetic
-    on the sizes alone, so that a pre-flight may ask about any size.
+    _CROSS_BLOCK)``, and each of ``workers`` threads holds ``arrays`` (tile,
+    width) scratch arrays and, with a GEMM (``gemm_rows`` above 0), its
+    full-height (rows, width) operand, of width min(size, ``_CROSS_BLOCK``).
+    It is arithmetic on the sizes alone, so that a pre-flight may ask about
+    any size.
 
     A tile takes as many of the ``rows`` as keep the arrays within
-    ``_WORKER_SCRATCH``, at least one.  A 1-column block, since numpy sums a
-    single column pairwise, and a block with no arrays are one tile.  A pool
-    of up to one thread per CPU of ``_worker_count`` (one fewer within
+    ``_WORKER_SCRATCH``, at least one; a block with no arrays is one tile.  A
+    pool of up to one thread per CPU of ``_worker_count`` (one fewer within
     ``_leave_cpu``) starts only for two blocks or more whose work, rows
     times (1 + ``gemm_rows``), reaches ``_POOL_ROWS``.  So a pool holds at
     most one scratch per CPU and per block, which ``_scratch_bytes`` counts.
     """
-    widest = _widest(size, _CROSS_BLOCK)
-    tile = rows if widest <= 1 or not arrays else min(
-        rows, max(1, _WORKER_SCRATCH // (arrays * widest * 8)))
     if size == 0:
-        return 1, tile
-    joined = widest > _CROSS_BLOCK  # a 1-column remainder joins a block
+        return 1, rows
+    tile = rows if not arrays else min(
+        rows, max(1, _WORKER_SCRATCH // (arrays * min(size, _CROSS_BLOCK) * 8)))
     workers = 1 if rows * (1 + gemm_rows) < _POOL_ROWS else min(
-        _POOL_CPUS.get() or _worker_count(), -(-size // _CROSS_BLOCK) - joined)
+        _POOL_CPUS.get() or _worker_count(), -(-size // _CROSS_BLOCK))
     return workers, tile
-
-
-def _widest(size: int, width: int) -> int:
-    """Columns of the widest block of ``_blocks(size, width)``."""
-    return min(size, width) + (size > 1 and size % width == 1)
 
 
 def _scratch_bytes(size: int, rows: int, arrays: int, gemm_rows: int = 0) -> int:
@@ -703,7 +697,7 @@ def _scratch_bytes(size: int, rows: int, arrays: int, gemm_rows: int = 0) -> int
     with each worker's ``_WORKER_BUFFERS``."""
     workers, tile = _block_plan(size, rows, arrays, gemm_rows)
     gemm = rows * (gemm_rows > 0)
-    return workers * ((arrays * tile + gemm) * _widest(size, _CROSS_BLOCK) * 8
+    return workers * ((arrays * tile + gemm) * min(size, _CROSS_BLOCK) * 8
                       + _WORKER_BUFFERS)
 
 
@@ -725,11 +719,11 @@ def _in_blocks(work, size: int, rows: int, arrays: int, gemm_rows: int = 0) -> N
     error state on any worker count.
     """
     workers, tile = _block_plan(size, rows, arrays, gemm_rows)
-    widest = _widest(size, _CROSS_BLOCK)
+    width = min(size, _CROSS_BLOCK)
     gemm = rows * (gemm_rows > 0)
     free = queue.SimpleQueue()  # one scratch per worker, taken for a block
     for _ in range(workers):
-        free.put((np.empty((arrays, tile * widest)), np.empty(gemm * widest)))
+        free.put((np.empty((arrays, tile * width)), np.empty(gemm * width)))
 
     def tiles(width, buf, operand):
         head = [operand[:gemm * width].reshape(gemm, width)] if gemm else []
@@ -824,7 +818,7 @@ def _cross_T_bytes(n: int, d: int, R: int, S: int, Lt: np.ndarray | None = None,
     product = 0 if Lt is None else m if stack is None else stack.shape[0]
     scratch = (_scratch_bytes(chunk, n, arrays, gemm_rows=R)
                + _block_plan(chunk, n, arrays, R)[0] * (d + 2 + product)
-               * _widest(chunk, _CROSS_BLOCK) * 8)
+               * min(chunk, _CROSS_BLOCK) * 8)
     held = (height * m + n * (d + 2)) * 8
     if Lt is not None:
         held += Lt.nbytes + (0 if stack is None else stack.nbytes)

@@ -296,6 +296,47 @@ class TestAncestral:
         with pytest.raises(DataError):
             ancestral_sample(joint_model, 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_of_chains_change_no_bit(self, joint_model, monkeypatch, workers):
+        """385 rows make T's blocks of 128, 128, 128 and 1 rows, on a pool of
+        ``workers`` threads.  In chunks of 3 chains, the last of one row, the
+        samples and acceptance rates are the same bytes as in one chunk, and
+        so are the first 1 and 5 rows of a run of 1 and of 5 rows."""
+        monkeypatch.setattr(score_fit, "_POOL_ROWS", 1)
+        monkeypatch.setattr(score_fit, "_worker_count", lambda: workers)
+        config = HmcConfig(seed=5, burn_in=2, thin=1, leapfrog_steps=3)
+        count = 3 * score_fit._CROSS_BLOCK + 1
+        whole, stats = ancestral_sample(joint_model, count, config, return_stats=True)
+        assert count <= sampling_mod._CHAIN_CHUNK
+        monkeypatch.setattr(sampling_mod, "_CHAIN_CHUNK", 3)
+        assert count % 3 == 1
+        chunked, chunked_stats = ancestral_sample(joint_model, count, config,
+                                                  return_stats=True)
+        assert chunked.tobytes() == whole.tobytes()
+        assert chunked_stats == stats
+        for k in (1, 5):
+            assert ancestral_sample(joint_model, k, config).tobytes() == whole[:k].tobytes()
+
+    def test_peak_does_not_grow_with_count(self, joint_model, monkeypatch):
+        """With 64 chains per chunk, the traced peak of ancestral HMC at 1024
+        rows is within 100 bytes a row of that at 128 rows: the output and
+        its copies grow with the rows (35 bytes a row measured), each
+        chunk's (n, 64) k_X does not.  One k_X for all rows added 4960 bytes
+        a row: k_X and kernel_matrix's scratch at n = 300."""
+        monkeypatch.setattr(sampling_mod, "_CHAIN_CHUNK", 64)
+        config = HmcConfig(seed=1, burn_in=1, thin=1, leapfrog_steps=1)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for count in (128, 1024):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                ancestral_sample(joint_model, count, config)
+                peaks[count] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks[1024] - peaks[128] <= 100 * (1024 - 128), peaks
+
     def test_stats_report_per_node_acceptance(self, rng):
         raw = rng.normal(size=(60, 1)) * 1.5
         model = fit_joint(standardize(raw), make_dag("full", 1),

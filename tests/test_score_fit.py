@@ -186,6 +186,13 @@ def ref_diffs(y_train, Y_eval):
     return [y_train[:, m, None] - Y_eval[None, :, m] for m in range(y_train.shape[1])]
 
 
+def row_order_sum(A):
+    """Each column of A summed over its rows one after another, as
+    ``_sum_rows`` sums a block of any width (np.sum sums a single column
+    pairwise)."""
+    return np.cumsum(A, axis=0)[-1]
+
+
 def ref_T_terms(model, X_eval, Y_eval, kx_pair=None):
     """(value, grad, second) of T at paired rows, all rows at once."""
     a, e = score_fit_mod._model_coeffs(model)
@@ -194,8 +201,8 @@ def ref_T_terms(model, X_eval, Y_eval, kx_pair=None):
           if kx_pair is None else kx_pair)
     kxky = kx * ref_kernel(model.kernel_y, model.y_train, Y_eval)
     U = ref_diffs(model.y_train, Y_eval)
-    value = np.sum(kxky * ref_weight(U, s2, a, e, 0, 0), axis=0)
-    grad, second = (np.stack([np.sum(kxky * ref_weight(U, s2, a, e, j, q), axis=0)
+    value = row_order_sum(kxky * ref_weight(U, s2, a, e, 0, 0))
+    grad, second = (np.stack([row_order_sum(kxky * ref_weight(U, s2, a, e, j, q))
                               for j in range(model.d)], axis=1) for q in (1, 2))
     return value, grad, second
 
@@ -315,7 +322,7 @@ class TestBuildGram:
     def test_symmetry_exact(self, rng, monkeypatch):
         """G is used as assembled, without symmetrizing, so each entry must
         equal its mirror bit for bit: on a small instance, and at n = 257
-        (two column blocks, the second with the 1-column remainder) on the
+        (three column blocks, the last of 1 column) on the
         pool of 1 and 2 workers for every d and p."""
         X, Y, kx, ky, _ = random_instance(rng, 6, 2, 2)
         G = build_gram(X, Y, kx, ky)
@@ -438,9 +445,8 @@ class TestBuildGramSystem:
             return kernel_matrix(*args)
 
         monkeypatch.setattr(score_fit_mod, "kernel_matrix", counted)
-        # blocks of 1 column each, then (2, 2, 3) and (3, 4): a 1-column
-        # remainder joins the block before it
-        for chunk, blocks in ((1, 7), (2, 3), (3, 2)):
+        # blocks of 1 column each, then (2, 2, 2, 1) and (3, 3, 1)
+        for chunk, blocks in ((1, 7), (2, 4), (3, 3)):
             monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", chunk)
             calls.clear()
             system = build_gram_system(X, Y, kx, ky, base)
@@ -1120,10 +1126,10 @@ class TestCrossWeights:
         """Each chunk of draws is one ``_in_blocks`` call over its blocks of
         ``_CROSS_BLOCK`` draws, on as many threads as the CPUs and the
         blocks allow: the 16 blocks of a full chunk take every CPU up to 16,
-        and the last chunk, 128 draws and a joined block of 129, two.  Two
+        and the last chunk, blocks of 128, 128 and 1 draws, three.  Two
         parents at n = 10 take k_X, a parentless model the stacked route."""
         chunk = score_fit_mod._IS_CHUNK
-        S = chunk + 2 * score_fit_mod._CROSS_BLOCK + 1  # the last block is joined
+        S = chunk + 2 * score_fit_mod._CROSS_BLOCK + 1  # the last block has 1 draw
         monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
         calls, pools = [], []
@@ -1156,7 +1162,7 @@ class TestCrossWeights:
             assert [size for size, _ in calls] == [chunk, S - chunk]
             for size, done in calls:
                 assert sorted(done) == score_fit_mod._blocks(size, 128)
-            assert pools == {1: [], 2: [2, 2], 3: [3, 2], 8: [8, 2]}[workers]
+            assert pools == {1: [], 2: [2, 2], 3: [3, 3], 8: [8, 3]}[workers]
 
     def test_pooling_follows_the_work_of_a_block(self, rng, monkeypatch):
         """A block's work is its n training rows times (1 + the R rows of its
@@ -1254,6 +1260,27 @@ class TestKxFactor:
         # the training rows by forward substitution give k_X back as well
         ell = score_fit_mod._kx_rows(model, pivots, Lt, model.x_train)
         assert np.max(np.abs(K - ell.T @ Lt)) <= 2e-13
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_row_keeps_its_bits_with_a_one_draw_block(self, case, d):
+        """129 draws make a block of 128 draws and one of a single draw,
+        whose k_Y, weights and GEMMs have one column (a matrix-vector product
+        in OpenBLAS).  On each route (p1 stacked, p2 through the weights,
+        cap exact) a row's T has the same bits alone, in slices of 3 rows
+        and among all 20 rows permuted."""
+        model = self.model(case, d)
+        rng = np.random.default_rng(8)
+        X_rows, Y_set = rng.normal(size=(20, model.p)), 2.0 * rng.normal(size=(129, d))
+        blocks = score_fit_mod._cross_T(model)
+        [(_, whole)] = blocks(X_rows, Y_set)
+        perm = rng.permutation(20)
+        parts = [(np.arange(r, r + 1), X_rows[r:r + 1]) for r in range(20)]
+        parts += [(np.arange(lo, min(lo + 3, 20)), X_rows[lo:lo + 3])
+                  for lo in range(0, 20, 3)]
+        for rows, X in parts + [(perm, X_rows[perm])]:
+            [(_, got)] = blocks(X, Y_set)
+            assert got.tobytes() == whole[rows].tobytes(), (case, rows)
 
     @pytest.mark.parametrize("case", CASES)
     def test_routes_agree(self, case):
@@ -1375,13 +1402,28 @@ class TestWorkerCount:
     def small_blocks_may_pool(self, monkeypatch):
         monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", 1)
 
-    def test_blocks_join_a_one_column_remainder(self):
+    def test_a_lone_column_sums_in_row_order(self, rng):
+        """``_sum_rows`` adds the rows of a 1-column block one after another,
+        as numpy adds those of a wider block: the lone column's sum, in tiles
+        of 1, 7 and all 1000 rows carried from tile to tile, has the bits of
+        that column's sum inside a 128-column block, where numpy's pairwise
+        sum of the column alone has others.  The blocks themselves are plain
+        ``_CROSS_BLOCK``-column blocks, the last narrower."""
         assert score_fit_mod._blocks(0, 128) == []
         assert score_fit_mod._blocks(1, 128) == [(0, 1)]
-        assert score_fit_mod._blocks(129, 128) == [(0, 129)]
-        assert score_fit_mod._blocks(257, 128) == [(0, 128), (128, 257)]
+        assert score_fit_mod._blocks(129, 128) == [(0, 128), (128, 129)]
         assert score_fit_mod._blocks(300, 128) == [(0, 128), (128, 256), (256, 300)]
-        assert score_fit_mod._blocks(3, 1) == [(0, 1), (1, 2), (2, 3)]
+        W = rng.normal(size=(1000, 128))
+        wide = np.empty(128)
+        score_fit_mod._sum_rows(W.copy(), wide, False)
+        columns = range(0, 128, 8)
+        assert any(np.sum(W[:, c]) != wide[c] for c in columns)
+        for tile, c in itertools.product((1, 7, 1000), columns):
+            lone = np.empty(1)
+            for start in range(0, len(W), tile):
+                score_fit_mod._sum_rows(W[start:start + tile, c:c + 1].copy(), lone,
+                                        start > 0)
+            assert lone.tobytes() == wide[c:c + 1].tobytes(), (tile, c)
 
     def test_block_plan_counts_the_blocks_by_arithmetic(self, monkeypatch):
         """With a CPU for every block, ``_block_plan`` gives one worker per
@@ -1394,7 +1436,7 @@ class TestWorkerCount:
         # no list of blocks: a pre-flight may ask about any size
         assert score_fit_mod._block_plan(10**18 + 1, 1, 1) == (10**6, 1)
         assert (score_fit_mod._scratch_bytes(10**18 + 1, 3, 2)
-                == 10**6 * (2 * 3 * 129 * 8 + buffers))
+                == 10**6 * (2 * 3 * 128 * 8 + buffers))
         for block in (128, 3, 1):
             monkeypatch.setattr(score_fit_mod, "_CROSS_BLOCK", block)
             for size in (1, 2, 3, 4, 7, 127, 128, 129, 130, 131, 256, 257, 300, 2177):
@@ -1409,8 +1451,8 @@ class TestWorkerCount:
         """A tile takes as many training rows as keep a worker's arrays
         within ``_WORKER_SCRATCH`` (1 MiB): 204 rows for the assembly's five
         arrays at d = 1 and 146 for CV's scoring pass's seven, at any n.  A
-        GEMM adds its full-height operand, and a 1-column block, which numpy
-        sums pairwise, and a block with no arrays are one tile."""
+        GEMM adds its full-height operand, a 1-column block takes tiles 128
+        times as tall, and a block with no arrays is one tile."""
         def tile(rows, arrays, size=1000, **plan):
             return score_fit_mod._block_plan(size, rows, arrays, **plan)[1]
 
@@ -1423,8 +1465,8 @@ class TestWorkerCount:
         assert tile(2000, 1, gemm_rows=500) == 1024
         assert tile(2000, 2) == tile(2000, 2, gemm_rows=500) == 512
         assert tile(2000, 0, gemm_rows=500) == 2000 and tile(10**6, 0) == 10**6
-        assert tile(2000, 5, size=129) == 203  # the joined block of 129 columns
-        assert tile(10**6, 5, size=1) == 10**6
+        assert tile(2000, 5, size=129) == 204  # blocks of 128 columns and of 1
+        assert tile(10**6, 5, size=1) == 2**20 // (5 * 8) == 26214
         assert (score_fit_mod._scratch_bytes(1000, 2000, 3, gemm_rows=500)
                 - score_fit_mod._scratch_bytes(1000, 2000, 3)
                 == score_fit_mod._block_plan(1000, 2000, 3)[0] * 2000 * 128 * 8)
@@ -1434,8 +1476,7 @@ class TestWorkerCount:
         """Tiles of 1 row, of 7 rows (the assembly's and one model's sums;
         other calls take the tiles that the same cap gives their arrays)
         and tiles of all n rows give the same bytes: G, h and beta, T's
-        value, grad and second (also at one row, a 1-column block that stays
-        one tile), the score of 1 and of 8 models and every IS block.  n =
+        value, grad and second (also at one row, a 1-column block), the score of 1 and of 8 models and every IS block.  n =
         19 * 7 + 1, so the assembly's last 7-row tile has one row next to
         the carried sum, as every tile of 1 row does; the tiled runs take 2
         workers."""
@@ -1470,7 +1511,7 @@ class TestWorkerCount:
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("d", [1, 2])
     def test_gram_system(self, rng, monkeypatch, d, workers):
-        n = 257  # two blocks: 128 columns, then 129 with the remainder
+        n = 257  # three blocks: 128, 128 and 1 column
         X, Y, kx, ky, _ = random_instance(rng, n, d, 2)
         base = BaseDensity()
         G, h = ref_gram_system(X, Y, kx, ky, base)
@@ -1484,7 +1525,7 @@ class TestWorkerCount:
     def test_paired_sums(self, rng, monkeypatch, d, workers):
         model = fit_random(rng, n=257, d=d, p=2, lam=0.05)
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
-        # one column; one block of 129; 128 + 129; four blocks of 128 and a 129
+        # one column; 128 + 1; 128 + 128 + 1; five blocks of 128 and a 1
         for R in (1, 129, 257, 641):
             X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
             value, grad, second = ref_T_terms(model, X_eval, Y_eval)
@@ -1499,6 +1540,30 @@ class TestWorkerCount:
             assert np.array_equal(got[0], value)
             assert np.array_equal(got[1], grad)
             assert got[2] is None
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_row_keeps_its_bits_alone_and_among_other_rows(self, rng, monkeypatch, d):
+        """A row's T, its gradient and second derivative, its unnormalized
+        log-density and ``eval_T`` are the same bits alone as among R rows,
+        for R = 1 (a 1-column block), 2, 129 (blocks of 128 and 1) and 257
+        (128, 128 and 1), on 2 workers and in tiles of training rows: every
+        column of every block is summed over the training rows in order."""
+        model = fit_random(rng, n=300, d=d, p=2, lam=0.05)
+        monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: 2)
+        assert score_fit_mod._block_plan(128, 300, score_fit_mod._block_arrays(d))[1] < 300
+        for R in (1, 2, 129, 257):
+            X_eval, Y_eval = rng.normal(size=(R, 2)), 1.5 * rng.normal(size=(R, d))
+            among = score_fit_mod._T_terms(model, X_eval, Y_eval, True, True, True)
+            logpdf = unnorm_logpdf_rows(model, X_eval, Y_eval)
+            for r in range(R):
+                rows = slice(r, r + 1)
+                alone = score_fit_mod._T_terms(model, X_eval[rows], Y_eval[rows],
+                                               True, True, True)
+                for got, expect in zip(alone, among, strict=True):
+                    assert got.tobytes() == expect[rows].tobytes(), (R, r)
+                assert (unnorm_logpdf_rows(model, X_eval[rows], Y_eval[rows]).tobytes()
+                        == logpdf[rows].tobytes()), (R, r)
+                assert eval_T(model, X_eval[r], Y_eval[r]) == among[0][r], (R, r)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blocks_keep_the_callers_error_state(self, monkeypatch, workers):
@@ -1532,7 +1597,7 @@ class TestWorkerCount:
         monkeypatch.setattr(score_fit_mod, "ThreadPoolExecutor", recording)
         for rows in (20, 21):  # the blocks have n = 20 rows
             monkeypatch.setattr(score_fit_mod, "_POOL_ROWS", rows)
-            for R, expect in ((100, []), (129, []), (257, [2]), (641, [5])):
+            for R, expect in ((100, []), (129, [2]), (257, [3]), (641, [6])):
                 pools.clear()
                 X_eval, Y_eval = rng.normal(size=(R, 1)), rng.normal(size=(R, 1))
                 empirical_score(model, X_eval, Y_eval)
@@ -1696,8 +1761,8 @@ class TestScoreList:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_each_model_alone(self, rng, monkeypatch, d, workers):
         """n = _POOL_ROWS training rows, so two blocks run on two workers;
-        R = 129 is one block with the 1-column remainder joined, R = 257
-        two, each in tiles of training rows.  The list builds each tile's
+        R = 129 is blocks of 128 columns and of 1, R = 257 three, each in
+        tiles of training rows.  The list builds each tile's
         k_X and k_Y once for all models."""
         n = score_fit_mod._POOL_ROWS
         monkeypatch.setattr(score_fit_mod, "_worker_count", lambda: workers)
